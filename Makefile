@@ -1,7 +1,7 @@
 # Tier-1 verification plus the parallel-engine smoke test. `make ci` is
 # what .github/workflows/ci.yml runs; keep the two in sync.
 
-.PHONY: all build test differential bench-smoke scenario-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke trace-sample validate baselines deep-check ci clean
+.PHONY: all build test differential bench-smoke scenario-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke perf-smoke trace-sample validate baselines deep-check ci clean
 
 all: build
 
@@ -195,13 +195,32 @@ e17-smoke: build
 	  --vset-bits 18 --out swarm_smoke.json
 	dune exec bench/validate.exe -- swarm_smoke.json
 
+# The end-to-end benchmark's correctness gate (perfbench/WORKLOADS.md):
+# one short untraced run of each workload. Each prints a result line,
+# and any run whose line lacks "correct":true fails the target: a
+# request not served exactly once on svc-*, a search verdict that
+# changed on mc-*, or mc-replay's exact 18,046 runs / 916,667 steps
+# drifting. Timings are printed, not gated.
+PERF_WORKLOADS = svc-hot svc-cold mc-sym mc-replay
+
+perf-smoke: build
+	@for w in $(PERF_WORKLOADS); do \
+	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+	    --seconds 2 --trace 0 | tail -n 1); \
+	  echo "$$w $$line"; \
+	  case "$$line" in \
+	    *'"correct":true'*) ;; \
+	    *) echo "perf-smoke: $$w failed its correctness gate" >&2; exit 1 ;; \
+	  esac; \
+	done
+
 # A small Perfetto-loadable trace of T1(MCS) under a crash storm — CI
 # uploads it as an artifact so a run's behaviour can be eyeballed.
 trace-sample: build
 	dune exec bin/rme_cli.exe -- trace --stack t1-mcs -n 4 --steps 2000 \
 	  --crash-every 300 --format chrome --out trace_sample.json
 
-ci: build test differential e13-smoke bench-smoke e10-smoke trace-sample
+ci: build test differential e13-smoke bench-smoke e10-smoke perf-smoke trace-sample
 
 clean:
 	dune clean

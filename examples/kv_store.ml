@@ -35,19 +35,12 @@ let run_ledger ~stack ~seed =
   (* NVRAM: the two accounts plus one redo-log record per process. *)
   let acct_a = Memory.global mem ~name:"ledger.A" total in
   let acct_b = Memory.global mem ~name:"ledger.B" 0 in
-  let log_active =
-    Array.init (n + 1) (fun i ->
-        Memory.cell mem ~name:(Printf.sprintf "log.active[%d]" i)
-          ~home:(max i 1) 0)
+  let log name =
+    Array.init (n + 1) (fun i -> Memory.cell mem ~name ~i ~home:(max i 1) 0)
   in
-  let log_a =
-    Array.init (n + 1) (fun i ->
-        Memory.cell mem ~name:(Printf.sprintf "log.A[%d]" i) ~home:(max i 1) 0)
-  in
-  let log_b =
-    Array.init (n + 1) (fun i ->
-        Memory.cell mem ~name:(Printf.sprintf "log.B[%d]" i) ~home:(max i 1) 0)
-  in
+  let log_active = log "log.active" in
+  let log_a = log "log.A" in
+  let log_b = log "log.B" in
   let transfers = Array.make (n + 1) 0 in
   let torn = ref 0 in
   let replays = ref 0 in

@@ -30,6 +30,7 @@ module Make (B : Backend_intf.S) = struct
 
   let create ?(fast_path = true) mem ~name =
     let n = B.n mem in
+    let s_name = name ^ ".S" in
     {
       mem;
       model = B.model mem;
@@ -38,9 +39,7 @@ module Make (B : Backend_intf.S) = struct
       c = B.global mem ~name:(name ^ ".C") Encode.bottom;
       s =
         Array.init (n + 1) (fun i ->
-            B.cell mem
-              ~name:(Printf.sprintf "%s.S[%d]" name i)
-              ~home:(Stdlib.max i 1) 0);
+            B.cell mem ~name:s_name ~i ~home:(Stdlib.max i 1) 0);
       tags = Tags.create mem ~name:(name ^ ".tags");
       sub = Sub.create ~fast_path mem ~name:(name ^ ".sub");
     }

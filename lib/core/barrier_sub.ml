@@ -23,12 +23,12 @@ module Make (B : Backend_intf.S) = struct
   let create ?(fast_path = true) mem ~name =
     let n = B.n mem in
     let matrix base =
+      let name = name ^ "." ^ base in
       Array.init (n + 1) (fun i ->
           Array.init (n + 1) (fun j ->
-              B.cell mem
-                ~name:(Printf.sprintf "%s.%s[%d][%d]" name base i j)
-                ~home:(Stdlib.max i 1) 0))
+              B.cell mem ~name ~i ~j ~home:(Stdlib.max i 1) 0))
     in
+    let s_name = name ^ ".S" in
     {
       mem;
       n;
@@ -39,9 +39,7 @@ module Make (B : Backend_intf.S) = struct
       l = matrix "L";
       s =
         Array.init (n + 1) (fun j ->
-            B.cell mem
-              ~name:(Printf.sprintf "%s.S[%d]" name j)
-              ~home:(Stdlib.max j 1) 0);
+            B.cell mem ~name:s_name ~i:j ~home:(Stdlib.max j 1) 0);
     }
 
   (* BSub-Leader, Fig. 1 lines 7-16. Process [pid] is the leader; its

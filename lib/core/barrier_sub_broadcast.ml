@@ -18,6 +18,7 @@ module Make (B : Backend_intf.S) = struct
 
   let create ?(fast_path = true) mem ~name =
     let n = B.n mem in
+    let c_name = name ^ ".C" and s_name = name ^ ".S" in
     {
       mem;
       n;
@@ -26,14 +27,10 @@ module Make (B : Backend_intf.S) = struct
       c =
         Array.init (n + 1) (fun i ->
             Array.init (n + 1) (fun j ->
-                B.cell mem
-                  ~name:(Printf.sprintf "%s.C[%d][%d]" name i j)
-                  ~home:(Stdlib.max i 1) 0));
+                B.cell mem ~name:c_name ~i ~j ~home:(Stdlib.max i 1) 0));
       s =
         Array.init (n + 1) (fun j ->
-            B.cell mem
-              ~name:(Printf.sprintf "%s.S[%d]" name j)
-              ~home:(Stdlib.max j 1) 0);
+            B.cell mem ~name:s_name ~i:j ~home:(Stdlib.max j 1) 0);
     }
 
   let leader t ~pid ~epoch =

@@ -11,24 +11,18 @@ let not_enqueued = -1
 
 let make mem =
   let n = Memory.n mem in
-  let local base i init =
-    Memory.cell mem
-      ~name:(Printf.sprintf "rclh.%s[%d]" base i)
-      ~home:(Stdlib.max i 1) init
-  in
+  let local name i init = Memory.cell mem ~name ~i ~home:(Stdlib.max i 1) init in
   (* node.(0) is the permanently-released dummy; process i owns nodes
      2i and 2i+1 (indices 2i, 2i+1 in a flat array). *)
   let node =
     Array.init ((2 * n) + 2) (fun j ->
-        Memory.cell mem
-          ~name:(Printf.sprintf "rclh.node[%d]" j)
-          ~home:(Stdlib.max (j / 2) 1) 0)
+        Memory.cell mem ~name:"rclh.node" ~i:j ~home:(Stdlib.max (j / 2) 1) 0)
   in
   let tail = Memory.global mem ~name:"rclh.tail" 0 in
-  let phase = Array.init (n + 1) (fun i -> local "phase" i idle) in
-  let my_node = Array.init (n + 1) (fun i -> local "myNode" i 0) in
-  let my_pred = Array.init (n + 1) (fun i -> local "myPred" i not_enqueued) in
-  let parity = Array.init (n + 1) (fun i -> local "parity" i 0) in
+  let phase = Array.init (n + 1) (fun i -> local "rclh.phase" i idle) in
+  let my_node = Array.init (n + 1) (fun i -> local "rclh.myNode" i 0) in
+  let my_pred = Array.init (n + 1) (fun i -> local "rclh.myPred" i not_enqueued) in
+  let parity = Array.init (n + 1) (fun i -> local "rclh.parity" i 0) in
   (* Idempotent exit roll-forward: release, advance the parity (derived
      from the released node, so re-execution recomputes the same value),
      clear the enqueue guard, go idle. Runs under phase = releasing. *)

@@ -22,12 +22,9 @@ module Make (B : Backend_intf.S) = struct
   let make mem =
     let n = B.n mem in
     let dummy = B.global mem ~name:"jjj-dsm.unused" 0 in
-    let field base i =
-      if i = 0 then dummy
-      else B.cell mem ~name:(Printf.sprintf "jjj-dsm.%s[%d]" base i) ~home:i 0
-    in
-    let next = Array.init (n + 1) (field "next") in
-    let grant = Array.init (n + 1) (field "grant") in
+    let field name i = if i = 0 then dummy else B.cell mem ~name ~i ~home:i 0 in
+    let next = Array.init (n + 1) (field "jjj-dsm.next") in
+    let grant = Array.init (n + 1) (field "jjj-dsm.grant") in
     let tail = B.global mem ~name:"jjj-dsm.tail" 0 in
     let seal = B.global mem ~name:"jjj-dsm.seal" 0 in
     let barrier = Bar.create mem ~name:"jjj-dsm.bar" in

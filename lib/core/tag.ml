@@ -10,12 +10,10 @@ module Make (B : Backend_intf.S) = struct
 
   let create mem ~name =
     let n = B.n mem in
+    let name = name ^ ".E" in
     let e =
       Array.init (n + 1) (fun i ->
-          Array.init 2 (fun b ->
-              B.cell mem
-                ~name:(Printf.sprintf "%s.E[%d][%d]" name i b)
-                ~home:(Stdlib.max i 1) 0))
+          Array.init 2 (fun j -> B.cell mem ~name ~i ~j ~home:(Stdlib.max i 1) 0))
     in
     { e }
 

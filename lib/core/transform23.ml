@@ -25,10 +25,8 @@ module Make (B : Backend_intf.S) = struct
     let br1 = Bar.create ?fast_path mem ~name:(name ^ ".BR1") in
     let br2 = Bar.create ?fast_path mem ~name:(name ^ ".BR2") in
     let h =
-      Array.init (n + 1) (fun i ->
-          B.cell mem
-            ~name:(Printf.sprintf "%s.h[%d]" name i)
-            ~home:(Stdlib.max i 1) 0)
+      let name = name ^ ".h" in
+      Array.init (n + 1) (fun i -> B.cell mem ~name ~i ~home:(Stdlib.max i 1) 0)
     in
     let h_ind = g "hInd" 1 in
     let h_epoch = g "hEpoch" 0 in

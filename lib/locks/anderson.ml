@@ -4,9 +4,7 @@ let make mem =
   let n = Memory.n mem in
   let slots =
     Array.init n (fun j ->
-        Memory.global mem
-          ~name:(Printf.sprintf "anderson.slot[%d]" j)
-          (if j = 0 then 1 else 0))
+        Memory.global mem ~name:"anderson.slot" ~i:j (if j = 0 then 1 else 0))
   in
   let next = Memory.global mem ~name:"anderson.next" 0 in
   let my_slot = Array.make (n + 1) 0 in

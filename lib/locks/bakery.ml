@@ -2,13 +2,9 @@ open Sim
 
 let make mem =
   let n = Memory.n mem in
-  let cell base i =
-    Memory.cell mem
-      ~name:(Printf.sprintf "bakery.%s[%d]" base i)
-      ~home:(Stdlib.max i 1) 0
-  in
-  let choosing = Array.init (n + 1) (cell "choosing") in
-  let number = Array.init (n + 1) (cell "number") in
+  let cell name i = Memory.cell mem ~name ~i ~home:(Stdlib.max i 1) 0 in
+  let choosing = Array.init (n + 1) (cell "bakery.choosing") in
+  let number = Array.init (n + 1) (cell "bakery.number") in
   (* Lexicographic priority: lower (ticket, pid) wins. *)
   let has_priority ~mine ~pid other_number j =
     other_number = 0 || (other_number, j) > (mine, pid)

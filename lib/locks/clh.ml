@@ -8,8 +8,7 @@ let make mem =
   let n = Memory.n mem in
   let node =
     Array.init (n + 1) (fun j ->
-        Memory.cell mem ~name:(Printf.sprintf "clh.node[%d]" j)
-          ~home:(Stdlib.max j 1) 0)
+        Memory.cell mem ~name:"clh.node" ~i:j ~home:(Stdlib.max j 1) 0)
   in
   let tail = Memory.global mem ~name:"clh.tail" 0 in
   let my_node = Array.init (n + 1) (fun i -> i) in

@@ -12,12 +12,9 @@ module Make (B : Backend_intf.S) = struct
   let make mem =
     let n = B.n mem in
     let dummy = B.global mem ~name:"mcs.unused" 0 in
-    let field base i =
-      if i = 0 then dummy
-      else B.cell mem ~name:(Printf.sprintf "mcs.%s[%d]" base i) ~home:i 0
-    in
-    let next = Array.init (n + 1) (field "next") in
-    let locked = Array.init (n + 1) (field "locked") in
+    let field name i = if i = 0 then dummy else B.cell mem ~name ~i ~home:i 0 in
+    let next = Array.init (n + 1) (field "mcs.next") in
+    let locked = Array.init (n + 1) (field "mcs.locked") in
     let tail = B.global mem ~name:"mcs.tail" 0 in
     {
       Lock_intf.name = "mcs";

@@ -4,13 +4,13 @@ let make mem =
   let n = Memory.n mem in
   let tree = Tree.make n in
   let nodes = Tree.internal_nodes tree in
-  let var base v s init =
-    Memory.global mem ~name:(Printf.sprintf "peterson.%s[%d][%d]" base v s) init
-  in
+  let var name i j init = Memory.global mem ~name ~i ~j init in
   (* flag.(v).(s): side s competes at node v; turn.(v).(0): whose turn it is
      to wait. Node index 0 is unused padding. *)
-  let flag = Array.init (nodes + 1) (fun v -> Array.init 2 (fun s -> var "flag" v s 0)) in
-  let turn = Array.init (nodes + 1) (fun v -> var "turn" v 0 0) in
+  let flag =
+    Array.init (nodes + 1) (fun v -> Array.init 2 (fun s -> var "peterson.flag" v s 0))
+  in
+  let turn = Array.init (nodes + 1) (fun v -> var "peterson.turn" v 0 0) in
   let paths = Array.init (n + 1) (fun p -> if p = 0 then [||] else Tree.path tree ~pid:p) in
   let enter2 (v, s) =
     let rival = 1 - s in

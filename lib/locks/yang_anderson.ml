@@ -25,18 +25,16 @@ module Make (B : Backend_intf.S) = struct
     let depth = Tree.depth tree in
     let c =
       Array.init (nodes + 1) (fun v ->
-          Array.init 2 (fun s ->
-              B.global mem ~name:(Printf.sprintf "ya.C[%d][%d]" v s) 0))
+          Array.init 2 (fun s -> B.global mem ~name:"ya.C" ~i:v ~j:s 0))
     in
     let t =
-      Array.init (nodes + 1) (fun v ->
-          B.global mem ~name:(Printf.sprintf "ya.T[%d]" v) 0)
+      Array.init (nodes + 1) (fun v -> B.global mem ~name:"ya.T" ~i:v 0)
     in
     let p =
       Array.init (n + 1) (fun pid ->
           Array.init (Stdlib.max depth 1) (fun l ->
               let home = Stdlib.max pid 1 in
-              B.cell mem ~name:(Printf.sprintf "ya.P[%d][%d]" pid l) ~home 0))
+              B.cell mem ~name:"ya.P" ~i:pid ~j:l ~home 0))
     in
     let paths =
       Array.init (n + 1) (fun q -> if q = 0 then [||] else Tree.path tree ~pid:q)

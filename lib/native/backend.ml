@@ -5,13 +5,15 @@
     of hanging, which is what makes the failure system-wide on real
     domains.
 
-    Cell names and DSM homes are accepted and ignored: RMR accounting is a
-    model-level notion the simulator implements; natively the hardware
-    decides. [model] selects which of the paper's model-dependent paths
-    runs (Fig. 2's Barrier): [Cc] — the default, the natural global spin
-    on cache-coherent hardware — or [Dsm], the full distributed
-    secondary-leader machinery, worth running natively as a differential
-    test of the paper's most intricate code against real interleavings.
+    Cell names (prefix and indices) and DSM homes are accepted and
+    ignored, so materializing a stack formats no string: RMR accounting
+    is a model-level notion the simulator implements; natively the
+    hardware decides. [model] selects which of the paper's
+    model-dependent paths runs (Fig. 2's Barrier): [Cc] — the default,
+    the natural global spin on cache-coherent hardware — or [Dsm], the
+    full distributed secondary-leader machinery, worth running natively
+    as a differential test of the paper's most intricate code against
+    real interleavings.
 
     Hardware-awareness (DESIGN.md §5.15): cells are cache-line padded by
     default ({!Natomic.make_padded}; [~padded:false] restores bare
@@ -55,9 +57,9 @@ let alloc m init =
   end
   else Atomic.make init
 
-let cell m ~name:_ ~home:_ init = alloc m init
+let cell m ~name:_ ?i:_ ?j:_ ~home:_ init = alloc m init
 
-let global m ~name:_ init = alloc m init
+let global m ~name:_ ?i:_ ?j:_ init = alloc m init
 
 let read = Atomic.get
 

@@ -17,8 +17,13 @@
     - Cells hold plain [int]s; RMW primitives return the {e old} value,
       the convention of the paper's pseudo-code (Fig. 1 line 10 compares
       the CAS result against [epoch]).
-    - [cell]/[global] take the DSM [home] process and a diagnostic name;
-      backends that do no accounting (native) ignore both.
+    - [cell]/[global] take the DSM [home] process and a diagnostic name,
+      given as a prefix plus up to two indices ([~name:"t1(mcs).bar.S"
+      ~i:2] is [t1(mcs).bar.S[2]]). Names are diagnostic only: the
+      simulator stores the parts and formats them on demand
+      ({!Memory.name}, for traces and deadlock reports), and backends
+      that do no accounting (native) ignore name, indices and home, so
+      building a structure formats no string per cell.
     - [await] is the only blocking operation: algorithm spins must go
       through it (never a loop over [read]) so that the simulator's
       schedulers and model checker see spin-blocked processes, and so the
@@ -47,11 +52,11 @@ module type S = sig
       paths (Fig. 2's Barrier dispatches on it). Natively, [Cc] selects
       the global-spin barrier and [Dsm] the full distributed machinery. *)
 
-  val cell : mem -> name:string -> home:int -> int -> cell
-  (** [cell mem ~name ~home init] allocates a cell homed (DSM) at
-      [home]. *)
+  val cell : mem -> name:string -> ?i:int -> ?j:int -> home:int -> int -> cell
+  (** [cell mem ~name ?i ?j ~home init] allocates a cell homed (DSM) at
+      [home], named [name[i][j]] (absent indices omitted). *)
 
-  val global : mem -> name:string -> int -> cell
+  val global : mem -> name:string -> ?i:int -> ?j:int -> int -> cell
   (** A variable with no natural owner, homed at process 1 as the DSM
       model requires. *)
 

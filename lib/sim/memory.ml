@@ -15,10 +15,15 @@ let model_of_string s =
    under the CC model's in-cache-read rule. [zkey] is the cell's Zobrist
    key [Encode.mix fingerprint_seed id], precomputed so a value update
    costs one {!Encode.mix} per xor side. [dirty] marks the cell as
-   written since the last {!snapshot} (the dirty-set snapshot patch). *)
+   written since the last {!snapshot} (the dirty-set snapshot patch).
+   [name] is only the diagnostic prefix; [i]/[j] are its optional
+   indices (-1 when absent), formatted by {!name} on demand so that
+   building a stack allocates no strings per cell. *)
 type cell = {
   id : int;  (* dense allocation index, 0-based; keys snapshots *)
   name : string;
+  i : int;
+  j : int;
   home : int;
   zkey : int;
   (* Symmetry-slice assignment (DESIGN.md §5.19): [sym_owner] is 0 for
@@ -131,8 +136,10 @@ let push_dirty t id =
    global and a slice cell can never share a [sym_key]; slice cells are
    keyed by their per-owner allocation slot, which is what lines the
    k-th cell of every pid up under relabeling. *)
-let alloc t ~name ~home ~sym_owner init =
+let alloc t ~name ~i ~j ~home ~sym_owner init =
   if home < 1 || home > t.n then invalid_arg "Memory.cell: bad home";
+  if i < -1 || j < -1 || (i = -1 && j >= 0) then
+    invalid_arg "Memory.cell: bad name index";
   let id = t.n_cells in
   let sym_key =
     if sym_owner = 0 then Encode.mix Encode.sym_seed (lnot id)
@@ -146,6 +153,8 @@ let alloc t ~name ~home ~sym_owner init =
     {
       id;
       name;
+      i;
+      j;
       home;
       zkey = Encode.mix Encode.fingerprint_seed id;
       sym_owner;
@@ -169,16 +178,27 @@ let alloc t ~name ~home ~sym_owner init =
     t.sym.(sym_owner) <- t.sym.(sym_owner) lxor Encode.mix sym_key init;
   c
 
-let cell t ~name ~home init = alloc t ~name ~home ~sym_owner:home init
+let cell t ~name ?(i = -1) ?(j = -1) ~home init =
+  alloc t ~name ~i ~j ~home ~sym_owner:home init
 
-let global t ~name init = alloc t ~name ~home:1 ~sym_owner:0 init
+let global t ~name ?(i = -1) ?(j = -1) init =
+  alloc t ~name ~i ~j ~home:1 ~sym_owner:0 init
 
-let name c = c.name
+let name c =
+  if c.i < 0 then c.name
+  else if c.j < 0 then Printf.sprintf "%s[%d]" c.name c.i
+  else Printf.sprintf "%s[%d][%d]" c.name c.i c.j
+
 let home c = c.home
 let id c = c.id
 let peek c = c.value
 
 let cell_count t = t.n_cells
+
+let iter_cells t f =
+  for k = 0 to t.n_cells - 1 do
+    f t.cells.(k)
+  done
 
 let snapshot t =
   if Array.length t.snap < t.n_cells then begin

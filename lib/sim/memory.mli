@@ -35,17 +35,26 @@ val create : model:model -> n:int -> t
 val model : t -> model
 val n : t -> int
 
-val cell : t -> name:string -> home:int -> int -> cell
-(** [cell t ~name ~home init] allocates a cell. [home] is the DSM home
-    process in [1..n]; it is ignored by the CC cost model but must always
-    be valid (the DSM model requires every variable to be local to exactly
-    one process). *)
+val cell : t -> name:string -> ?i:int -> ?j:int -> home:int -> int -> cell
+(** [cell t ~name ?i ?j ~home init] allocates a cell. [home] is the DSM
+    home process in [1..n]; it is ignored by the CC cost model but must
+    always be valid (the DSM model requires every variable to be local to
+    exactly one process). The diagnostic name is the prefix [name] plus
+    up to two non-negative indices ([?j] only alongside [?i]); it is
+    stored unformatted, so allocation builds no string (see {!name}).
+    @raise Invalid_argument on a bad home or index. *)
 
-val global : t -> name:string -> int -> cell
-(** [global t ~name init] is [cell t ~name ~home:1 init]: a variable with no
-    natural owner, statically homed at process 1 as the DSM model requires. *)
+val global : t -> name:string -> ?i:int -> ?j:int -> int -> cell
+(** [global t ~name ?i ?j init] is [cell t ~name ?i ?j ~home:1 init]: a
+    variable with no natural owner, statically homed at process 1 as the
+    DSM model requires. *)
 
 val name : cell -> string
+(** The cell's diagnostic name, formatted on demand: the prefix alone,
+    ["prefix[i]"] or ["prefix[i][j]"] (e.g. ["t1(mcs).bar.tags.E[2][0]"]).
+    Names carry no semantics — only traces, deadlock diagnostics and
+    tests call this. *)
+
 val home : cell -> int
 
 val id : cell -> int
@@ -55,6 +64,10 @@ val id : cell -> int
     independent replays of the same scenario. *)
 
 val cell_count : t -> int
+
+val iter_cells : t -> (cell -> unit) -> unit
+(** [iter_cells t f] applies [f] to every allocated cell in id order.
+    Observer API — no step or RMR is charged. *)
 
 val snapshot : t -> int array
 (** [snapshot t] is the current value of every allocated cell, indexed by

@@ -173,6 +173,7 @@ let barrier_all_pass model () =
   let mem = Rme_native.Backend.create ~model crash ~n in
   let b = NBarrier.create mem ~name:"b" in
   let passed = Atomic.make 0 in
+  let finished = Atomic.make 0 in
   let worker pid () =
     let done_upto = ref 0 in
     Rme_native.Crash.worker_run crash ~pid (fun ~epoch ->
@@ -187,10 +188,20 @@ let barrier_all_pass model () =
         (* Park until the next system-wide crash starts the next epoch. *)
         if !done_upto < rounds then
           Rme_native.Crash.spin_until crash (fun () -> false));
-    Rme_native.Crash.worker_done crash ~pid
+    Rme_native.Crash.worker_done crash ~pid;
+    Atomic.incr finished
   in
   let domains = List.init n (fun i -> Domain.spawn (worker (i + 1))) in
   for _ = 1 to rounds do
+    Unix.sleepf 0.005;
+    Rme_native.Crash.crash crash
+  done;
+  (* On a loaded host a crash can catch a worker inside its last round.
+     It retries the round in the next epoch as a non-leader, and that
+     epoch's leader may already have finished, so nobody opens the
+     barrier for it. Keep crashing until the rotation makes a live worker
+     the leader and every worker is done. *)
+  while Atomic.get finished < n do
     Unix.sleepf 0.005;
     Rme_native.Crash.crash crash
   done;
