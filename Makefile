@@ -18,9 +18,9 @@ test: build
 differential: build
 	dune exec test/test_differential.exe
 
-# E1 exercises the sweep fan-out, E9 the parallel model checker, E12 the
-# reduction engine, E13 the incremental-fingerprint hot path, all on a
-# 2-worker pool. Any safety violation (assert_ok), E9/E12/E13
+# E1 exercises the sweep fan-out, E9 the model checker (its rows fanned
+# out), E12 the reduction engine, E13 the incremental-fingerprint hot
+# path, all on a 2-worker pool. Any safety violation (assert_ok), E9/E12/E13
 # expectation mismatch (a clean row reporting a violation, a
 # known-negative row failing to find one, or the reduction ratio
 # collapsing) makes the binary exit non-zero. The emitted BENCH_E*.json
@@ -102,10 +102,10 @@ deep-check: build
 	dune exec bin/rme_cli.exe -- model-check --stack t3-mcs -n 3 -d 2 -c 1 \
 	  --reduce sym --out deep-check/t3-mcs-n3-d2-c1-sym.json
 	dune exec bin/rme_cli.exe -- model-check --stack rclh-fasas -n 2 -d 2 \
-	  --co 1 --reduce sym --swarm 8 --jobs 4 --vset-bits 24 \
+	  --co 1 --reduce sym --swarm 8 --vset-bits 24 \
 	  --out deep-check/swarm-rclh-fasas-n2-d2-co1.json
 	dune exec bin/rme_cli.exe -- model-check --stack rclh-fasas -n 3 -d 1 \
-	  -c 1 --reduce sym --swarm 8 --jobs 4 --vset-bits 24 \
+	  -c 1 --reduce sym --swarm 8 --vset-bits 24 \
 	  --out deep-check/swarm-rclh-fasas-n3-d1-c1.json
 	dune exec bench/validate.exe -- deep-check/*.json
 	dune exec bench/main.exe -- e13
@@ -135,8 +135,8 @@ e10-smoke: build
 
 # E13 at reduced budgets (schema check only — the full run inside
 # bench-smoke is the baseline-gated one; --quick shrinks the throughput
-# probe and drops the jobs-4 checker cells, so its table differs from
-# the committed expectation by design).
+# probe, so its table differs from the committed expectation by
+# design).
 e13-smoke: build
 	dune exec bench/main.exe -- e13 --quick
 	dune exec bench/validate.exe -- BENCH_E13.json
@@ -175,14 +175,17 @@ e16-smoke: build
 
 # E17, the symmetry/sleep/bitstate sweep, with its in-code gates (the
 # >=5x sym/por distinct-state quotient on an N>=4 scenario, verdict
-# parity across none/dedup/por/sym x jobs, the deepened-row bitstate
+# parity across none/dedup/por/sym, the deepened-row bitstate
 # agreement — any gate failing exits non-zero before the JSON is
-# written), then the schema + baseline diff. Captured cells are all
-# jobs=1 sequential searches, so they are deterministic; --quick only
-# trims the uncaptured jobs=4 parity probes, and the smoke run gates
-# against the full-run baseline. The swarm invocation then exercises
-# the CLI-level fan-out end to end (4 diversified bitstate members,
-# any-violation-wins merge) and schema-checks its merged outcome.
+# written), then the schema + baseline diff. Every cell is a
+# sequential, deterministic search, so --quick changes nothing E17
+# captures and the smoke run gates against the full-run baseline. The
+# swarm invocation then exercises the CLI-level fan-out end to end (4
+# diversified bitstate members, any-violation-wins merge) and
+# schema-checks its merged outcome. Last, --jobs must never change a
+# model-check outcome: a single bitstate search and the swarm each run
+# at --jobs 1 and --jobs 2, and their outcome JSONs (which carry no
+# timings) must be byte-identical.
 # Swarm members vary d/c/co, so a clean-gated swarm row must use a
 # stack that tolerates system-wide AND independent crashes — that is
 # FASAS-CLH; a GH18 stack would (correctly) deadlock under the co+1
@@ -194,6 +197,16 @@ e17-smoke: build
 	  --stack rclh-fasas -n 2 -d 1 --reduce sym --swarm 4 --jobs 2 \
 	  --vset-bits 18 --out swarm_smoke.json
 	dune exec bench/validate.exe -- swarm_smoke.json
+	dune exec bin/rme_cli.exe -- model-check --scenario rme \
+	  --stack rclh-fasas -n 2 -d 1 --reduce sym --swarm 4 --jobs 1 \
+	  --vset-bits 18 --out jobs_parity_swarm_1.json
+	cmp swarm_smoke.json jobs_parity_swarm_1.json
+	for j in 1 2; do \
+	  dune exec bin/rme_cli.exe -- model-check --stack t2-mcs -n 2 -d 2 \
+	    -c 1 --reduce por --vset bitstate --vset-bits 12 --jobs $$j \
+	    --out jobs_parity_mc_$$j.json || exit 1; \
+	done
+	cmp jobs_parity_mc_1.json jobs_parity_mc_2.json
 
 # The end-to-end benchmark's correctness gate (perfbench/WORKLOADS.md):
 # one short untraced run of each workload. Each prints a result line,
@@ -224,5 +237,6 @@ ci: build test differential e13-smoke bench-smoke e10-smoke perf-smoke trace-sam
 
 clean:
 	dune clean
-	rm -f BENCH_E*.json trace_sample.json scenario_*.json swarm_smoke.json
+	rm -f BENCH_E*.json trace_sample.json scenario_*.json swarm_smoke.json \
+	  jobs_parity_*.json
 	rm -rf deep-check

@@ -470,12 +470,12 @@ let correctness_stats ~pool () =
       ]
     rows
 
-(* E9: systematic concurrency testing. Each row is one search, internally
-   parallelized by [explore ~pool] (rows share the pool; results are
-   committed in DFS order, so the table is --jobs-independent). Rows whose
-   name carries "EXPECTED" are the known-negative results and must show a
-   violation; every other row must be clean — violated expectations abort
-   the bench with a non-zero exit, which is what CI's smoke run keys on. *)
+(* E9: systematic concurrency testing. Each row is one sequential search;
+   the rows fan out over the pool and come back in row order, so the
+   table is --jobs-independent. Rows whose name carries "EXPECTED" are
+   the known-negative results and must show a violation; every other row
+   must be clean — violated expectations abort the bench with a non-zero
+   exit, which is what CI's smoke run keys on. *)
 let model_checking ~pool () =
   let contains_expected name =
     let m = String.length "EXPECTED" in
@@ -505,26 +505,22 @@ let model_checking ~pool () =
       | v :: _ -> v);
     ]
   in
-  let mc name ?(stop_on_first = false) ~d ~c ~runs sc =
+  let mc name ?(stop_on_first = false) ~d ~c ~runs sc () =
     row name
       (Harness.Model_check.explore ~divergence_bound:d ~crash_bound:c
-         ~max_runs:runs ~stop_on_first ~pool sc)
+         ~max_runs:runs ~stop_on_first sc)
   in
-  let mc_co name ?(stop_on_first = false) ~d ~co ~runs sc =
+  let mc_co name ?(stop_on_first = false) ~d ~co ~runs sc () =
     row name
       (Harness.Model_check.explore ~divergence_bound:d ~crash_one_bound:co
-         ~max_runs:runs ~stop_on_first ~pool sc)
+         ~max_runs:runs ~stop_on_first sc)
   in
   let rme ?(check_csr = true) stack n model =
     Harness.Scenarios.rme ~check_csr ~n ~model
       ~make:(fun mem -> Rme.Stack.recoverable mem stack)
       ()
   in
-  Report.table
-    ~title:
-      "E9: bounded systematic testing (divergence bound d, crash bound c); \
-       expected: violations only for the two known-negative rows"
-    ~header:[ "scenario"; "runs"; "steps"; "deadlocks"; "violations" ]
+  let searches =
     [
       mc "Barrier spec, n=3 CC, d2" ~d:2 ~c:0 ~runs:200_000
         (Harness.Scenarios.barrier ~n:3 ~model:Memory.Cc ());
@@ -555,6 +551,13 @@ let model_checking ~pool () =
         ~co:1 ~runs:200_000 ~stop_on_first:true
         (rme ~check_csr:false "t1-mcs" 2 Memory.Cc);
     ]
+  in
+  Report.table
+    ~title:
+      "E9: bounded systematic testing (divergence bound d, crash bound c); \
+       expected: violations only for the two known-negative rows"
+    ~header:[ "scenario"; "runs"; "steps"; "deadlocks"; "violations" ]
+    (Pool.map pool (fun search -> search ()) searches)
 
 (* E11: failure-model separation (the paper's question (ii)). The same
    crash rate, delivered two ways: as system-wide crash steps (the model
@@ -726,15 +729,15 @@ let native_contended () =
 
 (* E12: state-space reduction evaluation. Each roster scenario is
    explored three times — reduce none / dedup / por — at identical
-   bounds, with [~jobs:1] inside each explore so every cell is fully
-   deterministic (the pool parallelizes *across* cells, which are
-   independent searches). The table is the evidence for DESIGN.md §5.13:
-   verdicts are identical at every level while the executed-schedule
-   count collapses; the two EXPECTED rows show the known-negative
-   ablations are still flagged after reduction. Wall-clock per cell goes
-   to the metrics (machine-dependent, so it stays out of the table).
-   Violated expectations or a sub-5x best ratio abort the bench with a
-   non-zero exit, like E9's expectation checks. *)
+   bounds; each cell is one sequential, deterministic search, and the
+   pool parallelizes *across* cells, which are independent. The table is
+   the evidence for DESIGN.md §5.13: verdicts are identical at every
+   level while the executed-schedule count collapses; the two EXPECTED
+   rows show the known-negative ablations are still flagged after
+   reduction. Wall-clock per cell goes to the metrics (machine-dependent,
+   so it stays out of the table). Violated expectations or a sub-5x best
+   ratio abort the bench with a non-zero exit, like E9's expectation
+   checks. *)
 let reduction_sweep ~pool () =
   let module MC = Harness.Model_check in
   let levels = [ MC.No_reduction; MC.Dedup; MC.Por ] in
@@ -767,7 +770,7 @@ let reduction_sweep ~pool () =
         let t0 = Unix.gettimeofday () in
         let o =
           MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
-            ~max_runs:600_000 ~stop_on_first ~reduction:level ~jobs:1 sc
+            ~max_runs:600_000 ~stop_on_first ~reduction:level sc
         in
         (o, Unix.gettimeofday () -. t0))
       (cross roster levels)
@@ -842,11 +845,9 @@ let reduction_sweep ~pool () =
    the "on" variant is exactly the dedup/por per-step cost (memory +
    runtime digests + monitor hooks), so it isolates what the incremental
    Zobrist digests buy. Table B times full [explore] calls across
-   scenarios x reduce none|por x jobs 1/4. Counts are printed only where
-   deterministic (none at any jobs; por at jobs=1 — with jobs>1 replays
-   race to claim states, see DESIGN.md §5.13); nondeterministic cells
-   show "-" so the table stays baseline-comparable. All wall-clocks and
-   steps/s are machine-dependent and go to the metrics. *)
+   scenarios x reduce none|por; every count is deterministic. All
+   wall-clocks and steps/s are machine-dependent and go to the
+   metrics. *)
 let throughput_sweep () =
   let module MC = Harness.Model_check in
   let rme ?(check_csr = true) stack n model =
@@ -952,8 +953,7 @@ let throughput_sweep () =
        (deterministic round-robin driver; steps/s in the metrics)"
     ~header:[ "scenario"; "fingerprints"; "steps"; "crashes" ] rows_a;
   (* Table B: full checker wall-clock. Sequential on purpose — each cell
-     owns the machine, like E10 (the [~jobs] here is the checker's own
-     speculation width, not the bench pool's). *)
+     owns the machine, like E10. *)
   let roster_b =
     [
       ("T2 stack, n=2 CC, d2 c1", 2, 1, 0, rme "t2-mcs" 2 Memory.Cc);
@@ -964,49 +964,38 @@ let throughput_sweep () =
     ]
   in
   let levels = [ MC.No_reduction; MC.Por ] in
-  let job_counts = if !quick then [ 1 ] else [ 1; 4 ] in
   let rows_b =
     List.concat_map
       (fun (name, d, c, co, sc) ->
-        List.concat_map
+        List.map
           (fun level ->
-            List.map
-              (fun jobs ->
-                let t0 = Unix.gettimeofday () in
-                let o =
-                  MC.explore ~divergence_bound:d ~crash_bound:c
-                    ~crash_one_bound:co ~max_runs:600_000 ~reduction:level
-                    ~jobs sc
-                in
-                let wall = Unix.gettimeofday () -. t0 in
-                (match o.MC.violations with
-                | v :: _ -> failwith ("E13: " ^ name ^ ": violation: " ^ v)
-                | [] -> ());
-                Report.metric
-                  ~name:
-                    (Printf.sprintf "e13.%s.%s.j%d.wall_s" name
-                       (MC.reduction_to_string level) jobs)
-                  (Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.));
-                let deterministic = level = MC.No_reduction || jobs = 1 in
-                let count v = if deterministic then string_of_int v else "-" in
-                [
-                  name;
-                  MC.reduction_to_string level;
-                  string_of_int jobs;
-                  count o.MC.runs;
-                  count o.MC.distinct_states;
-                  (match o.MC.violations with [] -> "none" | v :: _ -> v);
-                ])
-              job_counts)
+            let t0 = Unix.gettimeofday () in
+            let o =
+              MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
+                ~max_runs:600_000 ~reduction:level sc
+            in
+            let wall = Unix.gettimeofday () -. t0 in
+            (match o.MC.violations with
+            | v :: _ -> failwith ("E13: " ^ name ^ ": violation: " ^ v)
+            | [] -> ());
+            Report.metric
+              ~name:
+                (Printf.sprintf "e13.%s.%s.wall_s" name
+                   (MC.reduction_to_string level))
+              (Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.));
+            [
+              name;
+              MC.reduction_to_string level;
+              string_of_int o.MC.runs;
+              string_of_int o.MC.distinct_states;
+              (match o.MC.violations with [] -> "none" | v :: _ -> v);
+            ])
           levels)
       roster_b
   in
   Report.table
-    ~title:
-      "E13b: model-checker wall-clock sweep (wall_s in the metrics; counts \
-       shown only where deterministic — reduce=none at any jobs, reduced \
-       searches at jobs=1)"
-    ~header:[ "scenario"; "reduce"; "jobs"; "runs"; "states"; "violations" ]
+    ~title:"E13b: model-checker wall-clock sweep (wall_s in the metrics)"
+    ~header:[ "scenario"; "reduce"; "runs"; "states"; "violations" ]
     rows_b
 
 (* E14: native substrate ablation — the hardware tuning of DESIGN.md §5.15
@@ -1646,20 +1635,18 @@ let cross_paper_shootout ~pool () =
    extended to the new layers. Three captured tables plus in-code gates:
 
    Table A (quotient ratios): por vs sym at identical bounds on
-   process-symmetric scenarios, [~jobs:1] so every cell is
-   deterministic. Gates: sym's distinct-state quotient reaches >= 5x on
+   process-symmetric scenarios; every cell is a deterministic
+   sequential search. Gates: sym's distinct-state quotient reaches >= 5x on
    at least one N>=4 scenario (the bar E12 set for none/por), sym never
    explores more runs or states than por on any row, and the sleep-set
    layer actually fires somewhere (sleep-pruned >= 1) — otherwise the
    "upgrade, not replacement" claim is vacuous.
 
-   Table B (verdict parity): the full E12 roster at none|dedup|por|sym
-   x jobs (1/2/4 full, 1/2 --quick). Parity is judged on the
-   violated-or-not verdict, NOT on violation strings: under sym a
-   violation is reported for the canonical representative of its orbit,
-   so the pid named in the message legitimately differs from por's, and
-   with jobs > 1 replays race to claim states so run counts wobble
-   (DESIGN.md §5.13). Only the jobs=1 cells are captured.
+   Table B (verdict parity): the full E12 roster at none|dedup|por|sym.
+   Parity is judged on the violated-or-not verdict, NOT on violation
+   strings: under sym a violation is reported for the canonical
+   representative of its orbit, so the pid named in the message
+   legitimately differs from por's.
 
    Table C (deeper + bitstate): one roster bound deepened by d+1 over
    E12 — T3 at n=3 d2 c1, ~191k canonical states under sym, the
@@ -1670,8 +1657,8 @@ let cross_paper_shootout ~pool () =
    collisions can only prune). Its states cell counts state x budget
    *pairs* (bitstate forces the Key_mix coding — no per-key budget
    masks), so it is deliberately not compared against the exact
-   Closure-coded count. All cells jobs=1, so occupancy and the
-   collision bound are deterministic and safe to capture. *)
+   Closure-coded count. Occupancy and the collision bound are
+   deterministic, so they are safe to capture. *)
 let symmetry_sweep ~pool () =
   let module MC = Harness.Model_check in
   let rme ?(check_csr = true) stack n model =
@@ -1684,10 +1671,9 @@ let symmetry_sweep ~pool () =
       ~make:(fun mem -> Rme.Stack.conventional mem "mcs")
       ()
   in
-  let explore ?(stop_on_first = false) ?(jobs = 1) ?vset_mode ~level (d, c, co)
-      sc =
+  let explore ?(stop_on_first = false) ?vset_mode ~level (d, c, co) sc =
     MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
-      ~max_runs:600_000 ~stop_on_first ~reduction:level ~jobs ?vset_mode sc
+      ~max_runs:600_000 ~stop_on_first ~reduction:level ?vset_mode sc
   in
   let gate name ok detail =
     if not ok then
@@ -1767,9 +1753,9 @@ let symmetry_sweep ~pool () =
     "no roster row recorded a sleep-set prune — the layer never fired";
   Report.table
     ~title:
-      "E17: symmetry quotient, por vs sym at identical bounds (jobs=1, \
-       sequential searches — every cell deterministic); 'states ratio' is \
-       por/sym distinct states"
+      "E17: symmetry quotient, por vs sym at identical bounds (sequential \
+       searches — every cell deterministic); 'states ratio' is por/sym \
+       distinct states"
     ~header:
       [
         "scenario"; "por runs"; "sym runs"; "por states"; "sym states";
@@ -1792,12 +1778,7 @@ let symmetry_sweep ~pool () =
     ]
   in
   let levels = [ MC.No_reduction; MC.Dedup; MC.Por; MC.Sym ] in
-  let job_counts = if !quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  (* jobs=1 cells (captured) fan across the bench pool; the jobs>1 parity
-     probes run sequentially on this domain afterwards — explore spawns
-     its own worker pool when jobs>1, and nesting pools oversubscribes
-     the host (same reason E10/E13 ignore the pool). *)
-  let parity_seq_cells =
+  let parity_cells =
     Pool.map pool
       (fun ((_, _, stop_on_first, bounds, sc), level) ->
         explore ~stop_on_first ~level bounds sc)
@@ -1806,29 +1787,18 @@ let symmetry_sweep ~pool () =
   let parity_rows =
     List.concat
       (List.map2
-         (fun (name, expect, stop_on_first, bounds, sc) outcomes ->
+         (fun (name, expect, _, _, _) outcomes ->
            List.map2
              (fun level (o : MC.outcome) ->
                let violated = o.MC.violations <> [] in
                gate
-                 (Printf.sprintf "%s verdict (%s, jobs=1)" name
+                 (Printf.sprintf "%s verdict (%s)" name
                     (MC.reduction_to_string level))
                  (violated = expect)
                  (if expect then "expected a violation, search found none"
                   else
                     "unexpected violation: "
                     ^ String.concat "; " o.MC.violations);
-               List.iter
-                 (fun jobs ->
-                   if jobs > 1 then
-                     let oj = explore ~stop_on_first ~jobs ~level bounds sc in
-                     gate
-                       (Printf.sprintf "%s verdict (%s, jobs=%d)" name
-                          (MC.reduction_to_string level)
-                          jobs)
-                       (oj.MC.violations <> [] = expect)
-                       "jobs>1 verdict differs from the sequential search")
-                 job_counts;
                [
                  name;
                  MC.reduction_to_string level;
@@ -1838,14 +1808,12 @@ let symmetry_sweep ~pool () =
                ])
              levels outcomes)
          parity_roster
-         (chunks (List.length levels) parity_seq_cells))
+         (chunks (List.length levels) parity_cells))
   in
   Report.table
     ~title:
       "E17: verdict parity across reduce none/dedup/por/sym on the E12 \
-       roster (jobs=1 cells; the same searches are re-run at jobs 1/2/4 \
-       full, 1/2 --quick, and any verdict flip aborts the bench — run \
-       counts at jobs>1 race and are not captured)"
+       roster (any verdict flip aborts the bench)"
     ~header:[ "scenario"; "reduce"; "runs"; "states"; "verdict" ]
     parity_rows;
   (* --- Table C: one bound deeper than E12, exact vs bitstate --- *)
@@ -1921,10 +1889,7 @@ let symmetry_sweep ~pool () =
       [ "sym never enlarges the search"; "runs and states <= por, every row";
         "pass" ];
       [ "sleep sets fire"; ">= 1 sleep-pruned run across Table A"; "pass" ];
-      [
-        "verdict parity"; "none/dedup/por/sym x jobs (1/2/4 full, 1/2 quick)";
-        "pass";
-      ];
+      [ "verdict parity"; "same verdict at none/dedup/por/sym"; "pass" ];
       [
         "deepened row + bitstate"; "clean, occupancy in (0,1), runs <= exact";
         "pass";

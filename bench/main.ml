@@ -1,8 +1,8 @@
 (* Benchmark harness entry point: runs every experiment of DESIGN.md §4 (or
    the subset named on the command line) and prints its table. Cells are
    computed on a domain pool (--jobs N, default
-   Domain.recommended_domain_count; --jobs 1 is the legacy sequential
-   path) and collected in configuration order, so tables are byte-identical
+   Domain.recommended_domain_count; --jobs 1 runs them inline) and
+   collected in configuration order, so tables are byte-identical
    for any --jobs. Next to each printed table the harness drops a
    machine-readable BENCH_E<k>.json (parameters, stats, wall-clock) so the
    perf trajectory can be tracked across PRs. *)

@@ -112,9 +112,11 @@ let jobs_arg =
     & opt pos_int (Parallel.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel execution (default: the \
-           recommended domain count). $(b,--jobs 1) is the exact legacy \
-           sequential path; results are identical for any N.")
+          "Worker domains (default: the recommended domain count). \
+           $(b,run) and $(b,native) fan their $(b,--replicas) out over \
+           them; $(b,model-check) fans out its $(b,--swarm) members, and \
+           a single search runs on one domain. Simulator output \
+           ($(b,run), $(b,model-check)) is identical for any N.")
 
 let passages_arg =
   Arg.(
@@ -493,8 +495,8 @@ let model_check_cmd =
     in
     (* Swarm: S diversified partial searches — member i cycles through
        {base; d+1; c+1; co+1} bounds and salts its own bitstate, so
-       members miss different states. Each member searches sequentially
-       (jobs=1); the pool fans members across domains. The merged
+       members miss different states. Each member searches sequentially;
+       the pool fans members across domains. The merged
        verdict is any-violation-wins. *)
     let swarm_members =
       List.init swarm (fun i ->
@@ -518,7 +520,7 @@ let model_check_cmd =
         let o =
           Harness.Model_check.explore ~divergence_bound:dbound
             ~crash_bound:cbound ~crash_one_bound:cobound ~max_runs ~reduction
-            ~vset_mode ~stop_on_first ~jobs sc
+            ~vset_mode ~stop_on_first sc
         in
         (o, None)
       end
@@ -528,7 +530,7 @@ let model_check_cmd =
             ~crash_one_bound:co ~max_runs ~reduction
             ~vset_mode:
               (Harness.Model_check.Bitstate { bits = vset_bits; salt = i + 1 })
-            ~stop_on_first ~jobs:1 sc
+            ~stop_on_first sc
         in
         let outs =
           if jobs <= 1 then List.map explore_member swarm_members

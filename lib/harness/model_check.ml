@@ -102,8 +102,7 @@ let describe_decision ~n d =
 (* A work item shares its parent run's trace array: replay [base.(0 ..
    cut - 1)], then [alt] (unless it is [no_alt]), then scheduler defaults.
    Sharing keeps the frontier's memory linear in the number of pending
-   items — and, because the arrays are immutable once built, items can be
-   replayed on any domain.
+   items; the arrays are never mutated once built.
 
    [div_used]/[crashes_used]/[ones_used] are the budget vector consumed
    by the forced part (prefix plus [alt]), computed once by the parent at
@@ -183,11 +182,9 @@ let budget_coding ~divergence_bound ~crash_bound ~crash_one_bound =
   end
   else Key_mix
 
-(* Everything one replayed run contributes to the outcome, as a pure
-   value: a run allocates its own [Memory]/[Runtime] and touches no state
-   outside this record, so runs may execute speculatively on worker
-   domains and be {e committed} later, in sequential DFS order. [children]
-   is in the exact order the sequential engine would have pushed them. *)
+(* Everything one replayed run contributes to the outcome: a run
+   allocates its own [Memory]/[Runtime] and, apart from the visited set,
+   touches no state outside this record. [children] is in push order. *)
 type run_result = {
   r_steps : int;
   r_capped : bool;
@@ -856,10 +853,6 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
     rp_crash_ones = !crash_ones;
   }
 
-(* The search frontier, head = top of the DFS stack. In parallel mode an
-   entry may carry a speculative in-flight evaluation. *)
-type entry = { it : item; mutable fut : run_result Parallel.Pool.future option }
-
 (* Pre-sizing hint for the next exploration's visited set: the previous
    reduced search's [distinct_states]. Repeated searches (E12's roster,
    test sweeps) then allocate their tables at full size up front instead
@@ -869,11 +862,8 @@ let last_distinct_states = Atomic.make 0
 
 let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
     ?(max_steps = 20_000) ?(max_runs = 200_000) ?(stop_on_first = false)
-    ?(reduction = No_reduction) ?(vset_mode = Exact) ?(jobs = 1) ?pool
+    ?(reduction = No_reduction) ?(vset_mode = Exact) ?jobs:_
     ?(eager_fingerprints = false) scenario =
-  let jobs =
-    match pool with Some p -> Parallel.Pool.jobs p | None -> max 1 jobs
-  in
   let vset =
     match reduction with
     | No_reduction -> None
@@ -881,11 +871,11 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
       match vset_mode with
       | Exact ->
         Some
-          (Parallel.Vset.create ~shards:(4 * jobs)
+          (Parallel.Vset.create
              ~initial_capacity:(Atomic.get last_distinct_states)
              ())
       | Bitstate { bits; salt } ->
-        Some (Parallel.Vset.create_bitstate ~shards:(4 * jobs) ~salt ~bits ()))
+        Some (Parallel.Vset.create_bitstate ~salt ~bits ()))
   in
   let coding =
     match vset with
@@ -900,10 +890,9 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
     replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
       ~max_steps ~reduction ~vset ~coding ~eager:eager_fingerprints
   in
-  (* Commit state. Every run's contribution is folded in here, in the
-     order the sequential engine would have executed the runs, so the
-     outcome is identical for any [jobs]. Violations are deduplicated via
-     a hashed set (the recorded list stays in first-seen order). *)
+  (* Every run's contribution is folded in here, in DFS order.
+     Violations are deduplicated via a hashed set (the recorded list
+     stays in first-seen order). *)
   let runs = ref 0 in
   let steps = ref 0 in
   let violations = ref [] in
@@ -914,11 +903,8 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
   let pruned_runs = ref 0 in
   let pruned_branches = ref 0 in
   let sleep_pruned = ref 0 in
-  (* First committed violating run's decision sequence. Commits happen in
-     sequential DFS order, so under [No_reduction] the witness is
-     identical for any [jobs]; under reduction with [jobs > 1] the racing
-     visited set may change which run violates first, but any captured
-     witness still replays to a violation via {!run_schedule}. *)
+  (* The first violating run's decision sequence, replayable via
+     {!run_schedule}. *)
   let witness = ref None in
   let record_violation msg =
     if
@@ -930,7 +916,7 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
       incr violation_count
     end
   in
-  let commit r =
+  let tally r =
     incr runs;
     if !witness = None && r.r_violations <> [] then witness := Some r.r_trace;
     steps := !steps + r.r_steps;
@@ -954,60 +940,14 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
       sleep = 0;
     }
   in
-  let stack = ref [ { it = root; fut = None } ] in
-  let pop_commit eval =
-    match !stack with
-    | [] -> assert false
-    | e :: rest ->
-      stack := rest;
-      let children = commit (eval e) in
-      stack :=
-        List.rev_append
-          (List.map (fun it -> { it; fut = None }) children)
-          !stack
+  (* Depth-first over the frontier (head = top of the stack); returns
+     what [max_runs] or [stop_on_first] left unexplored. *)
+  let rec search = function
+    | it :: rest when !runs < max_runs && not (stop ()) ->
+      search (List.rev_append (tally (replay it)) rest)
+    | pending -> pending
   in
-  let sequential () =
-    (* The legacy path: evaluate exactly the popped item, nothing else. *)
-    while !stack <> [] && !runs < max_runs && not (stop ()) do
-      pop_commit (fun e -> replay e.it)
-    done
-  in
-  let parallel pool =
-    (* Speculate on the top of the DFS stack: every pending entry will be
-       needed unless [max_runs] or [stop_on_first] cuts the search, so
-       evaluating a window of them concurrently wastes work only in that
-       tail. Results commit strictly in stack order. *)
-    let window = 4 * Parallel.Pool.jobs pool in
-    let schedule () =
-      let rec go k entries =
-        if k > 0 then
-          match entries with
-          | [] -> ()
-          | e :: tl ->
-            if e.fut = None then
-              e.fut <- Some (Parallel.Pool.async pool (fun () -> replay e.it));
-            go (k - 1) tl
-      in
-      go window !stack
-    in
-    while !stack <> [] && !runs < max_runs && not (stop ()) do
-      schedule ();
-      pop_commit (fun e ->
-          match e.fut with
-          | Some f -> Parallel.Pool.await f
-          | None -> replay e.it)
-    done;
-    (* Drop speculative work the cut made useless. *)
-    List.iter
-      (fun e -> Option.iter Parallel.Pool.cancel e.fut)
-      !stack
-  in
-  if jobs <= 1 then sequential ()
-  else begin
-    match pool with
-    | Some p -> parallel p
-    | None -> Parallel.Pool.with_pool ~jobs parallel
-  end;
+  let pending = search [ root ] in
   let bitstate_occupancy, collision_bound =
     match Option.bind vset Parallel.Vset.stats with
     | None -> (None, None)
@@ -1019,7 +959,7 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
     violations = List.rev !violations;
     step_cap_hits = !step_cap_hits;
     deadlocks = !deadlocks;
-    truncated = !stack <> [];
+    truncated = pending <> [];
     distinct_states =
       (match vset with
       | None -> 0

@@ -149,10 +149,9 @@ type outcome = {
       (** estimated probability that the next fresh state is wrongly
           reported covered, ≈ occupancy² ([None] in exact mode) *)
   witness : int array option;
-      (** the decision sequence of the first {e committed} violating run,
-          replayable via {!run_schedule} (and minimizable via
-          {!Shrink.minimize}). Commits are in sequential DFS order, so
-          under [No_reduction] the witness is identical for any [jobs]. *)
+      (** the decision sequence of the first violating run in DFS
+          order, replayable via {!run_schedule} (and minimizable via
+          {!Shrink.minimize}) *)
 }
 
 (** A checkable scenario: [make_body] builds the per-process program and
@@ -204,7 +203,6 @@ val explore :
   ?reduction:reduction ->
   ?vset_mode:vset_mode ->
   ?jobs:int ->
-  ?pool:Parallel.Pool.t ->
   ?eager_fingerprints:bool ->
   scenario ->
   outcome
@@ -219,18 +217,14 @@ val explore :
     enumeration; see the module preamble for [Dedup]/[Por]/[Sym]),
     [vset_mode = Exact] (see {!vset_mode} for the fixed-memory bitstate
     alternative; ignored under [No_reduction], which keeps no visited
-    set).
+    set). [jobs] is ignored: the search runs sequentially on the
+    calling domain.
 
-    [jobs] (default 1) replays schedules on a domain pool: pending work
-    items near the top of the DFS stack are evaluated speculatively in
-    parallel — each on its own [Memory]/[Runtime] — and their results are
-    {e committed} strictly in the sequential DFS order, so with
-    [No_reduction] the outcome (runs, steps, violations, deadlocks,
-    truncation) is identical for any [jobs], including under [max_runs]
-    truncation and [stop_on_first]. Speculative runs past a cut are
-    discarded. [jobs <= 1] takes the exact legacy sequential path. [pool]
-    reuses a caller-owned pool (its size overrides [jobs]) instead of
-    spawning a transient one.
+    The search is deterministic: the same arguments give the same
+    outcome, counts and witness included, at every [reduction] level
+    and [vset_mode]. Parallelism lives one level up — independent
+    searches fan out with {!Parallel.Pool.map} (experiment sweeps,
+    [model-check --swarm] members).
 
     [eager_fingerprints] (default false; testing only) forces the
     incremental memory/runtime digests on from step 0 of every replay,
@@ -238,14 +232,6 @@ val explore :
     past the shared prefix. The outcome must be identical either way —
     [test/test_fingerprint.ml] pins this; there is no reason to set it
     in production code.
-
-    Determinism under reduction: with [jobs <= 1] the reduced search is
-    fully deterministic. With [jobs > 1] speculative replays race to
-    insert fingerprints into the shared visited set, so {e counts} (runs,
-    steps, pruned_runs, distinct_states) may vary between executions;
-    the set of {e reachable} states — and therefore the verdict: the
-    violations found, deadlock detection, cap hits on livelocks — does
-    not depend on which run claimed a state first.
 
     Caveat: the run-until-blocked default cannot cope with algorithms that
     busy-wait through raw retry loops instead of {!Sim.Proc.await} (e.g.

@@ -7,8 +7,8 @@
    sweep as a belt-and-braces check. Probes replay via
    Model_check.run_schedule, whose sanitization keeps every subset
    executable, so the whole process is deterministic: same scenario +
-   same trace -> same minimized schedule, on any machine and any
-   [--jobs]. *)
+   same trace -> same minimized schedule, on any machine. It runs on the
+   calling domain; [--jobs] only fans out swarm members and replicas. *)
 
 type result = {
   s_trace : int array;  (* minimized full decision sequence *)

@@ -15,7 +15,7 @@
     sanitization degrades inapplicable decisions to the default, so
     every subset is executable and the minimization is fully
     deterministic: same scenario + same trace yields the same minimized
-    schedule regardless of [--jobs] or host (DESIGN.md §5.16). *)
+    schedule on any host (DESIGN.md §5.16). *)
 
 type result = {
   s_trace : int array;

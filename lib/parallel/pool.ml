@@ -17,15 +17,12 @@ type 'a state =
   | Running
   | Done of 'a
   | Failed of exn
-  | Cancelled of (unit -> 'a)  (* dropped before starting; await runs it *)
 
 type 'a future = { pool : t; mutable state : 'a state }
 (* [state] is only read or written under [pool.lock] (except on jobs = 1
    pools, which have no other domain). *)
 
 let default_jobs () = Domain.recommended_domain_count ()
-
-let jobs t = t.jobs
 
 let locked t f =
   Mutex.lock t.lock;
@@ -85,15 +82,15 @@ let async t f =
         if t.closed then invalid_arg "Pool.async: pool is shut down";
         Queue.add
           (fun () ->
-            (* Claim the task; it may have been cancelled, or awaited
-               inline after a cancel, in the meantime. *)
+            (* Claim the task; an awaiter may have run it inline in the
+               meantime. *)
             let claimed =
               locked t (fun () ->
                   match fut.state with
                   | Pending f ->
                     fut.state <- Running;
                     Some f
-                  | Cancelled _ | Running | Done _ | Failed _ -> None)
+                  | Running | Done _ | Failed _ -> None)
             in
             match claimed with None -> () | Some f -> run_task fut f)
           t.queue;
@@ -115,9 +112,9 @@ let await fut =
           let rec wait () =
             match fut.state with
             | Done _ | Failed _ -> None
-            | Pending f | Cancelled f ->
+            | Pending f ->
               (* Not started: run it ourselves rather than wait for a
-                 worker (also covers cancelled-then-awaited futures). *)
+                 worker. *)
               fut.state <- Running;
               Some f
             | Running ->
@@ -130,15 +127,7 @@ let await fut =
   match fut.state with
   | Done v -> v
   | Failed e -> raise e
-  | Pending _ | Running | Cancelled _ -> assert false
-
-let cancel fut =
-  let t = fut.pool in
-  if t.jobs > 1 then
-    locked t (fun () ->
-        match fut.state with
-        | Pending f -> fut.state <- Cancelled f
-        | Running | Done _ | Failed _ | Cancelled _ -> ())
+  | Pending _ | Running -> assert false
 
 let map t f xs =
   let futs = List.map (fun x -> async t (fun () -> f x)) xs in

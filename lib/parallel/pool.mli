@@ -1,33 +1,28 @@
 (** A domain pool for embarrassingly parallel, {e deterministic} workloads.
 
-    Every client of this pool (the model checker's replay engine, the
-    experiment sweeps) runs fully independent, seeded simulator runs: a
-    task allocates its own {!Sim.Memory} and {!Sim.Runtime}, touches no
-    global state, and returns a pure result. The pool therefore only has
-    to distribute tasks and collect results — determinism is preserved by
-    the {e callers}, which submit in a deterministic order and commit
-    results in that same order ({!map} returns results positionally;
-    the model checker awaits futures in sequential DFS order).
+    Every client of this pool (experiment sweeps, [run]/[native
+    --replicas], [model-check --swarm] members) runs fully independent,
+    seeded simulator runs or searches: a task allocates its own
+    {!Sim.Memory} and {!Sim.Runtime}, touches no global state, and
+    returns a pure result. The pool therefore only has to distribute
+    tasks and collect results — determinism is preserved by the {e
+    callers}, which submit in a deterministic order and read results
+    back in that same order ({!map} returns results positionally).
 
-    Task granularity is one whole simulator run (tens of microseconds to
-    seconds), so a single mutex-guarded submission deque is uncontended in
-    practice; workers pull from the front in FIFO order, which keeps the
-    speculative window of the model checker's DFS frontier hot. See
-    DESIGN.md §5 (decision 10) for why this is preferred over per-domain
-    work-stealing deques here.
+    Task granularity is one whole simulator run or search (tens of
+    microseconds to minutes), so a single mutex-guarded FIFO is
+    uncontended in practice. See DESIGN.md §5 (decision 10) for why this
+    is preferred over per-domain work-stealing deques here.
 
     [jobs = 1] pools spawn no domains at all: tasks execute inline at
-    {!async} time, on the submitting domain, in submission order — the
-    exact legacy sequential path. *)
+    {!async} time, on the submitting domain, in submission order. *)
 
 type t
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains (the submitting domain
-    is the [jobs]-th worker in the sense that it commits results; with
+    is the [jobs]-th worker: {!await} runs unstarted tasks inline; with
     [jobs <= 1] no domain is spawned and execution is inline). *)
-
-val jobs : t -> int
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the CLI default for [--jobs]. *)
@@ -41,14 +36,8 @@ val async : t -> (unit -> 'a) -> 'a future
 
 val await : 'a future -> 'a
 (** Block until the task finishes and return its result (or re-raise its
-    exception). If the future was {!cancel}ed before a worker picked it
-    up, [await] runs the task inline instead — [await] never deadlocks. *)
-
-val cancel : 'a future -> unit
-(** Best-effort: a pending task that no worker has started yet is dropped
-    (it will never run unless {!await}ed later). A task already running is
-    left to finish; its result is discarded. Used to discard speculative
-    model-checking work after a [stop_on_first] hit. *)
+    exception). If no worker has picked the task up yet, [await] runs it
+    inline instead — [await] never deadlocks. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element on the pool and returns the
@@ -57,7 +46,7 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     order) is re-raised. *)
 
 val shutdown : t -> unit
-(** Drain nothing: pending tasks are cancelled, running tasks are joined.
+(** Drain nothing: pending tasks are dropped, running tasks are joined.
     Idempotent. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a

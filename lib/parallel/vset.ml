@@ -1,9 +1,10 @@
 (* Sharded visited set: open-addressing hash map from a state
    fingerprint to a small coverage bitmask (the model checker stores the
    domination closure of the budget vectors that have reached the
-   state). Shard-level mutexes make concurrent [covers_or_add] calls from
-   speculative replay domains safe; within a shard, linear probing over a
-   power-of-two table keeps the hot path allocation-free.
+   state). The key space splits across a fixed [nshards] shards, each
+   behind its own mutex, so concurrent [covers_or_add] calls are safe;
+   within a shard, linear probing over a power-of-two table keeps the hot
+   path allocation-free, and a table doubles one shard at a time.
 
    Two representations behind one [t]:
 
@@ -69,24 +70,32 @@ let make_shard cap =
 
 let rec pow2 c k = if k >= c then k else pow2 c (k * 2)
 
-let create ?(shards = 16) ?(initial_capacity = 0) () =
-  let n = pow2 shards 1 in
+(* The shard count is part of a bitstate set's probe mapping, so it is a
+   constant: a search's pruning never depends on how it is run. Four
+   shards also keep an exact set's growth incremental — one large table
+   would double all at once (a measurably higher peak RSS). *)
+let nshards = 4
+
+let create ?(initial_capacity = 0) () =
   (* Pre-size each shard so [initial_capacity] keys fit without a grow
      step: tables double once 2*count >= capacity, so the per-shard
      capacity must stay above twice the expected per-shard share. *)
-  let cap = pow2 (max min_capacity ((2 * initial_capacity / n) + 1)) 1 in
+  let cap = pow2 (max min_capacity ((2 * initial_capacity / nshards) + 1)) 1 in
   Exact
-    { shards = Array.init n (fun _ -> make_shard cap); shard_mask = n - 1 }
+    {
+      shards = Array.init nshards (fun _ -> make_shard cap);
+      shard_mask = nshards - 1;
+    }
 
 (* Each bit shard holds at least 2^10 bits so tiny arrays never shard
    below one mutex's worth of bits. *)
 let min_shard_bits = 1024
 
-let create_bitstate ?(shards = 16) ?(salt = 0) ~bits () =
+let create_bitstate ?(salt = 0) ~bits () =
   if bits < 10 || bits > 36 then
     invalid_arg "Vset.create_bitstate: bits must be in 10..36";
   let total_bits = 1 lsl bits in
-  let n = min (pow2 shards 1) (total_bits / min_shard_bits) in
+  let n = min nshards (total_bits / min_shard_bits) in
   let bps = total_bits / n in
   Bitstate
     {

@@ -2,12 +2,12 @@
 
     A hash map from state fingerprints to a small {e coverage bitmask},
     built for the model checker's reduction engine ({!Harness.Model_check}
-    with [~reduction]): sequential DFS and speculative replays on worker
-    domains share one instance, so a state first reached by any run
-    prunes every later run that re-reaches it. Each shard is an
-    open-addressing (linear-probe) table behind its own mutex — calls
-    from different domains contend only when they hash to the same shard,
-    and the hot path allocates nothing.
+    with [~reduction]): every run of one search shares its instance, so
+    a state first reached by any run prunes every later run that
+    re-reaches it. Swarm members each own a set. The key space splits
+    across a fixed four shards, each an open-addressing (linear-probe)
+    table behind its own mutex, so the set is safe to share between
+    domains, and the hot path allocates nothing.
 
     The per-key bitmask exists because the search is {e budget-bounded}:
     reaching a state with more remaining divergence/crash budget can
@@ -25,11 +25,8 @@
 
 type t
 
-val create : ?shards:int -> ?initial_capacity:int -> unit -> t
-(** [create ~shards ()] makes an empty {e exact} set with at least
-    [shards] shards (rounded up to a power of two; default 16). Size
-    shards to the worker count; extra shards only cost a few empty
-    arrays.
+val create : ?initial_capacity:int -> unit -> t
+(** [create ()] makes an empty {e exact} set.
 
     [initial_capacity] (default 0) is a sizing {e hint}: the expected
     total number of keys. Shards are pre-sized so that many insertions
@@ -38,7 +35,7 @@ val create : ?shards:int -> ?initial_capacity:int -> unit -> t
     repeated explorations. Purely an allocation strategy; never affects
     results. *)
 
-val create_bitstate : ?shards:int -> ?salt:int -> bits:int -> unit -> t
+val create_bitstate : ?salt:int -> bits:int -> unit -> t
 (** [create_bitstate ~bits ()] makes a {e bitstate} set: a fixed
     [2^bits]-bit array ([bits] in 10..36, so 128 B–8 GiB) in which each
     key sets/tests two probe bits derived from independent hash rounds.
@@ -57,7 +54,8 @@ val create_bitstate : ?shards:int -> ?salt:int -> bits:int -> unit -> t
     {!cardinal} counts first-seen keys, a lower bound on distinct keys.
 
     [salt] (default 0 = unsalted) diversifies the probe-bit mapping so
-    swarm members miss {e different} states; same salt = same mapping. *)
+    swarm members miss {e different} states; the mapping depends only on
+    [bits] and [salt]. *)
 
 val is_bitstate : t -> bool
 

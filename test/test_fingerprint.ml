@@ -162,10 +162,7 @@ let runtime_storm ~scenario ~crash_ones () =
 
 (* Prefix fast-forwarding is "digests off until the first covered-check
    past the cut"; [~eager_fingerprints] forces them on from step 0.
-   Outcomes must be byte-identical wherever the search itself is
-   deterministic: reduce=none at any jobs, reduced searches at jobs=1.
-   With jobs>1 a reduced search's counts race (DESIGN.md §5.13), so
-   there only the verdict is pinned. *)
+   The search is deterministic, so outcomes must be byte-identical. *)
 let eager_lazy_parity () =
   let module MC = Harness.Model_check in
   let scenarios =
@@ -182,27 +179,15 @@ let eager_lazy_parity () =
     (fun (name, d, c, sc) ->
       List.iter
         (fun reduction ->
-          List.iter
-            (fun jobs ->
-              let run eager =
-                MC.explore ~divergence_bound:d ~crash_bound:c ~reduction ~jobs
-                  ~eager_fingerprints:eager sc
-              in
-              let lazy_o = run false and eager_o = run true in
-              let ctxt =
-                Printf.sprintf "%s %s j%d" name
-                  (MC.reduction_to_string reduction)
-                  jobs
-              in
-              if reduction = MC.No_reduction || jobs = 1 then
-                Alcotest.(check bool)
-                  (ctxt ^ ": byte-identical outcome")
-                  true (lazy_o = eager_o)
-              else
-                Alcotest.(check (list string))
-                  (ctxt ^ ": verdict")
-                  lazy_o.MC.violations eager_o.MC.violations)
-            [ 1; 2; 4 ])
+          let run eager =
+            MC.explore ~divergence_bound:d ~crash_bound:c ~reduction
+              ~eager_fingerprints:eager sc
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: byte-identical outcome" name
+               (MC.reduction_to_string reduction))
+            true
+            (run false = run true))
         [ MC.No_reduction; MC.Dedup; MC.Por ])
     scenarios
 

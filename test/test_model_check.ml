@@ -114,44 +114,44 @@ let levels =
 let level_name = Harness.Model_check.reduction_to_string
 
 (* The reduction contract: pruning must never change what the search
-   concludes. Every clean scenario stays clean at every level and every
-   job count, and the run count never grows. *)
+   concludes. Every clean scenario stays clean at every level, and the
+   run count never grows. *)
 let reduction_preserves_clean_verdicts () =
   let roster =
     [
       ( "t2-mcs-n2-d1c1",
-        fun ~reduction ~jobs ->
+        fun ~reduction ->
           Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1
-            ~reduction ~jobs
+            ~reduction
             (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
                ~make:(fun mem -> Rme.Stack.recoverable mem "t2-mcs")
                ()) );
       ( "fasas-clh-n2-d1co1",
-        fun ~reduction ~jobs ->
+        fun ~reduction ->
           Harness.Model_check.explore ~divergence_bound:1 ~crash_one_bound:1
-            ~reduction ~jobs
+            ~reduction
             (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
                ~make:(fun mem -> Rme.Stack.recoverable mem "rclh-fasas")
                ()) );
       ( "barrier-n2-2epochs-d1c1",
-        fun ~reduction ~jobs ->
+        fun ~reduction ->
           Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1
-            ~reduction ~jobs
+            ~reduction
             (Harness.Scenarios.barrier ~epochs:2 ~n:2 ~model:Memory.Dsm ()) );
       (* The successor locks (DESIGN.md §5.18): no CSR by design, so the
          CSR monitor is off — the scenario still runs the builder's full
          ME/lost-update monitor set and fingerprint fold. *)
       ( "jjj-cc-n2-d1c1",
-        fun ~reduction ~jobs ->
+        fun ~reduction ->
           Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1
-            ~reduction ~jobs
+            ~reduction
             (Harness.Scenarios.rme ~check_csr:false ~n:2 ~model:Memory.Cc
                ~make:(fun mem -> Rme.Stack.recoverable mem "jjj-cc")
                ()) );
       ( "jjj-dsm-n2-d1c1",
-        fun ~reduction ~jobs ->
+        fun ~reduction ->
           Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1
-            ~reduction ~jobs
+            ~reduction
             (Harness.Scenarios.rme ~check_csr:false ~n:2 ~model:Memory.Dsm
                ~make:(fun mem -> Rme.Stack.recoverable mem "jjj-dsm")
                ()) );
@@ -159,25 +159,20 @@ let reduction_preserves_clean_verdicts () =
   in
   List.iter
     (fun (name, f) ->
-      let base = f ~reduction:Harness.Model_check.No_reduction ~jobs:1 in
+      let base = f ~reduction:Harness.Model_check.No_reduction in
       Alcotest.(check (list string))
         (name ^ " none clean") [] base.Harness.Model_check.violations;
       List.iter
         (fun reduction ->
-          List.iter
-            (fun jobs ->
-              let o = f ~reduction ~jobs in
-              let what =
-                Printf.sprintf "%s %s jobs=%d" name (level_name reduction) jobs
-              in
-              Alcotest.(check (list string))
-                (what ^ ": verdict") [] o.Harness.Model_check.violations;
-              Alcotest.(check int)
-                (what ^ ": deadlocks") 0 o.Harness.Model_check.deadlocks;
-              Alcotest.(check bool)
-                (what ^ ": runs never grow") true
-                (o.Harness.Model_check.runs <= base.Harness.Model_check.runs))
-            [ 1; 2; 4 ])
+          let o = f ~reduction in
+          let what = Printf.sprintf "%s %s" name (level_name reduction) in
+          Alcotest.(check (list string))
+            (what ^ ": verdict") [] o.Harness.Model_check.violations;
+          Alcotest.(check int)
+            (what ^ ": deadlocks") 0 o.Harness.Model_check.deadlocks;
+          Alcotest.(check bool)
+            (what ^ ": runs never grow") true
+            (o.Harness.Model_check.runs <= base.Harness.Model_check.runs))
         [
           Harness.Model_check.Dedup;
           Harness.Model_check.Por;
@@ -236,9 +231,8 @@ let csr_ablation_flagged_at_every_level () =
         (o.Harness.Model_check.violations <> []))
     levels
 
-(* Sequential reduced searches are fully deterministic (the parallel
-   variants are only verdict-deterministic: speculative replays race to
-   claim fingerprints, so counts may differ between executions). *)
+(* Reduced searches are fully deterministic: two executions agree on
+   every count, not only on the verdict. *)
 let reduced_search_deterministic_sequential () =
   List.iter
     (fun reduction ->
@@ -250,7 +244,7 @@ let reduced_search_deterministic_sequential () =
         in
         let o =
           Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1
-            ~reduction ~jobs:1 sc
+            ~reduction sc
         in
         ( o.Harness.Model_check.runs,
           o.Harness.Model_check.steps,
@@ -454,8 +448,7 @@ let () =
         ] );
       ( "reduction",
         [
-          case "clean-verdicts-all-levels-all-jobs"
-            reduction_preserves_clean_verdicts;
+          case "clean-verdicts-all-levels" reduction_preserves_clean_verdicts;
           case "broken-lock-all-levels" broken_lock_flagged_at_every_level;
           case "leaky-lock-all-levels" leaky_lock_flagged_at_every_level;
           case "csr-ablation-all-levels" csr_ablation_flagged_at_every_level;

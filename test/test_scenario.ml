@@ -2,7 +2,7 @@
    parity for the four ported scenarios across every reduction level,
    the scenario registry, the injectable faults (lost wakeups and
    delayed-visibility windows), and the counterexample shrinker —
-   replayability, local minimality, and --jobs determinism. *)
+   replayability and local minimality. *)
 
 open Sim
 open Testutil
@@ -325,15 +325,13 @@ let delay_writes_rejects_bad_window () =
 
 (* --- the shrinker --- *)
 
-let t1_csr_witness ?(jobs = 1) () =
+let t1_csr_witness () =
   let sc =
     Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
       ~make:(fun mem -> Rme.Stack.recoverable mem "t1-mcs")
       ()
   in
-  let o =
-    MC.explore ~divergence_bound:2 ~crash_bound:1 ~jobs sc
-  in
+  let o = MC.explore ~divergence_bound:2 ~crash_bound:1 sc in
   match o.MC.witness with
   | None -> Alcotest.fail "expected a CSR witness for t1-mcs"
   | Some w -> (sc, w)
@@ -399,39 +397,6 @@ let shrunk_schedule_is_locally_minimal () =
           Alcotest.failf
             "dropping intervention %d still violates — not 1-minimal" i)
       ivs
-
-let shrinking_is_jobs_deterministic () =
-  (* (c) Same witness and same minimized schedule for any --jobs: the
-     witness is committed in sequential DFS order, and the shrinker is a
-     deterministic function of (scenario, trace). *)
-  let _, w1 = t1_csr_witness ~jobs:1 () in
-  let results =
-    List.map
-      (fun jobs ->
-        let sc, w = t1_csr_witness ~jobs () in
-        Alcotest.(check (array int))
-          (Printf.sprintf "witness identical at jobs=%d" jobs)
-          w1 w;
-        match Harness.Shrink.minimize sc w with
-        | None -> Alcotest.failf "minimize returned None at jobs=%d" jobs
-        | Some m -> m)
-      [ 1; 2; 4 ]
-  in
-  match results with
-  | m1 :: rest ->
-    List.iter
-      (fun m ->
-        Alcotest.(check (array int))
-          "minimized trace identical across jobs" m1.Harness.Shrink.s_trace
-          m.Harness.Shrink.s_trace;
-        Alcotest.(check (list (pair int int)))
-          "interventions identical across jobs"
-          m1.Harness.Shrink.s_interventions m.Harness.Shrink.s_interventions;
-        Alcotest.(check (list string))
-          "violations identical across jobs" m1.Harness.Shrink.s_violations
-          m.Harness.Shrink.s_violations)
-      rest
-  | [] -> assert false
 
 let clean_trace_shrinks_to_none () =
   let sc =
@@ -514,7 +479,6 @@ let () =
         [
           slow_case "replays" shrunk_schedule_replays;
           slow_case "locally-minimal" shrunk_schedule_is_locally_minimal;
-          slow_case "jobs-deterministic" shrinking_is_jobs_deterministic;
           case "clean-trace" clean_trace_shrinks_to_none;
           slow_case "storm-shrinks" storm_violation_shrinks;
         ] );
