@@ -1,7 +1,7 @@
 # Tier-1 verification plus the parallel-engine smoke test. `make ci` is
 # what .github/workflows/ci.yml runs; keep the two in sync.
 
-.PHONY: all build test differential bench-smoke scenario-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke perf-smoke trace-sample validate baselines deep-check ci clean
+.PHONY: all build test differential bench-smoke scenario-smoke metrics-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke perf-smoke trace-sample validate baselines deep-check ci clean
 
 all: build
 
@@ -59,6 +59,20 @@ scenario-smoke: build
 	  -n 2 -d 2 -c 1 --expect-violation --out scenario_t1_csr.json
 	dune exec bench/validate.exe -- scenario_rme.json scenario_mutex.json \
 	  scenario_barrier.json scenario_barrier_sub.json scenario_t1_csr.json
+
+# The CLI's metrics files (DESIGN.md §5.12): a tiny `run`, `native` and
+# `service` run each write their --metrics JSON (rme-metrics/1,
+# rme-native-metrics/1, rme-service-metrics/1), and validate.exe
+# schema-checks all three — any FAIL exits non-zero.
+metrics-smoke: build
+	dune exec bin/rme_cli.exe -- run -s t3-mcs -n 3 -p 20 --crash-mean 200 \
+	  --metrics metrics_run.json
+	dune exec bin/rme_cli.exe -- native -s t1-mcs -n 2 -p 500 \
+	  --metrics metrics_native.json
+	dune exec bin/rme_cli.exe -- service -n 2 --keys 1000 --shards 64 \
+	  --per-worker 500 --metrics metrics_service.json
+	dune exec bench/validate.exe -- metrics_run.json metrics_native.json \
+	  metrics_service.json
 
 # Refresh the committed expectations after a deliberate behaviour change.
 # E14's captured cells are deterministic by design (the machine numbers
@@ -233,10 +247,11 @@ trace-sample: build
 	dune exec bin/rme_cli.exe -- trace --stack t1-mcs -n 4 --steps 2000 \
 	  --crash-every 300 --format chrome --out trace_sample.json
 
-ci: build test differential e13-smoke bench-smoke e10-smoke perf-smoke trace-sample
+ci: build test differential e13-smoke bench-smoke e10-smoke metrics-smoke perf-smoke \
+  trace-sample
 
 clean:
 	dune clean
 	rm -f BENCH_E*.json trace_sample.json scenario_*.json swarm_smoke.json \
-	  jobs_parity_*.json
+	  jobs_parity_*.json metrics_*.json
 	rm -rf deep-check

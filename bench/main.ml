@@ -17,7 +17,7 @@ let usage () =
 (* One "rme-bench/1" document per experiment: every table exactly as
    printed (same strings, so the JSON is as byte-stable as the tables),
    plus the named metrics — Stats histograms etc. — recorded while the
-   experiment ran. Report.validate_bench checks this shape; the
+   experiment ran. The Report.bench schema checks this shape; the
    [validate.exe] companion runs it over the emitted files. *)
 let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
     metrics =
@@ -38,7 +38,7 @@ let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
   let doc =
     Obj
       [
-        ("schema", Str Harness.Report.bench_schema);
+        ("schema", Str (Schema.name Harness.Report.bench));
         ("experiment", Str name);
         ("jobs", Int jobs);
         ("wall_clock_s", Float (Float.round (elapsed *. 1000.) /. 1000.));
@@ -46,7 +46,7 @@ let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
         ("metrics", Obj metrics);
       ]
   in
-  (match Harness.Report.validate_bench doc with
+  (match Schema.check Harness.Report.bench doc with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "%s: invalid bench JSON: %s" file e));
   let oc = open_out file in

@@ -5,15 +5,14 @@
      validate.exe --baseline DIR [--tolerance F] [FILE ...]
 
    Without [--baseline] it parses each file and checks it against its
-   declared schema — "rme-bench/1" (Report.validate_bench),
-   "rme-native-metrics/1" (Rme_native.Workers.validate_metrics, the
-   files [native --metrics] / [run --metrics] write),
-   "rme-service-metrics/1" (Rme_service.Loadgen.validate_metrics, the
-   files [service --metrics] writes) or
-   "rme-mc-outcome/1" (Report.validate_mc_outcome, the files
-   [model-check --out] / [scenario run --out] write); dispatch is on
-   the document's "schema" member, and a missing or unknown schema is a
-   FAIL, not a silent fallback. With no FILE arguments it globs
+   declared schema, looked up by the document's "schema" member among
+   the five artifact schemas: "rme-bench/1" (Report.bench, the
+   BENCH_E<k>.json files), "rme-mc-outcome/1" (Report.mc_outcome,
+   [model-check --out] / [scenario run --out]), "rme-metrics/1"
+   (Driver.schema, [run --metrics]), "rme-native-metrics/1"
+   (Workers.schema, [native --metrics]) and "rme-service-metrics/1"
+   (Loadgen.schema, [service --metrics]). A missing or unknown schema
+   is a FAIL, not a silent fallback. With no FILE arguments it globs
    BENCH_E*.json in the current directory.
 
    With [--baseline DIR] it additionally compares each (valid) fresh file
@@ -52,50 +51,45 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Which validator a document wants, by its "schema" member. An unknown
-   or missing schema is an error: silently treating it as a bench table
-   (the historical behaviour) turned typos into confusing "missing
-   experiment" failures, and new artifact kinds skipped validation
-   entirely. Only bench tables enter the baseline diff; native metrics
-   are machine-dependent throughout, and mc outcomes are gated by their
-   producing command's exit code instead. *)
-let kind_of doc =
+module Schema = Sim.Json.Schema
+
+(* Every artifact schema. An unknown or missing schema is an error:
+   silently treating it as a bench table turned typos into confusing
+   "missing experiment" failures, and new artifact kinds skipped
+   validation entirely. Only bench tables enter the baseline diff; the
+   metrics files are machine-dependent throughout, and mc outcomes are
+   gated by their producing command's exit code instead. *)
+let schemas =
+  [
+    Harness.Report.bench;
+    Harness.Report.mc_outcome;
+    Harness.Driver.schema;
+    Rme_native.Workers.schema;
+    Rme_service.Loadgen.schema;
+  ]
+
+let schema_of doc =
   match Sim.Json.member "schema" doc with
-  | Some (Sim.Json.Str s) when s = Harness.Report.bench_schema -> Ok `Bench
-  | Some (Sim.Json.Str "rme-native-metrics/1") -> Ok `Native
-  | Some (Sim.Json.Str s) when s = Rme_service.Loadgen.schema -> Ok `Service
-  | Some (Sim.Json.Str s) when s = Harness.Report.mc_outcome_schema ->
-    Ok `Mc_outcome
-  | Some (Sim.Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
+  | Some (Sim.Json.Str s) -> (
+    match List.find_opt (fun d -> Schema.name d = s) schemas with
+    | Some d -> Ok d
+    | None -> Error (Printf.sprintf "unknown schema %S" s))
   | Some _ -> Error "schema: expected a string"
   | None -> Error "missing schema member"
 
 let parse_doc file =
-  match Sim.Json.parse (read_file file) with
-  | exception Sys_error e ->
+  let fail e =
     Printf.printf "%s: FAIL (%s)\n" file e;
     None
-  | exception Sim.Json.Parse_error e ->
-    Printf.printf "%s: FAIL (not valid JSON: %s)\n" file e;
-    None
+  in
+  match Sim.Json.parse (read_file file) with
+  | exception Sys_error e -> fail e
+  | exception Sim.Json.Parse_error e -> fail ("not valid JSON: " ^ e)
   | doc -> (
-    match kind_of doc with
-    | Error e ->
-      Printf.printf "%s: FAIL (%s)\n" file e;
-      None
-    | Ok kind -> (
-      let validate =
-        match kind with
-        | `Native -> Rme_native.Workers.validate_metrics
-        | `Service -> Rme_service.Loadgen.validate_metrics
-        | `Bench -> Harness.Report.validate_bench
-        | `Mc_outcome -> Harness.Report.validate_mc_outcome
-      in
-      match validate doc with
-      | Ok () -> Some doc
-      | Error e ->
-        Printf.printf "%s: FAIL (%s)\n" file e;
-        None))
+    match schema_of doc with
+    | Error e -> fail e
+    | Ok d -> (
+      match Schema.check d doc with Ok () -> Some (d, doc) | Error e -> fail e))
 
 (* --- baseline comparison --- *)
 
@@ -229,21 +223,10 @@ let () =
   let check file =
     match parse_doc file with
     | None -> false
-    | Some doc when kind_of doc = Ok `Native ->
-      (* Native metrics carry no machine-independent cells to gate. *)
-      Printf.printf "%s: ok (rme-native-metrics/1, schema only)\n" file;
+    | Some (d, _) when d != Harness.Report.bench ->
+      Printf.printf "%s: ok (%s, schema only)\n" file (Schema.name d);
       true
-    | Some doc when kind_of doc = Ok `Service ->
-      (* Service metrics are machine-dependent throughout; the E15
-         deterministic cells live in its captured bench tables. *)
-      Printf.printf "%s: ok (rme-service-metrics/1, schema only)\n" file;
-      true
-    | Some doc when kind_of doc = Ok `Mc_outcome ->
-      (* Outcome verdicts are gated by the producing command's exit
-         code; here only the document shape is checked. *)
-      Printf.printf "%s: ok (rme-mc-outcome/1, schema only)\n" file;
-      true
-    | Some doc -> (
+    | Some (_, doc) -> (
       match !baseline with
       | None ->
         Printf.printf "%s: ok\n" file;
@@ -258,7 +241,8 @@ let () =
         else
           match parse_doc bfile with
           | None -> false
-          | Some base -> compare_tables ~file ~tolerance:!tolerance doc base)
+          | Some (_, base) ->
+            compare_tables ~file ~tolerance:!tolerance doc base)
   in
   let ok = List.fold_left (fun acc f -> check f && acc) true files in
   if not ok then exit 1

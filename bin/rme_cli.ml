@@ -135,11 +135,9 @@ let metrics_arg =
 
 let spin_policy =
   Arg.enum
-    [
-      ("backoff", Rme_native.Backoff.Exponential);
-      ("relax", Rme_native.Backoff.Relax);
-      ("spin", Rme_native.Backoff.Spin);
-    ]
+    (List.map
+       (fun m -> (Rme_native.Backoff.mode_name m, m))
+       Rme_native.Backoff.modes)
 
 let write_file file contents =
   let oc = open_out_bin file in
@@ -640,7 +638,7 @@ let model_check_cmd =
         let doc =
           Obj
             ([
-               ("schema", Str Harness.Report.mc_outcome_schema);
+               ("schema", Str (Schema.name Harness.Report.mc_outcome));
                ( "config",
                  Obj
                    [
@@ -865,7 +863,7 @@ let scenario_cmd =
           let doc =
             Obj
               [
-                ("schema", Str Harness.Report.mc_outcome_schema);
+                ("schema", Str (Schema.name Harness.Report.mc_outcome));
                 ( "config",
                   Obj
                     [

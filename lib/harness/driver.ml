@@ -200,24 +200,49 @@ let pp_report ppf r =
 (* Machine-readable report: every scalar the report tracks plus the full
    histogram of every Stats accumulator. Purely derived from the report,
    so same-seed runs serialize byte-identically. *)
-let metrics r =
-  let histograms =
+let histograms =
+  [
+    ("steady_rmrs", fun r -> r.steady_rmrs);
+    ("recovery_rmrs", fun r -> r.recovery_rmrs);
+    ("leader_recovery_rmrs", fun r -> r.leader_recovery_rmrs);
+    ("follower_recovery_rmrs", fun r -> r.follower_recovery_rmrs);
+    ("steady_recover_section_rmrs", fun r -> r.steady_recover_section_rmrs);
+    ("recovery_recover_section_rmrs", fun r -> r.recovery_recover_section_rmrs);
+    ("exit_steps", fun r -> r.exit_steps);
+    ("steady_recover_steps", fun r -> r.steady_recover_steps);
+    ("steady_passage_steps", fun r -> r.steady_passage_steps);
+    ("recovery_passage_steps", fun r -> r.recovery_passage_steps);
+  ]
+
+let schema =
+  let open Json.Schema in
+  let count = int ~min:0 () in
+  doc "rme-metrics/1"
+    ~where:(same_length ~list:"completed" ~count:"n")
     [
-      ("steady_rmrs", r.steady_rmrs);
-      ("recovery_rmrs", r.recovery_rmrs);
-      ("leader_recovery_rmrs", r.leader_recovery_rmrs);
-      ("follower_recovery_rmrs", r.follower_recovery_rmrs);
-      ("steady_recover_section_rmrs", r.steady_recover_section_rmrs);
-      ("recovery_recover_section_rmrs", r.recovery_recover_section_rmrs);
-      ("exit_steps", r.exit_steps);
-      ("steady_recover_steps", r.steady_recover_steps);
-      ("steady_passage_steps", r.steady_passage_steps);
-      ("recovery_passage_steps", r.recovery_passage_steps);
+      req "lock" str;
+      req "n" (int ~min:1 ());
+      req "model" str;
+      req "target_passages" count;
+      req "all_done" bool;
+      req "completed" (list count);
+      req "total_steps" count;
+      req "total_rmrs" count;
+      req "crashes" count;
+      req "me_violations" count;
+      req "csr_violations" count;
+      req "csr_reentries" count;
+      req "cs_completions" count;
+      req "counter_value" (int ());
+      req "max_overtaking" count;
+      req "histograms"
+        (obj (List.map (fun (k, _) -> req k Stats.json_schema) histograms));
     ]
-  in
+
+let metrics r =
   Json.Obj
     [
-      ("schema", Json.Str "rme-metrics/1");
+      ("schema", Json.Str (Json.Schema.name schema));
       ("lock", Json.Str r.lock_name);
       ("n", Json.Int r.n);
       ("model", Json.Str (Format.asprintf "%a" Memory.pp_model r.model));
@@ -237,7 +262,8 @@ let metrics r =
       ("counter_value", Json.Int r.counter_value);
       ("max_overtaking", Json.Int r.max_overtaking);
       ( "histograms",
-        Json.Obj (List.map (fun (k, s) -> (k, Stats.to_json s)) histograms) );
+        Json.Obj
+          (List.map (fun (k, h) -> (k, Stats.to_json (h r))) histograms) );
     ]
 
 let metrics_json r = Json.to_string ~pretty:true (metrics r) ^ "\n"

@@ -75,8 +75,11 @@ val run :
 
 val pp_report : Format.formatter -> report -> unit
 
+val schema : Sim.Json.Schema.doc
+(** ["rme-metrics/1"], the shape {!metrics} emits ([run --metrics]). *)
+
 val metrics : report -> Sim.Json.t
-(** The whole report as JSON ([rme-metrics/1] schema): every scalar plus
+(** The whole report as JSON ({!schema}): every scalar plus
     the full histogram (with p50/p90/p99) of every statistic. Purely
     derived from the report, so same-seed runs serialize
     byte-identically. *)

@@ -122,236 +122,86 @@ let cell_within_tolerance ~tolerance ~base ~fresh =
     in
     abs_float (fresh -. base) <= tolerance *. scale
 
-(* --- the bench JSON schema --- *)
+(* --- the artifact schemas --- *)
 
-let bench_schema = "rme-bench/1"
-
-let validate_bench json =
-  let open Sim.Json in
-  let ( let* ) r f = Result.bind r f in
-  let need what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing %s" what)
-  in
-  let str what = function
-    | Str s -> Ok s
-    | _ -> Error (Printf.sprintf "%s: expected a string" what)
-  in
-  let num what v =
-    match to_float_opt v with
-    | Some _ -> Ok ()
-    | None -> Error (Printf.sprintf "%s: expected a number" what)
-  in
-  let str_list what = function
-    | List xs ->
-      if List.for_all (function Str _ -> true | _ -> false) xs then Ok ()
-      else Error (Printf.sprintf "%s: expected an array of strings" what)
-    | _ -> Error (Printf.sprintf "%s: expected an array" what)
-  in
-  let* schema = need "schema" (member "schema" json) in
-  let* schema = str "schema" schema in
-  let* () =
-    if schema = bench_schema then Ok ()
-    else Error (Printf.sprintf "schema: expected %S, got %S" bench_schema schema)
-  in
-  let* experiment = need "experiment" (member "experiment" json) in
-  let* _ = str "experiment" experiment in
-  let* jobs = need "jobs" (member "jobs" json) in
-  let* () = num "jobs" jobs in
-  let* wall = need "wall_clock_s" (member "wall_clock_s" json) in
-  let* () = num "wall_clock_s" wall in
-  let* tables = need "tables" (member "tables" json) in
-  let* tables =
-    match tables with
-    | List ts -> Ok ts
-    | _ -> Error "tables: expected an array"
-  in
-  let* () =
-    List.fold_left
-      (fun acc (idx, t) ->
-        let* () = acc in
-        let what fmt = Printf.sprintf "tables[%d].%s" idx fmt in
-        let* title = need (what "title") (member "title" t) in
-        let* _ = str (what "title") title in
-        let* header = need (what "header") (member "header" t) in
-        let* () = str_list (what "header") header in
-        let* rows = need (what "rows") (member "rows" t) in
-        match rows with
-        | List rs ->
-          List.fold_left
-            (fun acc r ->
-              let* () = acc in
-              str_list (what "rows[]") r)
-            (Ok ()) rs
-        | _ -> Error (what "rows: expected an array"))
-      (Ok ())
-      (List.mapi (fun idx t -> (idx, t)) tables)
-  in
-  let* m = need "metrics" (member "metrics" json) in
-  match m with
-  | Obj _ -> Ok ()
-  | _ -> Error "metrics: expected an object"
-
-(* --- the model-check outcome JSON schema --- *)
-
-let mc_outcome_schema = "rme-mc-outcome/1"
-
-let validate_mc_outcome json =
-  let open Sim.Json in
-  let ( let* ) r f = Result.bind r f in
-  let need what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing %s" what)
-  in
-  let str what = function
-    | Str s -> Ok s
-    | _ -> Error (Printf.sprintf "%s: expected a string" what)
-  in
-  let int_ what = function
-    | Int _ -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: expected an integer" what)
-  in
-  let bool_ what = function
-    | Bool _ -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: expected a boolean" what)
-  in
-  let str_list what = function
-    | List xs when List.for_all (function Str _ -> true | _ -> false) xs ->
-      Ok ()
-    | _ -> Error (Printf.sprintf "%s: expected an array of strings" what)
-  in
-  let int_list what = function
-    | List xs when List.for_all (function Int _ -> true | _ -> false) xs ->
-      Ok ()
-    | _ -> Error (Printf.sprintf "%s: expected an array of integers" what)
-  in
-  let* schema = need "schema" (member "schema" json) in
-  let* schema = str "schema" schema in
-  let* () =
-    if schema = mc_outcome_schema then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema: expected %S, got %S" mc_outcome_schema schema)
-  in
-  let* config = need "config" (member "config" json) in
-  let* () =
-    match config with
-    | Obj _ -> Ok ()
-    | _ -> Error "config: expected an object"
-  in
-  (* One outcome object — the top-level one or a swarm member's. The
-     sleep/bitstate members are optional (older files predate them);
-     when present the floats must be finite (an occupancy or collision
-     bound of NaN/inf means the producer leaked a sentinel). *)
-  let finite_opt what = function
-    | Int _ -> Ok ()
-    | Float f when Float.is_finite f -> Ok ()
-    | Float _ -> Error (Printf.sprintf "%s: must be a finite number" what)
-    | _ -> Error (Printf.sprintf "%s: expected a number" what)
-  in
-  let check_outcome what o =
-    let* () =
-      match o with
-      | Obj _ -> Ok ()
-      | _ -> Error (what ^ ": expected an object")
-    in
-    let* () =
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let w = what ^ "." ^ key in
-          let* v = need w (member key o) in
-          int_ w v)
-        (Ok ())
-        [
-          "runs"; "steps"; "step_cap_hits"; "deadlocks"; "distinct_states";
-          "pruned_runs"; "pruned_branches";
-        ]
-    in
-    let* truncated = need (what ^ ".truncated") (member "truncated" o) in
-    let* () = bool_ (what ^ ".truncated") truncated in
-    let* violations = need (what ^ ".violations") (member "violations" o) in
-    let* () = str_list (what ^ ".violations") violations in
-    let* () =
-      match member "witness" o with
-      | None | Some Null -> Ok ()
-      | Some w -> int_list (what ^ ".witness") w
-    in
-    let* () =
-      match member "sleep_pruned" o with
-      | None -> Ok ()
-      | Some v -> int_ (what ^ ".sleep_pruned") v
-    in
-    List.fold_left
-      (fun acc key ->
-        let* () = acc in
-        match member key o with
-        | None | Some Null -> Ok ()
-        | Some v -> finite_opt (what ^ "." ^ key) v)
-      (Ok ())
-      [ "bitstate_occupancy"; "collision_bound" ]
-  in
-  let* o = need "outcome" (member "outcome" json) in
-  let* () = check_outcome "outcome" o in
-  (* A swarm search records each diversified member next to the merged
-     top-level outcome: its varied bounds, its bitstate salt, and a full
-     outcome object of its own. *)
-  let* () =
-    match member "swarm" json with
-    | None -> Ok ()
-    | Some (List ms) ->
-      List.fold_left
-        (fun acc (idx, m) ->
-          let* () = acc in
-          let what fmt = Printf.sprintf "swarm[%d].%s" idx fmt in
-          let* () =
-            List.fold_left
-              (fun acc key ->
-                let* () = acc in
-                let* v = need (what key) (member key m) in
-                int_ (what key) v)
-              (Ok ())
+let bench =
+  let open Sim.Json.Schema in
+  doc "rme-bench/1"
+    [
+      req "experiment" str;
+      req "jobs" (int ~min:1 ());
+      req "wall_clock_s" (num ~min:0. ());
+      req "tables"
+        (list
+           (obj
               [
-                "member"; "divergence_bound"; "crash_bound";
-                "crash_one_bound"; "salt";
-              ]
-          in
-          let* o = need (what "outcome") (member "outcome" m) in
-          check_outcome (Printf.sprintf "swarm[%d].outcome" idx) o)
-        (Ok ())
-        (List.mapi (fun idx m -> (idx, m)) ms)
-    | Some _ -> Error "swarm: expected an array"
-  in
-  (* The minimized schedule is Null when the search was clean (or
-     shrinking was disabled); otherwise its trace must replay the
-     violation, so both the decision array and the interventions it was
-     reduced to are mandatory. *)
-  match member "minimized_schedule" json with
-  | None -> Error "missing minimized_schedule (use Null when absent)"
-  | Some Null -> Ok ()
-  | Some ms ->
-    let* trace = need "minimized_schedule.trace" (member "trace" ms) in
-    let* () = int_list "minimized_schedule.trace" trace in
-    let* vs = need "minimized_schedule.violations" (member "violations" ms) in
-    let* () = str_list "minimized_schedule.violations" vs in
-    let* steps = need "minimized_schedule.steps" (member "steps" ms) in
-    let* () = int_ "minimized_schedule.steps" steps in
-    let* probes = need "minimized_schedule.probes" (member "probes" ms) in
-    let* () = int_ "minimized_schedule.probes" probes in
-    let* ivs =
-      need "minimized_schedule.interventions" (member "interventions" ms)
-    in
-    (match ivs with
-    | List xs ->
-      List.fold_left
-        (fun acc iv ->
-          let* () = acc in
-          let* pos = need "interventions[].pos" (member "pos" iv) in
-          let* () = int_ "interventions[].pos" pos in
-          let* d = need "interventions[].decision" (member "decision" iv) in
-          let* () = int_ "interventions[].decision" d in
-          let* m = need "interventions[].meaning" (member "meaning" iv) in
-          let* _ = str "interventions[].meaning" m in
-          Ok ())
-        (Ok ()) xs
-    | _ -> Error "minimized_schedule.interventions: expected an array")
+                req "title" str;
+                req "header" (list str);
+                req "rows" (list (list str));
+              ]));
+      req "metrics" (obj []);
+    ]
+
+(* One outcome object — the top-level one or a swarm member's. The
+   sleep/bitstate members are optional (older files predate them); a
+   bitstate float that is present must be finite, since NaN/inf means
+   the producer leaked a sentinel. *)
+let outcome =
+  let open Sim.Json.Schema in
+  let count = int () in
+  obj
+    (List.map
+       (fun k -> req k count)
+       [
+         "runs"; "steps"; "step_cap_hits"; "deadlocks"; "distinct_states";
+         "pruned_runs"; "pruned_branches";
+       ]
+    @ [
+        req "truncated" bool;
+        req "violations" (list str);
+        opt "witness" (nullable (list count));
+        opt "sleep_pruned" count;
+        opt "bitstate_occupancy" (nullable (num ()));
+        opt "collision_bound" (nullable (num ()));
+      ])
+
+(* A swarm search records each diversified member next to the merged
+   top-level outcome. The minimized schedule is Null when the search was
+   clean (or shrinking was disabled); otherwise its trace must replay the
+   violation, so the decision array and the interventions it was reduced
+   to are both required. *)
+let mc_outcome =
+  let open Sim.Json.Schema in
+  let count = int () in
+  doc "rme-mc-outcome/1"
+    [
+      req "config" (obj []);
+      req "outcome" outcome;
+      opt "swarm"
+        (list
+           (obj
+              (List.map
+                 (fun k -> req k count)
+                 [
+                   "member"; "divergence_bound"; "crash_bound";
+                   "crash_one_bound"; "salt";
+                 ]
+              @ [ req "outcome" outcome ])));
+      req "minimized_schedule"
+        (nullable
+           (obj
+              [
+                req "trace" (list count);
+                req "violations" (list str);
+                req "steps" count;
+                req "probes" count;
+                req "interventions"
+                  (list
+                     (obj
+                        [
+                          req "pos" count;
+                          req "decision" count;
+                          req "meaning" str;
+                        ]));
+              ]));
+    ]

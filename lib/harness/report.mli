@@ -3,7 +3,7 @@
     paper's claims read — plus an in-memory capture of every table printed
     and every metric recorded since the last {!reset_captured}, so the
     harness can additionally emit machine-readable [BENCH_E<k>.json] files
-    (schema {!bench_schema}) for cross-PR perf tracking. *)
+    (schema {!bench}) for cross-PR perf tracking. *)
 
 type captured = { title : string; header : string list; rows : string list list }
 
@@ -63,29 +63,22 @@ val cell_within_tolerance : tolerance:float -> base:float -> fresh:float -> bool
     [bench/validate.exe] applies this to every non-safety numeric cell;
     [test/test_observability.ml] pins the semantics. *)
 
-val bench_schema : string
-(** Schema identifier stamped into every [BENCH_E<k>.json] ("rme-bench/1"). *)
+val bench : Sim.Json.Schema.doc
+(** ["rme-bench/1"], the shape of every [BENCH_E<k>.json]: the
+    experiment name, [jobs] (an int >= 1), [wall_clock_s] (>= 0), every
+    captured table with string cells, and a metrics object. *)
 
-val validate_bench : Sim.Json.t -> (unit, string) result
-(** Check a parsed [BENCH_E<k>.json] document against {!bench_schema}:
-    required keys, table shape (string cells), and a metrics object. *)
-
-val mc_outcome_schema : string
-(** Schema identifier stamped into every [model-check --out] /
-    [scenario run --out] JSON ("rme-mc-outcome/1"). *)
-
-val validate_mc_outcome : Sim.Json.t -> (unit, string) result
-(** Check a parsed model-check outcome document against
-    {!mc_outcome_schema}: config object, integer outcome counters,
-    string violations, an optional integer [witness] array, and a
-    [minimized_schedule] that is either [Null] or carries the minimized
-    decision trace, its [(pos, decision, meaning)] interventions, and
-    the shrinking statistics (DESIGN.md §5.16). The §5.19 additions are
-    optional (older files stay valid): an integer [sleep_pruned],
-    finite-float [bitstate_occupancy]/[collision_bound] (NaN/inf
-    rejected — a non-finite bound means the producer leaked a
-    sentinel), and a top-level [swarm] array whose members each carry
-    their varied bounds, bitstate salt, and a full outcome object. *)
+val mc_outcome : Sim.Json.Schema.doc
+(** ["rme-mc-outcome/1"], the shape of every [model-check --out] /
+    [scenario run --out] JSON: a config object, integer outcome
+    counters, string violations, an optional integer [witness] array,
+    and a [minimized_schedule] that is either [Null] or carries the
+    minimized decision trace, its [(pos, decision, meaning)]
+    interventions and the shrinking statistics (DESIGN.md §5.16). The
+    §5.19 members are optional (older files stay valid): an integer
+    [sleep_pruned], finite [bitstate_occupancy]/[collision_bound], and a
+    top-level [swarm] array whose members each carry their varied
+    bounds, bitstate salt and a full outcome object. *)
 
 val f1 : float -> string
 (** Format a float with one decimal. *)

@@ -30,11 +30,8 @@ let mode_name = function
   | Relax -> "relax"
   | Spin -> "spin"
 
-let mode_of_name = function
-  | "backoff" -> Some Exponential
-  | "relax" -> Some Relax
-  | "spin" -> Some Spin
-  | _ -> None
+let modes = [ Exponential; Relax; Spin ]
+let mode_of_name s = List.find_opt (fun m -> mode_name m = s) modes
 
 type t = {
   mode : mode;

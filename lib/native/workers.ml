@@ -249,6 +249,32 @@ let run ?crash_interval ?(max_crashes = 50) ?seed ?(csr_poll = true)
     alloc_words_per_passage;
   }
 
+let schema =
+  let open Sim.Json.Schema in
+  let count = int ~min:0 () in
+  doc "rme-native-metrics/1"
+    ~where:(same_length ~list:"completed" ~count:"n")
+    [
+      req "lock" str;
+      req "n" (int ~min:1 ());
+      req "completed" (list count);
+      req "total_passages" count;
+      req "crashes" count;
+      req "me_violations" count;
+      req "csr_violations" count;
+      req "csr_reentries" count;
+      req "cs_completions" count;
+      req "counter" (int ());
+      req "elapsed_s" (num ());
+      req "throughput_pps" (num ());
+      req "spin" (enum (List.map Backoff.mode_name Backoff.modes));
+      req "pinned" count;
+      req "samples" (list (tuple [ num (); count ]));
+      opt "passage_latency" Sim.Stats.json_schema;
+      opt "latency_unit" (enum [ "ns"; "cycles" ]);
+      opt "alloc_words_per_passage" (num ());
+    ]
+
 let metrics r =
   let total = Array.fold_left ( + ) 0 r.completed in
   let per_domain =
@@ -256,7 +282,7 @@ let metrics r =
   in
   Sim.Json.Obj
     ([
-       ("schema", Sim.Json.Str "rme-native-metrics/1");
+       ("schema", Sim.Json.Str (Sim.Json.Schema.name schema));
        ("lock", Sim.Json.Str r.lock_name);
        ("n", Sim.Json.Int r.n);
        ("completed", Sim.Json.List per_domain);
@@ -296,78 +322,6 @@ let metrics r =
     | None -> [])
 
 let metrics_json r = Sim.Json.to_string ~pretty:true (metrics r) ^ "\n"
-
-(* Shape-check a parsed rme-native-metrics/1 document — the native
-   analogue of [Report.validate_bench], used by bench/validate.exe on
-   files produced by [run --metrics] / [native --metrics]. *)
-let validate_metrics doc =
-  let open Sim.Json in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec all = function
-    | [] -> Ok ()
-    | check :: rest -> ( match check () with Ok () -> all rest | e -> e)
-  in
-  let is_num = function Int _ | Float _ -> true | _ -> false in
-  let require name pred =
-    fun () ->
-    match member name doc with
-    | None -> err "missing member %S" name
-    | Some v -> if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  let optional name pred =
-    fun () ->
-    match member name doc with
-    | None -> Ok ()
-    | Some v -> if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  match member "schema" doc with
-  | Some (Str "rme-native-metrics/1") ->
-    all
-      [
-        require "lock" (function Str _ -> true | _ -> false);
-        require "n" (function Int n -> n >= 1 | _ -> false);
-        (fun () ->
-          match (member "n" doc, member "completed" doc) with
-          | Some (Int n), Some (List per) ->
-            if List.length per <> n then
-              err "completed has %d entries for n=%d" (List.length per) n
-            else if List.for_all (function Int c -> c >= 0 | _ -> false) per
-            then Ok ()
-            else err "completed entries must be non-negative ints"
-          | _ -> err "missing member %S" "completed");
-        require "total_passages" (function Int c -> c >= 0 | _ -> false);
-        require "crashes" (function Int c -> c >= 0 | _ -> false);
-        require "me_violations" (function Int c -> c >= 0 | _ -> false);
-        require "csr_violations" (function Int c -> c >= 0 | _ -> false);
-        require "csr_reentries" (function Int c -> c >= 0 | _ -> false);
-        require "cs_completions" (function Int c -> c >= 0 | _ -> false);
-        require "counter" (function Int _ -> true | _ -> false);
-        require "elapsed_s" is_num;
-        require "throughput_pps" is_num;
-        require "spin" (function
-          | Str s -> Option.is_some (Backoff.mode_of_name s)
-          | _ -> false);
-        require "pinned" (function Int c -> c >= 0 | _ -> false);
-        require "samples" (function
-          | List ss ->
-            List.for_all
-              (function
-                | List [ at; Int tp ] -> is_num at && tp >= 0 | _ -> false)
-              ss
-          | _ -> false);
-        optional "passage_latency" (function
-          | Obj _ as h ->
-            List.for_all
-              (fun k -> Option.is_some (member k h))
-              [ "count"; "mean"; "min"; "max"; "p50"; "p90"; "p99"; "buckets" ]
-          | _ -> false);
-        optional "latency_unit" (function
-          | Str ("ns" | "cycles") -> true
-          | _ -> false);
-        optional "alloc_words_per_passage" is_num;
-      ]
-  | Some (Str s) -> err "schema is %S, expected \"rme-native-metrics/1\"" s
-  | _ -> err "missing member %S" "schema"
 
 let check_clean r =
   if r.me_violations > 0 then

@@ -89,19 +89,18 @@ val run :
     finished-before-overlap mix that fixed budgets produce; in-flight
     passages complete cleanly, so FIFO queues drain. *)
 
+val schema : Sim.Json.Schema.doc
+(** ["rme-native-metrics/1"], the shape {!metrics} emits ([native
+    --metrics]). *)
+
 val metrics : result -> Sim.Json.t
-(** The result as JSON ([rme-native-metrics/1] schema): the monitor
+(** The result as JSON ({!schema}): the monitor
     counters, per-domain passage counts, overall throughput, the spin
     policy and pin count, the sampler's time series, and — when armed —
     the passage-latency histogram and the allocation audit. *)
 
 val metrics_json : result -> string
 (** {!metrics}, pretty-printed, newline-terminated. *)
-
-val validate_metrics : Sim.Json.t -> (unit, string) Stdlib.result
-(** Shape-check a parsed [rme-native-metrics/1] document — the native
-    analogue of [Report.validate_bench]; [bench/validate.exe] dispatches
-    here on the [schema] member. *)
 
 val check_clean : result -> (unit, string) Stdlib.result
 (** [Ok ()] iff all workers finished with no ME violations and no lost

@@ -353,8 +353,6 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
     alloc_words_per_req;
   }
 
-let schema = "rme-service-metrics/1"
-
 let total_served r = Array.fold_left ( + ) 0 r.served
 
 (* Every stream request served exactly once: the harness-side per-shard
@@ -377,12 +375,65 @@ let check_clean r =
            (d.d_hot - d.d_drained) d.d_hot)
     | _ -> Ok ()
 
+let schema =
+  let open Sim.Json.Schema in
+  let count = int ~min:0 () and pos = int ~min:1 () in
+  doc "rme-service-metrics/1"
+    ~where:(same_length ~list:"served" ~count:"n")
+    [
+      req "stack" str;
+      req "n" pos;
+      req "keys" pos;
+      req "shards" pos;
+      req "theta" (num ());
+      req "rate_rps" (num ());
+      req "think_ns" count;
+      req "batch" pos;
+      req "budget" count;
+      req "served" (list count);
+      req "total_served" count;
+      req "served_exactly" bool;
+      req "materialized" count;
+      req "crashes" count;
+      req "me_violations" count;
+      req "lost_update_shards" count;
+      req "batches" count;
+      req "max_batch" count;
+      req "elapsed_s" (num ());
+      req "throughput_rps" (num ());
+      req "passages_ps" (num ());
+      req "latency_kind" (enum [ "arrival"; "admit" ]);
+      req "latency_ns" Sim.Stats.json_schema;
+      req "shard_latency"
+        (list
+           (obj
+              [
+                req "shard" count;
+                req "served" count;
+                req "latency_ns" Sim.Stats.json_schema;
+              ]));
+      req "traffic_fingerprint" (int ());
+      req "spin" (enum (List.map Backoff.mode_name Backoff.modes));
+      req "pinned" count;
+      req "drill"
+        (nullable
+           (obj
+              [
+                req "epoch" count;
+                req "hot_shards" count;
+                req "drained_shards" count;
+                req "drain_s" (num ());
+                req "sweep_passages" count;
+              ]));
+      opt "alloc_words_per_request" (num ());
+    ]
+
 let metrics r =
   let open Sim.Json in
   let total = total_served r in
   Obj
     ([
-       ("schema", Str schema);
+       ("schema", Str (Sim.Json.Schema.name schema));
        ("stack", Str r.stack);
        ("n", Int r.n);
        ("keys", Int r.keys);
@@ -444,110 +495,6 @@ let metrics r =
     | None -> [])
 
 let metrics_json r = Sim.Json.to_string ~pretty:true (metrics r) ^ "\n"
-
-(* Shape-check a parsed rme-service-metrics/1 document — the service
-   analogue of [Workers.validate_metrics], dispatched to by
-   bench/validate.exe on files produced by [service --metrics]. *)
-let validate_metrics doc =
-  let open Sim.Json in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec all = function
-    | [] -> Ok ()
-    | check :: rest -> ( match check () with Ok () -> all rest | e -> e)
-  in
-  let is_num = function Int _ | Float _ -> true | _ -> false in
-  let nonneg = function Int c -> c >= 0 | _ -> false in
-  let stats_shape = function
-    | Obj _ as h ->
-      List.for_all
-        (fun k -> Option.is_some (member k h))
-        [ "count"; "mean"; "min"; "max"; "p50"; "p90"; "p99"; "buckets" ]
-    | _ -> false
-  in
-  let require name pred =
-    fun () ->
-    match member name doc with
-    | None -> err "missing member %S" name
-    | Some v ->
-      if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  let optional name pred =
-    fun () ->
-    match member name doc with
-    | None -> Ok ()
-    | Some v ->
-      if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  match member "schema" doc with
-  | Some (Str s) when s = schema ->
-    all
-      [
-        require "stack" (function Str _ -> true | _ -> false);
-        require "n" (function Int n -> n >= 1 | _ -> false);
-        require "keys" (function Int k -> k >= 1 | _ -> false);
-        require "shards" (function Int s -> s >= 1 | _ -> false);
-        require "theta" is_num;
-        require "rate_rps" is_num;
-        require "think_ns" nonneg;
-        require "batch" (function Int b -> b >= 1 | _ -> false);
-        require "budget" nonneg;
-        (fun () ->
-          match (member "n" doc, member "served" doc) with
-          | Some (Int n), Some (List per) ->
-            if List.length per <> n then
-              err "served has %d entries for n=%d" (List.length per) n
-            else if List.for_all nonneg per then Ok ()
-            else err "served entries must be non-negative ints"
-          | _ -> err "missing member %S" "served");
-        require "total_served" nonneg;
-        require "served_exactly" (function Bool _ -> true | _ -> false);
-        require "materialized" nonneg;
-        require "crashes" nonneg;
-        require "me_violations" nonneg;
-        require "lost_update_shards" nonneg;
-        require "batches" nonneg;
-        require "max_batch" nonneg;
-        require "elapsed_s" is_num;
-        require "throughput_rps" is_num;
-        require "passages_ps" is_num;
-        require "latency_kind" (function
-          | Str ("arrival" | "admit") -> true
-          | _ -> false);
-        require "latency_ns" stats_shape;
-        require "shard_latency" (function
-          | List ss ->
-            List.for_all
-              (fun s ->
-                (match member "shard" s with Some (Int i) -> i >= 0 | _ -> false)
-                && (match member "served" s with Some v -> nonneg v | None -> false)
-                && match member "latency_ns" s with
-                   | Some h -> stats_shape h
-                   | None -> false)
-              ss
-          | _ -> false);
-        require "traffic_fingerprint" (function Int _ -> true | _ -> false);
-        require "spin" (function
-          | Str s -> Option.is_some (Backoff.mode_of_name s)
-          | _ -> false);
-        require "pinned" nonneg;
-        require "drill" (function
-          | Null -> true
-          | Obj _ as d ->
-            List.for_all
-              (fun (k, pred) ->
-                match member k d with Some v -> pred v | None -> false)
-              [
-                ("epoch", fun v -> nonneg v);
-                ("hot_shards", fun v -> nonneg v);
-                ("drained_shards", fun v -> nonneg v);
-                ("drain_s", is_num);
-                ("sweep_passages", fun v -> nonneg v);
-              ]
-          | _ -> false);
-        optional "alloc_words_per_request" is_num;
-      ]
-  | Some (Str s) -> err "schema is %S, expected %S" s schema
-  | _ -> err "missing member %S" "schema"
 
 let pp_result ppf r =
   let total = total_served r in

@@ -81,8 +81,9 @@ val run :
     ["t3-mcs"], 1024 [shards], [theta] 0.99, saturating arrivals,
     [batch] 16, exponential [spin], padded cells, seed 1. *)
 
-val schema : string
-(** ["rme-service-metrics/1"]. *)
+val schema : Sim.Json.Schema.doc
+(** ["rme-service-metrics/1"], the shape {!metrics} emits ([service
+    --metrics]). *)
 
 val total_served : result -> int
 
@@ -96,9 +97,5 @@ val check_clean : result -> (unit, string) Stdlib.result
 
 val metrics : result -> Sim.Json.t
 val metrics_json : result -> string
-
-val validate_metrics : Sim.Json.t -> (unit, string) Stdlib.result
-(** Shape-check a parsed rme-service-metrics/1 document (the service
-    analogue of [Workers.validate_metrics]). *)
 
 val pp_result : Format.formatter -> result -> unit

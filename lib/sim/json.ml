@@ -1,6 +1,6 @@
 (* Minimal JSON values, emission and parsing — just enough for the
-   observability layer (metrics files, trace exports, the bench schema
-   validator) without pulling a JSON dependency into the tree. Emission
+   observability layer (metrics files, trace exports, the artifact
+   schemas) without pulling a JSON dependency into the tree. Emission
    refuses non-finite floats so a stray sentinel can never produce
    invalid JSON; the parser is a strict RFC 8259 subset (no trailing
    commas, no comments) that is only used on artifacts we emit. *)
@@ -262,13 +262,104 @@ let parse s =
   if !pos <> n then fail "trailing garbage";
   v
 
-(* --- accessors (for the validators) --- *)
+(* --- accessors --- *)
 
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
 
-let to_float_opt = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
-  | _ -> None
+(* --- declarative schemas (one per artifact kind) --- *)
+
+module Schema = struct
+  type json = t
+
+  (* A schema checks a value at a path ("swarm[2].outcome.runs") and
+     raises [Invalid] with that path on the first mismatch; [check]
+     turns the exception into a result. *)
+  exception Invalid of string
+
+  type t = string -> json -> unit
+  type field = { key : string; required : bool; shape : t }
+  type doc = { name : string; root : t }
+
+  let fail path msg =
+    raise (Invalid (if path = "" then msg else path ^ ": " ^ msg))
+
+  let expect what ok : t =
+   fun path v -> if not (ok v) then fail path ("expected " ^ what)
+
+  let str = expect "a string" (function Str _ -> true | _ -> false)
+  let bool = expect "a boolean" (function Bool _ -> true | _ -> false)
+  let at_least show = function None -> "" | Some m -> " >= " ^ show m
+  let meets min x = Option.fold ~none:true ~some:(fun m -> x >= m) min
+
+  let int ?min () =
+    expect
+      ("an integer" ^ at_least string_of_int min)
+      (function Int i -> meets min i | _ -> false)
+
+  let num ?min () =
+    let ok f = Float.is_finite f && meets min f in
+    expect
+      ("a finite number" ^ at_least (Printf.sprintf "%g") min)
+      (function Int i -> ok (float_of_int i) | Float f -> ok f | _ -> false)
+
+  let enum names =
+    expect
+      ("one of " ^ String.concat ", " (List.map (Printf.sprintf "%S") names))
+      (function Str s -> List.mem s names | _ -> false)
+
+  let nullable shape : t = fun path -> function Null -> () | v -> shape path v
+  let index path i = Printf.sprintf "%s[%d]" path i
+
+  let list shape : t =
+   fun path -> function
+    | List xs -> List.iteri (fun i x -> shape (index path i) x) xs
+    | _ -> fail path "expected an array"
+
+  let tuple shapes : t =
+   fun path -> function
+    | List xs when List.compare_lengths xs shapes = 0 ->
+      List.iteri (fun i (shape, x) -> shape (index path i) x)
+        (List.combine shapes xs)
+    | _ ->
+      fail path (Printf.sprintf "expected an array of %d" (List.length shapes))
+
+  let req key shape = { key; required = true; shape }
+  let opt key shape = { key; required = false; shape }
+
+  let obj ?(where = fun _ -> None) fields : t =
+   fun path -> function
+    | Obj kvs as v ->
+      List.iter
+        (fun f ->
+          match List.assoc_opt f.key kvs with
+          | Some x ->
+            f.shape (if path = "" then f.key else path ^ "." ^ f.key) x
+          | None ->
+            if f.required then fail path (Printf.sprintf "missing %S" f.key))
+        fields;
+      Option.iter (fail path) (where v)
+    | _ -> fail path "expected an object"
+
+  let doc ?where name fields =
+    let tag path = function
+      | Str s when s = name -> ()
+      | Str s -> fail path (Printf.sprintf "expected %S, got %S" name s)
+      | _ -> fail path "expected a string"
+    in
+    { name; root = obj ?where (req "schema" tag :: fields) }
+
+  let name d = d.name
+
+  let check d v =
+    match d.root "" v with () -> Ok () | exception Invalid m -> Error m
+
+  let same_length ~list ~count v =
+    match (member list v, member count v) with
+    | Some (List xs), Some (Int n) when List.length xs <> n ->
+      Some
+        (Printf.sprintf "%s has %d entries for %s=%d" list (List.length xs)
+           count n)
+    | _ -> None
+end

@@ -136,6 +136,21 @@ let to_json t =
       ("buckets", Json.List buckets);
     ]
 
+let json_schema =
+  let open Json.Schema in
+  let nat = int ~min:0 () and value = num () in
+  obj
+    [
+      req "count" nat;
+      req "mean" value;
+      req "min" value;
+      req "max" value;
+      req "p50" value;
+      req "p90" value;
+      req "p99" value;
+      req "buckets" (list (tuple [ nat; nat; nat ]));
+    ]
+
 let pp ppf t =
   if t.count = 0 then Format.fprintf ppf "n=0"
   else

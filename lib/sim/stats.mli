@@ -44,4 +44,8 @@ val to_json : t -> Json.t
     [[lo, hi, count]] triples (inclusive value ranges). All numbers are
     finite. *)
 
+val json_schema : Json.Schema.t
+(** The shape {!to_json} emits, for the artifact schemas that embed a
+    histogram. *)
+
 val pp : Format.formatter -> t -> unit

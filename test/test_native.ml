@@ -351,7 +351,8 @@ let native_instrumentation_smoke () =
   (* Latency histograms, the allocation probe, the start barrier and the
      fixed-duration window, each through the metrics validator. *)
   let check_metrics what r =
-    match Rme_native.Workers.validate_metrics (Rme_native.Workers.metrics r)
+    match Sim.Json.Schema.check Rme_native.Workers.schema
+        (Rme_native.Workers.metrics r)
     with
     | Ok () -> ()
     | Error e -> Alcotest.failf "%s: metrics invalid: %s" what e
@@ -427,7 +428,8 @@ let native_window_outlives_sampler () =
     Alcotest.failf "sampler stalled a 200-passage run for %.2fs" wall;
   List.iter
     (fun r ->
-      match Rme_native.Workers.validate_metrics (Rme_native.Workers.metrics r)
+      match Sim.Json.Schema.check Rme_native.Workers.schema
+        (Rme_native.Workers.metrics r)
       with
       | Ok () -> ()
       | Error e -> Alcotest.failf "sampler-run metrics invalid: %s" e)

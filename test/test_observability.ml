@@ -244,6 +244,43 @@ let metrics_json_is_finite_and_valid () =
     Alcotest.(check bool) "histograms" true (List.mem_assoc "histograms" kvs)
   | _ -> Alcotest.fail "metrics is not an object"
 
+let driver_metrics_validate () =
+  let accepts what doc =
+    match Json.Schema.check Driver.schema doc with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s rejected: %s" what e
+  in
+  let rejects what doc =
+    match Json.Schema.check Driver.schema doc with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  (* A failure-free single-process run has no follower recovery, so that
+     histogram is empty. *)
+  let clean = run_stack ~n:1 ~passages:8 ~seed:5 ~model:Memory.Cc "t1-mcs" in
+  Alcotest.(check int) "empty follower histogram" 0
+    (Stats.count clean.Driver.follower_recovery_rmrs);
+  let doc = Driver.metrics clean in
+  accepts "failure-free run" doc;
+  accepts "parsed back" (Json.parse (Json.to_string doc));
+  match doc with
+  | Json.Obj kvs ->
+    rejects "tampered schema"
+      (Json.Obj
+         (List.map
+            (function
+              | "schema", _ -> ("schema", Json.Str "rme-metrics/0") | kv -> kv)
+            kvs));
+    rejects "missing histograms.exit_steps"
+      (Json.Obj
+         (List.map
+            (function
+              | "histograms", Json.Obj hs ->
+                ("histograms", Json.Obj (List.remove_assoc "exit_steps" hs))
+              | kv -> kv)
+            kvs))
+  | _ -> Alcotest.fail "metrics is not an object"
+
 (* --- report rendering --- *)
 
 let display_width_counts_scalars () =
@@ -268,7 +305,7 @@ let render_aligns_utf8 () =
 
 (* --- bench JSON validator --- *)
 
-let minimal_bench ?(schema = Report.bench_schema) () =
+let minimal_bench ?(schema = Json.Schema.name Report.bench) () =
   Json.Obj
     [
       ("schema", Json.Str schema);
@@ -290,11 +327,11 @@ let minimal_bench ?(schema = Report.bench_schema) () =
     ]
 
 let validator_accepts_and_rejects () =
-  (match Report.validate_bench (minimal_bench ()) with
+  (match Json.Schema.check Report.bench (minimal_bench ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "valid doc rejected: %s" e);
   let rejects what doc =
-    match Report.validate_bench doc with
+    match Json.Schema.check Report.bench doc with
     | Ok () -> Alcotest.failf "validator accepted %s" what
     | Error _ -> ()
   in
@@ -302,6 +339,18 @@ let validator_accepts_and_rejects () =
   rejects "non-object" (Json.List []);
   (match minimal_bench () with
   | Json.Obj kvs ->
+    let with_member k v =
+      Json.Obj
+        (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) kvs)
+    in
+    rejects "fractional jobs" (with_member "jobs" (Json.Float 1.5));
+    rejects "zero jobs" (with_member "jobs" (Json.Int 0));
+    rejects "negative jobs" (with_member "jobs" (Json.Int (-2)));
+    (* An integer literal beyond the OCaml int range parses as a Float. *)
+    rejects "overflowing jobs"
+      (with_member "jobs" (Json.parse "99999999999999999999999"));
+    rejects "negative wall clock"
+      (with_member "wall_clock_s" (Json.Float (-0.5)));
     rejects "missing tables"
       (Json.Obj (List.filter (fun (k, _) -> k <> "tables") kvs));
     rejects "non-string cell"
@@ -343,7 +392,7 @@ let minimal_outcome_obj ?(extra = []) () =
 let minimal_mc_outcome ?extra ?(top = []) () =
   Json.Obj
     ([
-       ("schema", Json.Str Report.mc_outcome_schema);
+       ("schema", Json.Str (Json.Schema.name Report.mc_outcome));
        ("config", Json.Obj [ ("scenario", Json.Str "rme") ]);
        ("outcome", minimal_outcome_obj ?extra ());
        ("minimized_schedule", Json.Null);
@@ -352,12 +401,12 @@ let minimal_mc_outcome ?extra ?(top = []) () =
 
 let mc_outcome_validator_accepts_and_rejects () =
   let accepts what doc =
-    match Report.validate_mc_outcome doc with
+    match Json.Schema.check Report.mc_outcome doc with
     | Ok () -> ()
     | Error e -> Alcotest.failf "rejected %s: %s" what e
   in
   let rejects what doc =
-    match Report.validate_mc_outcome doc with
+    match Json.Schema.check Report.mc_outcome doc with
     | Ok () -> Alcotest.failf "accepted %s" what
     | Error _ -> ()
   in
@@ -454,7 +503,7 @@ let mc_outcome_validator_accepts_and_rejects () =
   rejects "missing minimized_schedule"
     (Json.Obj
        [
-         ("schema", Json.Str Report.mc_outcome_schema);
+         ("schema", Json.Str (Json.Schema.name Report.mc_outcome));
          ("config", Json.Obj []);
          ("outcome", minimal_outcome_obj ());
        ]);
@@ -466,6 +515,95 @@ let mc_outcome_validator_accepts_and_rejects () =
          ("outcome", minimal_outcome_obj ());
          ("minimized_schedule", Json.Null);
        ])
+
+(* --- every artifact schema, member by member --- *)
+
+(* One real emitted document per schema, the members it may omit, and
+   the per-worker array its cross-field check sizes against "n". *)
+let emitted_documents () =
+  (* The CLI and the baselines are test dependencies, next to this
+     executable's directory in the build tree. *)
+  let in_build f = Filename.concat (Filename.dirname Sys.executable_name) f in
+  let outcome =
+    let out = Filename.temp_file "mc_outcome" ".json" in
+    let cmd =
+      Printf.sprintf
+        "%s model-check --scenario rme --stack t1-mcs -n 2 -d 2 -c 1 \
+         --swarm 2 --vset-bits 12 --expect-violation --out %s > %s"
+        (Filename.quote (in_build "../bin/rme_cli.exe"))
+        (Filename.quote out) Filename.null
+    in
+    if Sys.command cmd <> 0 then Alcotest.failf "%s failed" cmd;
+    let doc = Json.parse (In_channel.with_open_bin out In_channel.input_all) in
+    Sys.remove out;
+    doc
+  in
+  let bench =
+    Json.parse
+      (In_channel.with_open_bin (in_build "../bench/baselines/BENCH_E9.json")
+         In_channel.input_all)
+  in
+  let native =
+    Rme_native.Workers.run ~latency:true ~alloc_probe:true ~n:1 ~passages:2_000
+      ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
+      ()
+  in
+  let service =
+    Rme_service.Loadgen.run ~alloc_probe:true ~stack:"t1-mcs" ~shards:16
+      ~keys:64 ~batch:8 ~seed:11 ~n:1 ~per_worker:2_000 ()
+  in
+  [
+    (Report.bench, bench, [], None);
+    (Report.mc_outcome, outcome, [ "swarm" ], None);
+    (Driver.schema, Driver.metrics (crashy_report 21), [], Some "completed");
+    ( Rme_native.Workers.schema,
+      Rme_native.Workers.metrics native,
+      [ "passage_latency"; "latency_unit"; "alloc_words_per_passage" ],
+      Some "completed" );
+    ( Rme_service.Loadgen.schema,
+      Rme_service.Loadgen.metrics service,
+      [ "alloc_words_per_request" ],
+      Some "served" );
+  ]
+
+let every_schema_requires_its_members () =
+  List.iter
+    (fun (schema, doc, optional, per_worker) ->
+      let name = Json.Schema.name schema in
+      let accepts doc = Result.is_ok (Json.Schema.check schema doc) in
+      (match Json.Schema.check schema doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: emitted document rejected: %s" name e);
+      let kvs = match doc with Json.Obj kvs -> kvs | _ -> assert false in
+      List.iter
+        (fun (k, _) ->
+          match
+            (List.mem k optional, accepts (Json.Obj (List.remove_assoc k kvs)))
+          with
+          | false, true -> Alcotest.failf "%s: accepted without %S" name k
+          | true, false ->
+            Alcotest.failf "%s: rejected without optional %S" name k
+          | _ -> ())
+        kvs;
+      List.iter
+        (fun k ->
+          if not (List.mem_assoc k kvs) then
+            Alcotest.failf "%s: optional %S not exercised" name k)
+        optional;
+      Option.iter
+        (fun key ->
+          let grown =
+            List.map
+              (function
+                | k, Json.List xs when k = key ->
+                  (k, Json.List (Json.Int 0 :: xs))
+                | kv -> kv)
+              kvs
+          in
+          if accepts (Json.Obj grown) then
+            Alcotest.failf "%s: accepted %s with n+1 entries" name key)
+        per_worker)
+    (emitted_documents ())
 
 (* --- Stats merge edge cases (PR 3's sentinel fix must survive merge) --- *)
 
@@ -575,6 +713,7 @@ let () =
         [
           case "stable-across-jobs" driver_metrics_stable_across_jobs;
           case "finite-and-valid" metrics_json_is_finite_and_valid;
+          case "schema-valid" driver_metrics_validate;
         ] );
       ( "report",
         [
@@ -591,6 +730,7 @@ let () =
         [
           case "accepts-and-rejects" validator_accepts_and_rejects;
           case "mc-outcome" mc_outcome_validator_accepts_and_rejects;
+          case "every-schema-member" every_schema_requires_its_members;
           case "zero-baseline-tolerance" tolerance_zero_baseline;
         ] );
     ]

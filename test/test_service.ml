@@ -291,7 +291,7 @@ let loadgen_open_loop_latency () =
 let loadgen_metrics_validate () =
   let r = run_small ~drill_after:0.01 ~per_worker:1500 () in
   let doc = Sim.Json.parse (Loadgen.metrics_json r) in
-  (match Loadgen.validate_metrics doc with
+  (match Sim.Json.Schema.check Loadgen.schema doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "metrics rejected: %s" e);
   (* Tampered schema must be rejected. *)
@@ -306,7 +306,7 @@ let loadgen_metrics_validate () =
            kvs)
     | _ -> assert false
   in
-  match Loadgen.validate_metrics bad with
+  match Sim.Json.Schema.check Loadgen.schema bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "wrong schema accepted"
 
