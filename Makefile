@@ -20,16 +20,19 @@ differential: build
 
 # E1 exercises the sweep fan-out, E9 the model checker (its rows fanned
 # out), E12 the reduction engine, E13 the incremental-fingerprint hot
-# path, all on a 2-worker pool. Any safety violation (assert_ok), E9/E12/E13
-# expectation mismatch (a clean row reporting a violation, a
+# path, all on a 2-worker pool. A safety violation (assert_ok) aborts the
+# binary; a failed gate (a clean row reporting a violation, a
 # known-negative row failing to find one, or the reduction ratio
-# collapsing) makes the binary exit non-zero. The emitted BENCH_E*.json
-# are then schema-checked AND diffed against the committed
+# collapsing) is written into the JSON's gates member with its deciding
+# rows, and the binary exits non-zero after finishing every experiment.
+# The emitted BENCH_E*.json are then schema-checked (a failed verdict is
+# a FAIL) AND diffed against the committed
 # bench/baselines/ — safety columns byte-exact, other numeric cells
 # within a 10% band (all four tables are seeded/DFS-deterministic where
 # printed, so any drift means behaviour actually changed; if it changed
 # on purpose, `make baselines` regenerates the expectation — say why in
-# the PR).
+# the PR). The E14-E17 and scenario smokes run from here too, so CI
+# runs each of them once, as part of this target.
 bench-smoke: build
 	dune exec bench/main.exe -- e1 e9 e12 e13 --jobs 2
 	dune exec bench/validate.exe -- --baseline bench/baselines \
@@ -76,8 +79,11 @@ metrics-smoke: build
 
 # Refresh the committed expectations after a deliberate behaviour change.
 # E14's captured cells are deterministic by design (the machine numbers
-# live in its metrics and in-code gates), so the quick run regenerates
-# the same table a full run would.
+# live in its metrics and in its gates member, whose observed values are
+# never diffed; the gates table holds only names, thresholds and
+# verdicts), so the quick run regenerates the same tables a full run
+# would. A failed gate makes main.exe exit non-zero, so no failing
+# verdict can become a baseline.
 baselines: build
 	dune exec bench/main.exe -- e1 e9 e12 e13 e16 e17 --jobs 2
 	dune exec bench/main.exe -- e14 --quick
@@ -95,7 +101,9 @@ baselines: build
 # JSON into deep-check/ (violations included verbatim, swarm members
 # recorded next to the merged outcome); the nightly workflow uploads
 # that directory as an artifact. Exit is non-zero iff any clean search
-# reports a violation.
+# reports a violation. The E13-E17 bench files are copied into
+# deep-check/ before their exit codes are acted on, so a failed gate's
+# file — with its deciding rows — is part of the uploaded artifact.
 deep-check: build
 	mkdir -p deep-check
 	dune exec bin/rme_cli.exe -- model-check --stack t2-mcs -n 3 -d 2 -c 1 \
@@ -122,20 +130,12 @@ deep-check: build
 	  -c 1 --reduce sym --swarm 8 --vset-bits 24 \
 	  --out deep-check/swarm-rclh-fasas-n3-d1-c1.json
 	dune exec bench/validate.exe -- deep-check/*.json
-	dune exec bench/main.exe -- e13
-	cp BENCH_E13.json deep-check/
-	dune exec bench/main.exe -- e14
-	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E14.json
-	cp BENCH_E14.json deep-check/
-	dune exec bench/main.exe -- e15
-	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E15.json
-	cp BENCH_E15.json deep-check/
-	dune exec bench/main.exe -- e16
-	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E16.json
-	cp BENCH_E16.json deep-check/
-	dune exec bench/main.exe -- e17
-	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E17.json
-	cp BENCH_E17.json deep-check/
+	dune exec bench/main.exe -- e13 e14 e15 e16 e17; status=$$?; \
+	  cp BENCH_E13.json BENCH_E14.json BENCH_E15.json BENCH_E16.json \
+	    BENCH_E17.json deep-check/ && \
+	  dune exec bench/validate.exe -- --baseline bench/baselines \
+	    BENCH_E14.json BENCH_E15.json BENCH_E16.json BENCH_E17.json && \
+	  exit $$status
 
 # Standalone schema check over whatever BENCH_E*.json are lying around.
 validate: build
@@ -156,9 +156,10 @@ e13-smoke: build
 	dune exec bench/validate.exe -- BENCH_E13.json
 
 # E14 at reduced windows: the full native-substrate ablation sweep with
-# its in-code gates (contended padded+backoff speedup, single-worker
-# parity, steady-state allocation audit — any gate failing exits
-# non-zero before the JSON is written), then the schema + baseline diff.
+# its gates (contended padded+backoff speedup, single-worker parity,
+# steady-state allocation audit — a failed gate is recorded in the
+# JSON's gates member and exits non-zero), then the schema + baseline
+# diff.
 # The captured table carries only deterministic cells, so quick and full
 # runs gate against the same committed expectation.
 e14-smoke: build
@@ -166,9 +167,9 @@ e14-smoke: build
 	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E14.json
 
 # E15 at reduced budgets: the sharded service under Zipf traffic with its
-# in-code gates (deterministic replay, allocation-free passage path,
-# skew-driven batching — any gate failing exits non-zero before the JSON
-# is written), then the schema + baseline diff. Like E14, the captured
+# gates (deterministic replay, allocation-free passage path, skew-driven
+# batching — a failed gate is recorded in the JSON's gates member and
+# exits non-zero), then the schema + baseline diff. Like E14, the captured
 # table carries only deterministic cells (E15's rows always generate the
 # full-budget traffic and serve a seeded prefix of it), so quick and full
 # runs gate against the same committed expectation.
@@ -176,10 +177,10 @@ e15-smoke: build
 	dune exec bench/main.exe -- e15 --quick
 	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E15.json
 
-# E16, the cross-paper RMR shootout, with its in-code envelope gates (the
-# JJJ constant band on both cost models, the logarithmic stacks' growth —
-# any gate failing exits non-zero before the JSON is written), then the
-# schema + baseline diff. Every E16 cell is a seeded simulator run, so
+# E16, the cross-paper RMR shootout, with its envelope gates (the JJJ
+# constant band on both cost models, the logarithmic stacks' growth — a
+# failed gate is recorded in the JSON's gates member and exits
+# non-zero), then the schema + baseline diff. Every E16 cell is a seeded simulator run, so
 # the tables are deterministic and there is nothing for --quick to
 # shrink: the smoke run IS the full run and gates against the committed
 # baseline byte-for-byte.
@@ -187,11 +188,11 @@ e16-smoke: build
 	dune exec bench/main.exe -- e16 --jobs 2
 	dune exec bench/validate.exe -- --baseline bench/baselines BENCH_E16.json
 
-# E17, the symmetry/sleep/bitstate sweep, with its in-code gates (the
-# >=5x sym/por distinct-state quotient on an N>=4 scenario, verdict
-# parity across none/dedup/por/sym, the deepened-row bitstate
-# agreement — any gate failing exits non-zero before the JSON is
-# written), then the schema + baseline diff. Every cell is a
+# E17, the symmetry/sleep/bitstate sweep, with its gates (the >=5x
+# sym/por distinct-state quotient on an N>=4 scenario, verdict parity
+# across none/dedup/por/sym, the deepened-row bitstate agreement — a
+# failed gate is recorded in the JSON's gates member and exits
+# non-zero), then the schema + baseline diff. Every cell is a
 # sequential, deterministic search, so --quick changes nothing E17
 # captures and the smoke run gates against the full-run baseline. The
 # swarm invocation then exercises the CLI-level fan-out end to end (4

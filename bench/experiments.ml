@@ -58,6 +58,44 @@ let assert_ok what (r : Driver.report) =
   if r.me_violations > 0 || r.counter_value <> r.cs_completions then
     failwith (what ^ ": safety violation during benchmark!")
 
+(* [f ()] and its wall-clock seconds, rounded to the millisecond, as the
+   metric that records it. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let wall = Unix.gettimeofday () -. t0 in
+  (r, Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.))
+
+(* One model-check search at bounds (d, c, co), as E12, E13 and E17 run
+   them. *)
+let search ?(stop_on_first = false) ?vset_mode ~level (d, c, co) sc =
+  Harness.Model_check.explore ~divergence_bound:d ~crash_bound:c
+    ~crash_one_bound:co ~max_runs:600_000 ~stop_on_first ~reduction:level
+    ?vset_mode sc
+
+let rme ?(check_csr = true) stack n model =
+  Harness.Scenarios.rme ~check_csr ~n ~model
+    ~make:(fun mem -> Rme.Stack.recoverable mem stack)
+    ()
+
+(* The reduction roster E12 sweeps and E17 re-checks at every level:
+   (name, expect a violation, (d, c, co), scenario). The EXPECTED rows
+   stop on the first violation — their full trees are enormous and only
+   the verdict matters. *)
+let reduction_roster =
+  [
+    ("T2 stack, n=2 CC, d2 c1", false, (2, 1, 0), rme "t2-mcs" 2 Memory.Cc);
+    ("T3 stack, n=3 CC, d1 c1", false, (1, 1, 0), rme "t3-mcs" 3 Memory.Cc);
+    ( "FASAS-CLH, n=2 CC, d1, 2 indep. crashes", false, (1, 0, 2),
+      rme "rclh-fasas" 2 Memory.Cc );
+    ( "Barrier, n=2 DSM, 3 epochs, d1 c2", false, (1, 2, 0),
+      Harness.Scenarios.barrier ~epochs:3 ~n:2 ~model:Memory.Dsm () );
+    ( "T1(MCS) CSR, n=2 CC, d2 c1 — EXPECTED violation", true, (2, 1, 0),
+      rme "t1-mcs" 2 Memory.Cc );
+    ( "T3 literal line 97, n=3 CC, d2 — EXPECTED deadlock", true, (2, 0, 0),
+      rme "t3-mcs-literal" 3 Memory.Cc );
+  ]
+
 (* E1/E2: steady-state RMRs per passage vs N. Each (algorithm, N) run is
    computed once on the pool and feeds three outputs: the classic
    mean (max) table, a distribution table (p50/p90/p99/max at the largest
@@ -124,7 +162,7 @@ let steady_state_rmrs ~model ~pool () =
          if n = nmax then
            Some
              [ name; pc r 50.; pc r 90.; pc r 99.;
-               Report.i (Stats.max_int r.Driver.steady_rmrs) ]
+               string_of_int (Stats.max_int r.Driver.steady_rmrs) ]
          else None)
        reports)
 
@@ -472,92 +510,66 @@ let correctness_stats ~pool () =
 
 (* E9: systematic concurrency testing. Each row is one sequential search;
    the rows fan out over the pool and come back in row order, so the
-   table is --jobs-independent. Rows whose name carries "EXPECTED" are
-   the known-negative results and must show a violation; every other row
-   must be clean — violated expectations abort the bench with a non-zero
-   exit, which is what CI's smoke run keys on. *)
+   table is --jobs-independent. The [~expect] rows (their names say
+   "EXPECTED") are the known-negative results: they must show a
+   violation and stop at the first one. Every other row must be clean.
+   The verdict gate fails the bench run otherwise, which is what CI's
+   smoke run keys on. *)
 let model_checking ~pool () =
-  let contains_expected name =
-    let m = String.length "EXPECTED" in
-    let rec at i =
-      i + m <= String.length name
-      && (String.sub name i m = "EXPECTED" || at (i + 1))
+  let mc name ?(expect = false) ~d ?(c = 0) ?(co = 0) ?(runs = 200_000) sc () =
+    let o =
+      Harness.Model_check.explore ~divergence_bound:d ~crash_bound:c
+        ~crash_one_bound:co ~max_runs:runs ~stop_on_first:expect sc
     in
-    at 0
-  in
-  let check_expectation name (o : Harness.Model_check.outcome) =
-    match (contains_expected name, o.Harness.Model_check.violations) with
-    | true, [] ->
-      failwith ("E9: " ^ name ^ ": expected a violation, search found none")
-    | false, v :: _ -> failwith ("E9: " ^ name ^ ": unexpected violation: " ^ v)
-    | true, _ :: _ | false, [] -> ()
-  in
-  let row name (o : Harness.Model_check.outcome) =
-    check_expectation name o;
-    [
-      name;
-      string_of_int o.Harness.Model_check.runs
-      ^ (if o.Harness.Model_check.truncated then "+" else "");
-      string_of_int o.Harness.Model_check.steps;
-      string_of_int o.Harness.Model_check.deadlocks;
-      (match o.Harness.Model_check.violations with
-      | [] -> "none"
-      | v :: _ -> v);
-    ]
-  in
-  let mc name ?(stop_on_first = false) ~d ~c ~runs sc () =
-    row name
-      (Harness.Model_check.explore ~divergence_bound:d ~crash_bound:c
-         ~max_runs:runs ~stop_on_first sc)
-  in
-  let mc_co name ?(stop_on_first = false) ~d ~co ~runs sc () =
-    row name
-      (Harness.Model_check.explore ~divergence_bound:d ~crash_one_bound:co
-         ~max_runs:runs ~stop_on_first sc)
-  in
-  let rme ?(check_csr = true) stack n model =
-    Harness.Scenarios.rme ~check_csr ~n ~model
-      ~make:(fun mem -> Rme.Stack.recoverable mem stack)
-      ()
+    let violations = o.Harness.Model_check.violations in
+    ( (name, Bool.to_float (expect = (violations <> []))),
+      [
+        name;
+        string_of_int o.Harness.Model_check.runs
+        ^ (if o.Harness.Model_check.truncated then "+" else "");
+        string_of_int o.Harness.Model_check.steps;
+        string_of_int o.Harness.Model_check.deadlocks;
+        (match violations with [] -> "none" | v :: _ -> v);
+      ] )
   in
   let searches =
     [
-      mc "Barrier spec, n=3 CC, d2" ~d:2 ~c:0 ~runs:200_000
+      mc "Barrier spec, n=3 CC, d2" ~d:2
         (Harness.Scenarios.barrier ~n:3 ~model:Memory.Cc ());
-      mc "Barrier spec, n=3 DSM, d2" ~d:2 ~c:0 ~runs:200_000
+      mc "Barrier spec, n=3 DSM, d2" ~d:2
         (Harness.Scenarios.barrier ~n:3 ~model:Memory.Dsm ());
-      mc "Barrier spec, n=2 DSM, 3 epochs, d1 c2" ~d:1 ~c:2 ~runs:200_000
+      mc "Barrier spec, n=2 DSM, 3 epochs, d1 c2" ~d:1 ~c:2
         (Harness.Scenarios.barrier ~epochs:3 ~n:2 ~model:Memory.Dsm ());
-      mc "BarrierSub spec, n=3 DSM, d2" ~d:2 ~c:0 ~runs:200_000
+      mc "BarrierSub spec, n=3 DSM, d2" ~d:2
         (Harness.Scenarios.barrier_sub ~n:3 ~model:Memory.Dsm ());
-      mc "T1(MCS) ME, n=3 CC, d2 c1 (CSR not claimed)" ~d:2 ~c:1 ~runs:200_000
+      mc "T1(MCS) ME, n=3 CC, d2 c1 (CSR not claimed)" ~d:2 ~c:1
         (rme ~check_csr:false "t1-mcs" 3 Memory.Cc);
-      mc "T1(MCS) CSR, n=2 CC, d2 c1 — EXPECTED violation" ~d:2 ~c:1
-        ~runs:200_000 ~stop_on_first:true (rme "t1-mcs" 2 Memory.Cc);
-      mc "T2 stack, n=2 DSM, d1 c2" ~d:1 ~c:2 ~runs:200_000
-        (rme "t2-mcs" 2 Memory.Dsm);
-      mc "T3 stack, n=2 DSM, d1 c2" ~d:1 ~c:2 ~runs:200_000
-        (rme "t3-mcs" 2 Memory.Dsm);
-      mc "T3 stack, n=3 CC, d1 c1" ~d:1 ~c:1 ~runs:200_000
-        (rme "t3-mcs" 3 Memory.Cc);
-      mc "T3 literal line 97, n=3 CC, d2 — EXPECTED deadlock" ~d:2 ~c:0
-        ~runs:200_000 ~stop_on_first:true
+      mc "T1(MCS) CSR, n=2 CC, d2 c1 — EXPECTED violation" ~expect:true
+        ~d:2 ~c:1 (rme "t1-mcs" 2 Memory.Cc);
+      mc "T2 stack, n=2 DSM, d1 c2" ~d:1 ~c:2 (rme "t2-mcs" 2 Memory.Dsm);
+      mc "T3 stack, n=2 DSM, d1 c2" ~d:1 ~c:2 (rme "t3-mcs" 2 Memory.Dsm);
+      mc "T3 stack, n=3 CC, d1 c1" ~d:1 ~c:1 (rme "t3-mcs" 3 Memory.Cc);
+      mc "T3 literal line 97, n=3 CC, d2 — EXPECTED deadlock" ~expect:true ~d:2
         (rme "t3-mcs-literal" 3 Memory.Cc);
-      mc_co "FASAS-CLH, n=2 CC, d1, 2 independent crashes" ~d:1 ~co:2
+      mc "FASAS-CLH, n=2 CC, d1, 2 independent crashes" ~d:1 ~co:2
         ~runs:600_000 (rme "rclh-fasas" 2 Memory.Cc);
-      mc_co "FASAS-CLH, n=3 CC, d1, 1 independent crash" ~d:1 ~co:1
+      mc "FASAS-CLH, n=3 CC, d1, 1 independent crash" ~d:1 ~co:1
         ~runs:600_000 (rme "rclh-fasas" 3 Memory.Cc);
-      mc_co "T1(MCS), n=2 CC, 1 independent crash — EXPECTED deadlock" ~d:0
-        ~co:1 ~runs:200_000 ~stop_on_first:true
-        (rme ~check_csr:false "t1-mcs" 2 Memory.Cc);
+      mc "T1(MCS), n=2 CC, 1 independent crash — EXPECTED deadlock"
+        ~expect:true ~d:0 ~co:1 (rme ~check_csr:false "t1-mcs" 2 Memory.Cc);
     ]
+  in
+  let verdicts, rows =
+    List.split (Pool.map pool (fun search -> search ()) searches)
   in
   Report.table
     ~title:
       "E9: bounded systematic testing (divergence bound d, crash bound c); \
        expected: violations only for the two known-negative rows"
     ~header:[ "scenario"; "runs"; "steps"; "deadlocks"; "violations" ]
-    (Pool.map pool (fun search -> search ()) searches)
+    rows;
+  Report.gate ~name:"verdict matches expectation, every search"
+    (At_least 1.) verdicts
 
 (* E11: failure-model separation (the paper's question (ii)). The same
    crash rate, delivered two ways: as system-wide crash steps (the model
@@ -735,97 +747,42 @@ let native_contended () =
    level while the executed-schedule count collapses; the two EXPECTED
    rows show the known-negative ablations are still flagged after
    reduction. Wall-clock per cell goes to the metrics (machine-dependent,
-   so it stays out of the table). Violated expectations or a sub-5x best
-   ratio abort the bench with a non-zero exit, like E9's expectation
-   checks. *)
+   so it stays out of the table). The gates: every verdict matches its
+   expectation, and reduction collapses the executed-schedule count. *)
 let reduction_sweep ~pool () =
   let module MC = Harness.Model_check in
   let levels = [ MC.No_reduction; MC.Dedup; MC.Por ] in
-  let rme ?(check_csr = true) stack n model =
-    Harness.Scenarios.rme ~check_csr ~n ~model
-      ~make:(fun mem -> Rme.Stack.recoverable mem stack)
-      ()
-  in
-  (* (name, expect_violation, stop_on_first, d, c, co, scenario). The
-     EXPECTED rows use stop_on_first — their full trees are enormous and
-     only the verdict matters; their run counts are excluded from the
-     ratio check. *)
-  let roster =
-    [
-      ("T2 stack, n=2 CC, d2 c1", false, false, 2, 1, 0, rme "t2-mcs" 2 Memory.Cc);
-      ("T3 stack, n=3 CC, d1 c1", false, false, 1, 1, 0, rme "t3-mcs" 3 Memory.Cc);
-      ( "FASAS-CLH, n=2 CC, d1, 2 indep. crashes", false, false, 1, 0, 2,
-        rme "rclh-fasas" 2 Memory.Cc );
-      ( "Barrier, n=2 DSM, 3 epochs, d1 c2", false, false, 1, 2, 0,
-        Harness.Scenarios.barrier ~epochs:3 ~n:2 ~model:Memory.Dsm () );
-      ( "T1(MCS) CSR, n=2 CC, d2 c1 — EXPECTED violation", true, true, 2, 1, 0,
-        rme "t1-mcs" 2 Memory.Cc );
-      ( "T3 literal line 97, n=3 CC, d2 — EXPECTED deadlock", true, true, 2, 0,
-        0, rme "t3-mcs-literal" 3 Memory.Cc );
-    ]
-  in
   let cells =
     Pool.map pool
-      (fun ((_, _, stop_on_first, d, c, co, sc), level) ->
-        let t0 = Unix.gettimeofday () in
-        let o =
-          MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
-            ~max_runs:600_000 ~stop_on_first ~reduction:level sc
-        in
-        (o, Unix.gettimeofday () -. t0))
-      (cross roster levels)
+      (fun ((_, expect, bounds, sc), level) ->
+        timed (fun () -> search ~stop_on_first:expect ~level bounds sc))
+      (cross reduction_roster levels)
   in
-  let best_ratio = ref 0. in
-  let rows =
+  let per_scenario = chunks (List.length levels) cells in
+  let results =
     List.concat
       (List.map2
-         (fun (name, expect, stop_on_first, _, _, _, _) per_level ->
-           let outcomes = List.map fst per_level in
-           List.iter
-             (fun (o : MC.outcome) ->
-               match (expect, o.MC.violations) with
-               | true, [] ->
-                 failwith
-                   ("E12: " ^ name ^ ": expected a violation, search found none")
-               | false, v :: _ ->
-                 failwith ("E12: " ^ name ^ ": unexpected violation: " ^ v)
-               | true, _ :: _ | false, [] -> ())
-             outcomes;
-           (match outcomes with
-           | [ none; _; por ] when (not expect) && not stop_on_first ->
-             best_ratio :=
-               Float.max !best_ratio
-                 (float_of_int none.MC.runs /. float_of_int (max 1 por.MC.runs))
-           | _ -> ());
+         (fun (name, expect, _, _) per_level ->
            List.map2
              (fun level ((o : MC.outcome), wall) ->
+               let level = MC.reduction_to_string level in
                Report.metric
-                 ~name:
-                   (Printf.sprintf "e12.%s.%s.wall_s" name
-                      (MC.reduction_to_string level))
-                 (Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.));
-               [
-                 name;
-                 MC.reduction_to_string level;
-                 string_of_int o.MC.runs ^ (if o.MC.truncated then "+" else "");
-                 string_of_int o.MC.steps;
-                 string_of_int o.MC.distinct_states;
-                 string_of_int o.MC.pruned_runs;
-                 string_of_int o.MC.pruned_branches;
-                 (match o.MC.violations with [] -> "none" | v :: _ -> v);
-               ])
+                 ~name:(Printf.sprintf "e12.%s.%s.wall_s" name level) wall;
+               ( ( Printf.sprintf "%s (%s)" name level,
+                   Bool.to_float (expect = (o.MC.violations <> [])) ),
+                 [
+                   name;
+                   level;
+                   string_of_int o.MC.runs ^ (if o.MC.truncated then "+" else "");
+                   string_of_int o.MC.steps;
+                   string_of_int o.MC.distinct_states;
+                   string_of_int o.MC.pruned_runs;
+                   string_of_int o.MC.pruned_branches;
+                   (match o.MC.violations with [] -> "none" | v :: _ -> v);
+                 ] ))
              levels per_level)
-         roster
-         (chunks (List.length levels) cells))
+         reduction_roster per_scenario)
   in
-  Report.metric ~name:"e12.best_none_over_por_ratio"
-    (Sim.Json.Float (Float.round (!best_ratio *. 100.) /. 100.));
-  if !best_ratio < 5. then
-    failwith
-      (Printf.sprintf
-         "E12: best none/por executed-schedule ratio %.2f is below the \
-          claimed 5x"
-         !best_ratio);
   Report.table
     ~title:
       "E12: state-space reduction (same bounds per scenario; sequential \
@@ -837,7 +794,25 @@ let reduction_sweep ~pool () =
         "scenario"; "reduce"; "runs"; "steps"; "states"; "pruned runs";
         "POR skips"; "violations";
       ]
-    rows
+    (List.map snd results);
+  Report.gate ~name:"verdict matches expectation at none/dedup/por"
+    (At_least 1.) (List.map fst results);
+  (* The EXPECTED rows stop on the first violation, so their run counts
+     are not comparable. *)
+  Report.gate ~name:"none/por executed-schedule ratio, clean scenarios"
+    ~agg:Max (At_least 5.)
+    (List.concat
+       (List.map2
+          (fun (name, expect, _, _) per_level ->
+            match per_level with
+            | [ ((none : MC.outcome), _); _; (por, _) ] when not expect ->
+              [
+                ( name,
+                  float_of_int none.MC.runs /. float_of_int (max 1 por.MC.runs)
+                );
+              ]
+            | _ -> [])
+          reduction_roster per_scenario))
 
 (* E13: simulator and checker throughput (DESIGN.md §5.14). Table A
    drives a deterministic round-robin scheduler over larger-n scenarios
@@ -850,11 +825,6 @@ let reduction_sweep ~pool () =
    metrics. *)
 let throughput_sweep () =
   let module MC = Harness.Model_check in
-  let rme ?(check_csr = true) stack n model =
-    Harness.Scenarios.rme ~check_csr ~n ~model
-      ~make:(fun mem -> Rme.Stack.recoverable mem stack)
-      ()
-  in
   (* Table A: hand-rolled stepping loop. Round-robin over unblocked
      runnable processes; when a full sweep finds nothing productive
      (everyone finished or spin-blocked) a system-wide crash restarts
@@ -862,10 +832,10 @@ let throughput_sweep () =
      is deterministic except the wall-clock. *)
   let probe ~fingerprints ~budget (sc : MC.scenario) =
     let mem = Memory.create ~model:sc.model ~n:sc.n in
-    let crash_hooks = ref [] and fp_hooks = ref [] in
+    let crash_hooks = ref [] and fp_hooks = ref [] and violations = ref 0 in
     let ctx : MC.ctx =
       {
-        violation = (fun msg -> failwith ("E13: unexpected violation: " ^ msg));
+        violation = (fun _ -> incr violations);
         on_crash = (fun h -> crash_hooks := h :: !crash_hooks);
         on_crash_one = (fun _ -> ());
         on_finish = (fun _ -> ());
@@ -905,7 +875,7 @@ let throughput_sweep () =
     done;
     let wall = Unix.gettimeofday () -. t0 in
     ignore !digest;
-    (!steps, !crashes, wall)
+    (!steps, !crashes, !violations, wall)
   in
   let budget = if !quick then 20_000 else 200_000 in
   let roster_a =
@@ -916,26 +886,30 @@ let throughput_sweep () =
         Harness.Scenarios.barrier ~epochs:3 ~n:8 ~model:Memory.Dsm () );
     ]
   in
+  (* Both tables drive clean stacks: every cell must report no monitor
+     violation. *)
+  let clean = ref [] in
+  let record_clean label violations =
+    clean := (label, Bool.to_float (violations = 0)) :: !clean
+  in
   let rows_a =
     List.concat_map
       (fun (name, sc) ->
         let rates =
           List.map
             (fun fingerprints ->
-              let steps, crashes, wall = probe ~fingerprints ~budget sc in
+              let steps, crashes, violations, wall =
+                probe ~fingerprints ~budget sc
+              in
+              let fp = if fingerprints then "on" else "off" in
+              record_clean
+                (Printf.sprintf "E13a %s, fingerprints %s" name fp)
+                violations;
               let rate = float_of_int steps /. Float.max 1e-9 wall in
               Report.metric
-                ~name:
-                  (Printf.sprintf "e13.%s.fp_%s.steps_per_s" name
-                     (if fingerprints then "on" else "off"))
+                ~name:(Printf.sprintf "e13.%s.fp_%s.steps_per_s" name fp)
                 (Sim.Json.Float (Float.round rate));
-              ( [
-                  name;
-                  (if fingerprints then "on" else "off");
-                  string_of_int steps;
-                  string_of_int crashes;
-                ],
-                rate ))
+              ([ name; fp; string_of_int steps; string_of_int crashes ], rate))
             [ false; true ]
         in
         (match rates with
@@ -955,37 +929,30 @@ let throughput_sweep () =
   (* Table B: full checker wall-clock. Sequential on purpose — each cell
      owns the machine, like E10. *)
   let roster_b =
-    [
-      ("T2 stack, n=2 CC, d2 c1", 2, 1, 0, rme "t2-mcs" 2 Memory.Cc);
-      ( "Barrier, n=2 DSM, 3 epochs, d1 c2", 1, 2, 0,
-        Harness.Scenarios.barrier ~epochs:3 ~n:2 ~model:Memory.Dsm () );
-      ( "FASAS-CLH, n=2 CC, d1, 2 indep. crashes", 1, 0, 2,
-        rme "rclh-fasas" 2 Memory.Cc );
-    ]
+    List.map
+      (fun name -> List.find (fun (n, _, _, _) -> n = name) reduction_roster)
+      [
+        "T2 stack, n=2 CC, d2 c1"; "Barrier, n=2 DSM, 3 epochs, d1 c2";
+        "FASAS-CLH, n=2 CC, d1, 2 indep. crashes";
+      ]
   in
   let levels = [ MC.No_reduction; MC.Por ] in
   let rows_b =
     List.concat_map
-      (fun (name, d, c, co, sc) ->
+      (fun (name, _, bounds, sc) ->
         List.map
           (fun level ->
-            let t0 = Unix.gettimeofday () in
-            let o =
-              MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
-                ~max_runs:600_000 ~reduction:level sc
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            (match o.MC.violations with
-            | v :: _ -> failwith ("E13: " ^ name ^ ": violation: " ^ v)
-            | [] -> ());
+            let o, wall = timed (fun () -> search ~level bounds sc) in
+            let level = MC.reduction_to_string level in
+            record_clean
+              (Printf.sprintf "E13b %s (%s)" name level)
+              (List.length o.MC.violations);
             Report.metric
-              ~name:
-                (Printf.sprintf "e13.%s.%s.wall_s" name
-                   (MC.reduction_to_string level))
-              (Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.));
+              ~name:(Printf.sprintf "e13.%s.%s.wall_s" name level)
+              wall;
             [
               name;
-              MC.reduction_to_string level;
+              level;
               string_of_int o.MC.runs;
               string_of_int o.MC.distinct_states;
               (match o.MC.violations with [] -> "none" | v :: _ -> v);
@@ -996,7 +963,9 @@ let throughput_sweep () =
   Report.table
     ~title:"E13b: model-checker wall-clock sweep (wall_s in the metrics)"
     ~header:[ "scenario"; "reduce"; "runs"; "states"; "violations" ]
-    rows_b
+    rows_b;
+  Report.gate ~name:"no monitor violation, every cell" (At_least 1.)
+    (List.rev !clean)
 
 (* E14: native substrate ablation — the hardware tuning of DESIGN.md §5.15
    (cache-line-padded backend cells + seeded exponential backoff) against
@@ -1016,10 +985,9 @@ let throughput_sweep () =
    Absolute throughputs and ratios are machine-dependent, so the captured
    table holds only deterministic cells (the monitors' safety columns);
    the numbers go to the metrics and the uncaptured ablation tables, and
-   the substrate claims are enforced by in-code gates that abort the
-   experiment — no JSON gets written and the bench run fails — when they
-   don't hold. All rows are failure-free (the crash controller stays
-   unarmed; the ME/lost-update monitors still watch). *)
+   the substrate claims are gates, judged after the experiment. All rows
+   are failure-free (the crash controller stays unarmed; the
+   ME/lost-update monitors still watch). *)
 let native_substrate_ablation () =
   let window = if !quick then 0.25 else 1.0 in
   let n1_passages = if !quick then 10_000 else 50_000 in
@@ -1125,45 +1093,48 @@ let native_substrate_ablation () =
     ~variant_header:"padded+backoff p/s"
     ~fmt:(fun f -> Printf.sprintf "%.0f" f)
     (List.map (fun name -> (name, tp name 1 false, tp name 1 true)) registry);
-  (* Gate 1: on at least one contended row the tuned substrate must beat
-     bare by >= 1.2x. Convoy regimes are granted by the OS scheduler, not
-     by us, so a single window can land lucky for bare; before failing the
-     claim, re-measure the two best rows with 4x windows and keep the max. *)
-  let contended_ratios =
+  (* The tuned substrate must beat bare on some contended row. Convoy
+     regimes are granted by the OS scheduler, not by us, so a single
+     window can land lucky for bare; before failing the claim, re-measure
+     the two best rows with 4x windows and add them as rows of their
+     own. *)
+  let speedup_agg = Report.Max and speedup = Report.At_least 1.2 in
+  let ratios =
     List.concat_map
       (fun n ->
         List.map (fun name -> (name, n, tp name n true /. tp name n false))
           registry)
       contended_ns
   in
-  let by_ratio_desc =
-    List.sort (fun (_, _, a) (_, _, b) -> compare b a) contended_ratios
+  let contended =
+    List.map (fun (name, n, r) -> (Printf.sprintf "%s n=%d" name n, r)) ratios
   in
-  let best_name, best_n, best_ratio = List.hd by_ratio_desc in
-  let best_ratio =
-    if best_ratio >= 1.2 then best_ratio
+  let contended =
+    if (Report.judge_gate ~name:"" ~agg:speedup_agg speedup contended).pass
+    then contended
     else
-      List.fold_left
-        (fun acc (name, n, _) ->
-          let long = 4. *. window in
-          let rt = run ~run_for:long ~tuned:true ~n ~passages:window_cap name in
-          let rb = run ~run_for:long ~tuned:false ~n ~passages:window_cap name in
-          Float.max acc (pps rt /. pps rb))
-        best_ratio
-        (List.filteri (fun i _ -> i < 2) by_ratio_desc)
+      contended
+      @ List.map
+          (fun (name, n, _) ->
+            let long = 4. *. window in
+            let rt =
+              run ~run_for:long ~tuned:true ~n ~passages:window_cap name
+            and rb =
+              run ~run_for:long ~tuned:false ~n ~passages:window_cap name
+            in
+            (Printf.sprintf "%s n=%d, 4x window" name n, pps rt /. pps rb))
+          (List.filteri
+             (fun i _ -> i < 2)
+             (List.sort (fun (_, _, a) (_, _, b) -> compare b a) ratios))
   in
-  Report.metric ~name:"e14.best_contended_speedup" (Sim.Json.Float best_ratio);
-  Report.metric ~name:"e14.best_contended_row"
-    (Sim.Json.Str (Printf.sprintf "%s/n%d" best_name best_n));
-  (* Gate 2: median single-worker parity — padding + backoff must not tax
-     the uncontended path (the spin machinery is off it entirely). *)
-  let median xs =
-    let a = Array.of_list (List.sort compare xs) in
-    a.(Array.length a / 2)
-  in
-  let parity = median (List.map (fun name -> tp name 1 true /. tp name 1 false) registry) in
-  Report.metric ~name:"e14.median_single_worker_parity" (Sim.Json.Float parity);
-  (* Gate 3: the steady-state passage path must not allocate. Worker 1's
+  Report.gate ~name:"contended speedup, tuned/bare over the (stack, n) sweep"
+    ~agg:speedup_agg speedup contended;
+  (* Padding + backoff must not tax the uncontended path (the spin
+     machinery is off it entirely). *)
+  Report.gate ~name:"single-worker parity, tuned/bare over stacks"
+    ~agg:Median (At_least 0.75)
+    (List.map (fun name -> (name, tp name 1 true /. tp name 1 false)) registry);
+  (* The steady-state passage path must not allocate. Worker 1's
      minor-heap words per post-warmup passage, contended (n=2) so the
      backoff path is actually exercised. Probe rows are separate from the
      sweep: the latency instrumentation itself boxes a float per passage,
@@ -1175,15 +1146,17 @@ let native_substrate_ablation () =
           run ~tuned:true ~n:2 ~passages:probe_passages ~alloc_probe:true name
         in
         let w =
-          Option.value ~default:Float.infinity
+          Option.value ~default:Float.nan
             r.Rme_native.Workers.alloc_words_per_passage
         in
         Report.metric
           ~name:(Printf.sprintf "e14.%s.alloc_words_per_passage" name)
-          (Sim.Json.Float w);
+          (if Float.is_nan w then Sim.Json.Null else Sim.Json.Float w);
         (name, w))
       [ "t1-mcs"; "t3-mcs" ]
   in
+  Report.gate ~name:"steady-state allocation, words/passage" (At_most 1.0)
+    alloc_rows;
   (* Latency histograms for the flagship stacks (metrics + run log only). *)
   let latency_rows =
     List.map
@@ -1212,35 +1185,7 @@ let native_substrate_ablation () =
       "E14: per-passage latency, tuned substrate (monotonic ns; \
        machine-dependent, not captured)"
     ~header:[ "stack"; "workers"; "p50"; "p99"; "max" ]
-    latency_rows;
-  let gate name ok detail =
-    if not ok then
-      failwith (Printf.sprintf "E14 gate failed: %s — %s" name detail)
-  in
-  gate "contended speedup" (best_ratio >= 1.2)
-    (Printf.sprintf "best tuned/bare ratio %.2f (%s, n=%d), need >= 1.20"
-       best_ratio best_name best_n);
-  gate "single-worker parity" (parity >= 0.75)
-    (Printf.sprintf "median tuned/bare at n=1 is %.2f, need >= 0.75" parity);
-  List.iter
-    (fun (name, w) ->
-      gate
-        (name ^ " allocation audit")
-        (w <= 1.0)
-        (Printf.sprintf "%.2f minor words/passage, need <= 1.0" w))
-    alloc_rows;
-  Report.table
-    ~title:
-      "E14: substrate gates (enforced in code before this table prints — a \
-       failing gate aborts the experiment and the bench run)"
-    ~header:[ "gate"; "threshold"; "verdict" ]
-    [
-      [ "contended speedup, max over the (stack, n) sweep"; ">= 1.20x bare";
-        "pass" ];
-      [ "single-worker parity, median over stacks"; ">= 0.75x bare"; "pass" ];
-      [ "steady-state allocation, t1-mcs and t3-mcs"; "<= 1.0 words/passage";
-        "pass" ];
-    ]
+    latency_rows
 
 (* E15: the sharded lock-service workload — a table of a million logical
    RME locks hashed onto 1024 shards, served by batching clients over 4
@@ -1253,8 +1198,8 @@ let native_substrate_ablation () =
    traffic at the FULL budget and serves a prefix ([--quick] shrinks only
    the prefix), and the captured cells are budget-independent booleans
    and zero-counters, so a quick run gates byte-identically against the
-   full-run baseline. The perf claims are in-code gates that abort the
-   run (no JSON written) when they fail. *)
+   full-run baseline. The perf claims are gates, judged after the
+   experiment. *)
 let service_workload () =
   let full_budget = 50_000 in
   let per_worker = if !quick then 5_000 else full_budget in
@@ -1329,7 +1274,8 @@ let service_workload () =
     && replay_base.Rme_service.Loadgen.shard_served
        = replay_again.Rme_service.Loadgen.shard_served
   in
-  Report.metric ~name:"e15.replays" (Sim.Json.Bool replays);
+  Report.gate ~name:"seeded replay, per-shard histograms + fingerprints"
+    (At_least 1.) [ ("t1-mcs θ=0.00 rerun", Bool.to_float replays) ];
   Report.table
     ~title:
       "E15: sharded lock service, 1M logical locks on 1024 shards, 4 \
@@ -1384,49 +1330,29 @@ let service_workload () =
            string_of_int r.Rme_service.Loadgen.batches;
          ])
        results);
-  (* Gate 1: the lock passage path of the service stack must not allocate.
+  (* The lock passage path of the service stack must not allocate.
      A small key space materializes every shard inside the warmup, so the
      steady tail measures serving, not installation. *)
   let probe =
     run ~stack:"t3-mcs" ~keys:256 ~shards:32 ~n:2 ~per_worker:probe_budget
       ~traffic_budget:probe_budget ~alloc_probe:true ()
   in
-  let words =
-    Option.value ~default:Float.infinity
-      probe.Rme_service.Loadgen.alloc_words_per_req
-  in
-  Report.metric ~name:"e15.alloc_words_per_request" (Sim.Json.Float words);
-  (* Gate 2: on the skewed saturating row, batching must actually batch —
-     with θ=0.99 over 1024 shards a 16-slot client sees same-shard
-     duplicates constantly. *)
-  let skewed =
-    List.assoc ("t3-mcs", 0.99, 0., None) results
-  in
-  Report.metric ~name:"e15.skewed_max_batch"
-    (Sim.Json.Int skewed.Rme_service.Loadgen.max_batch);
-  let gate name ok detail =
-    if not ok then
-      failwith (Printf.sprintf "E15 gate failed: %s — %s" name detail)
-  in
-  gate "replay" replays
-    "same seed produced different shard histograms or fingerprints";
-  gate "allocation audit" (words <= 1.0)
-    (Printf.sprintf "%.2f minor words/request, need <= 1.0" words);
-  gate "skewed batching"
-    (skewed.Rme_service.Loadgen.max_batch >= 2)
-    (Printf.sprintf "max batch %d on the θ=0.99 row, need >= 2"
-       skewed.Rme_service.Loadgen.max_batch);
-  Report.table
-    ~title:
-      "E15: service gates (enforced in code before this table prints — a \
-       failing gate aborts the experiment and the bench run)"
-    ~header:[ "gate"; "threshold"; "verdict" ]
+  Report.gate ~name:"steady-state allocation on the passage path, words/request"
+    (At_most 1.0)
     [
-      [ "seeded replay, per-shard histograms + fingerprints"; "byte-identical";
-        "pass" ];
-      [ "steady-state allocation on the passage path"; "<= 1.0 words/request";
-        "pass" ];
-      [ "client batching under θ=0.99 skew"; "max batch >= 2"; "pass" ];
+      ( "t3-mcs, 256 keys on 32 shards",
+        Option.value ~default:Float.nan
+          probe.Rme_service.Loadgen.alloc_words_per_req );
+    ];
+  (* On the skewed saturating row, batching must actually batch — with
+     θ=0.99 over 1024 shards a 16-slot client sees same-shard duplicates
+     constantly. *)
+  let skewed = List.assoc ("t3-mcs", 0.99, 0., None) results in
+  Report.gate ~name:"client batching under θ=0.99 skew, max batch"
+    (At_least 2.)
+    [
+      ( "t3-mcs θ=0.99 saturating",
+        float_of_int skewed.Rme_service.Loadgen.max_batch );
     ]
 
 (* E16: the cross-paper shootout (DESIGN.md §5.18). One table per cost
@@ -1577,70 +1503,42 @@ let cross_paper_shootout ~pool () =
            rng Memory.Dsm; shape name;
          ])
        algos);
-  let gate name ok detail =
-    if not ok then
-      failwith (Printf.sprintf "E16 gate failed: %s — %s" name detail)
+  let per_model f names =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun model ->
+            ( Printf.sprintf "%s %s" name (mname model),
+              float_of_int (f (range model name)) ))
+          models)
+      names
   in
-  let abs_cap = 24 and growth_margin = 8 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun model ->
-          let lo, hi = range model name in
-          gate
-            (Printf.sprintf "%s constant band (%s)" name (mname model))
-            (hi - lo <= flat_band && hi <= abs_cap)
-            (Printf.sprintf
-               "worst-case RMRs/passage spans %d..%d over N=%d..%d, need \
-                spread <= %d and max <= %d"
-               lo hi nmin nmax flat_band abs_cap))
-        models)
-    [ "jjj-cc"; "jjj-dsm" ];
-  List.iter
-    (fun name ->
-      List.iter
-        (fun model ->
-          let lo, hi = range model name in
-          gate
-            (Printf.sprintf "%s logarithmic growth (%s)" name (mname model))
-            (hi - lo >= growth_margin)
-            (Printf.sprintf
-               "worst-case RMRs/passage spans %d..%d over N=%d..%d — a \
-                claimed-logarithmic stack should spread by >= %d, or the \
-                flat gates above are vacuous"
-               lo hi nmin nmax growth_margin))
-        models)
-    [ "t1-ya"; "t1-peterson" ];
-  Report.table
-    ~title:
-      "E16: envelope gates (enforced in code before this table prints — a \
-       failing gate aborts the experiment and the bench run)"
-    ~header:[ "gate"; "threshold"; "verdict" ]
-    [
-      [
-        "jjj-cc / jjj-dsm constant band, CC and DSM";
-        Printf.sprintf "spread <= %d and max <= %d over N=%d..%d" flat_band
-          abs_cap nmin nmax;
-        "pass";
-      ];
-      [
-        "t1-ya / t1-peterson logarithmic growth, CC and DSM";
-        Printf.sprintf "spread >= %d over N=%d..%d" growth_margin nmin nmax;
-        "pass";
-      ];
-    ]
+  let spread (lo, hi) = hi - lo
+  and over = Printf.sprintf "over N=%d..%d" nmin nmax in
+  let jjj = [ "jjj-cc"; "jjj-dsm" ] in
+  Report.gate
+    ~name:("jjj-cc / jjj-dsm worst-case spread, CC and DSM, " ^ over)
+    (At_most (float_of_int flat_band))
+    (per_model spread jjj);
+  Report.gate
+    ~name:("jjj-cc / jjj-dsm worst case, CC and DSM, " ^ over)
+    (At_most 24.) (per_model snd jjj);
+  (* A claimed-logarithmic stack must spread, or the flat gates above are
+     vacuous. *)
+  Report.gate
+    ~name:("t1-ya / t1-peterson worst-case spread, CC and DSM, " ^ over)
+    (At_least 8.)
+    (per_model spread [ "t1-ya"; "t1-peterson" ])
 
 (* E17: symmetry quotient, sleep sets, and bitstate search (DESIGN.md
    §5.19) — the same evidence contract E12 established for dedup|por,
-   extended to the new layers. Three captured tables plus in-code gates:
+   extended to the new layers. Three captured tables plus their gates:
 
    Table A (quotient ratios): por vs sym at identical bounds on
    process-symmetric scenarios; every cell is a deterministic
-   sequential search. Gates: sym's distinct-state quotient reaches >= 5x on
-   at least one N>=4 scenario (the bar E12 set for none/por), sym never
-   explores more runs or states than por on any row, and the sleep-set
-   layer actually fires somewhere (sleep-pruned >= 1) — otherwise the
-   "upgrade, not replacement" claim is vacuous.
+   sequential search. Its gates hold sym's quotient on an N>=4 scenario
+   to the bar E12 set for none/por, forbid sym from ever enlarging the
+   search, and require the sleep-set layer to fire somewhere.
 
    Table B (verdict parity): the full E12 roster at none|dedup|por|sym.
    Parity is judged on the violated-or-not verdict, NOT on violation
@@ -1651,33 +1549,19 @@ let cross_paper_shootout ~pool () =
    Table C (deeper + bitstate): one roster bound deepened by d+1 over
    E12 — T3 at n=3 d2 c1, ~191k canonical states under sym, the
    headroom the quotient buys the nightly — searched twice: exact
-   (verdict-authoritative) and bitstate at the same bounds. The
-   bitstate verdict must agree, its occupancy must land in (0, 1), and
-   its runs must not exceed the exact search's (under-report-only:
-   collisions can only prune). Its states cell counts state x budget
+   (verdict-authoritative) and bitstate at the same bounds; its gate
+   rows are the bitstate contract (under-report-only: collisions can
+   only prune). Its states cell counts state x budget
    *pairs* (bitstate forces the Key_mix coding — no per-key budget
    masks), so it is deliberately not compared against the exact
    Closure-coded count. Occupancy and the collision bound are
    deterministic, so they are safe to capture. *)
 let symmetry_sweep ~pool () =
   let module MC = Harness.Model_check in
-  let rme ?(check_csr = true) stack n model =
-    Harness.Scenarios.rme ~check_csr ~n ~model
-      ~make:(fun mem -> Rme.Stack.recoverable mem stack)
-      ()
-  in
   let mutex_mcs n =
     Harness.Scenarios.mutex ~n ~model:Memory.Cc
       ~make:(fun mem -> Rme.Stack.conventional mem "mcs")
       ()
-  in
-  let explore ?(stop_on_first = false) ?vset_mode ~level (d, c, co) sc =
-    MC.explore ~divergence_bound:d ~crash_bound:c ~crash_one_bound:co
-      ~max_runs:600_000 ~stop_on_first ~reduction:level ?vset_mode sc
-  in
-  let gate name ok detail =
-    if not ok then
-      failwith (Printf.sprintf "E17 gate failed: %s — %s" name detail)
   in
   (* --- Table A: por vs sym quotient ratios --- *)
   let ratio_roster =
@@ -1692,65 +1576,50 @@ let symmetry_sweep ~pool () =
   let ratio_cells =
     Pool.map pool
       (fun ((_, _, bounds, sc), level) ->
-        let t0 = Unix.gettimeofday () in
-        let o = explore ~level bounds sc in
-        (o, Unix.gettimeofday () -. t0))
+        timed (fun () -> search ~level bounds sc))
       (cross ratio_roster [ MC.Por; MC.Sym ])
   in
-  let best_big_n_ratio = ref 0. and sleep_fired = ref 0 in
-  let ratio_rows =
+  let per_scenario =
     List.map2
-      (fun (name, n, _, _) per_level ->
-        match per_level with
+      (fun (name, n, _, _) cells ->
+        match cells with
         | [ ((por : MC.outcome), wall_p); ((sym : MC.outcome), wall_s) ] ->
-          List.iter
-            (fun ((o : MC.outcome), _) ->
-              match o.MC.violations with
-              | [] -> ()
-              | v :: _ -> failwith ("E17: " ^ name ^ ": unexpected violation: " ^ v))
-            per_level;
-          gate
-            (name ^ " quotient dominance")
-            (sym.MC.runs <= por.MC.runs
-            && sym.MC.distinct_states <= por.MC.distinct_states)
-            (Printf.sprintf
-               "sym explored runs=%d states=%d vs por runs=%d states=%d — \
-                the quotient must never enlarge the search"
-               sym.MC.runs sym.MC.distinct_states por.MC.runs
-               por.MC.distinct_states);
-          let ratio =
-            float_of_int por.MC.distinct_states
-            /. float_of_int (max 1 sym.MC.distinct_states)
-          in
-          if n >= 4 then best_big_n_ratio := Float.max !best_big_n_ratio ratio;
-          sleep_fired := !sleep_fired + sym.MC.sleep_pruned;
           List.iter
             (fun (which, wall) ->
               Report.metric
-                ~name:(Printf.sprintf "e17.%s.%s.wall_s" name which)
-                (Sim.Json.Float (Float.round (wall *. 1000.) /. 1000.)))
+                ~name:(Printf.sprintf "e17.%s.%s.wall_s" name which) wall)
             [ ("por", wall_p); ("sym", wall_s) ];
-          [
-            name;
-            string_of_int por.MC.runs;
-            string_of_int sym.MC.runs;
-            string_of_int por.MC.distinct_states;
-            string_of_int sym.MC.distinct_states;
-            Printf.sprintf "%.2f" ratio;
-            string_of_int sym.MC.sleep_pruned;
-          ]
+          (name, n, por, sym)
         | _ -> assert false)
-      ratio_roster
-      (chunks 2 ratio_cells)
+      ratio_roster (chunks 2 ratio_cells)
   in
-  Report.metric ~name:"e17.best_sym_states_ratio_n_ge_4"
-    (Sim.Json.Float (Float.round (!best_big_n_ratio *. 100.) /. 100.));
-  gate "sym/por distinct-state quotient, N>=4"
-    (!best_big_n_ratio >= 5.)
-    (Printf.sprintf "best por/sym states ratio %.2f is below the claimed 5x"
-       !best_big_n_ratio);
-  gate "sleep sets live" (!sleep_fired >= 1)
-    "no roster row recorded a sleep-set prune — the layer never fired";
+  let states_ratio (por : MC.outcome) (sym : MC.outcome) =
+    float_of_int por.MC.distinct_states
+    /. float_of_int (max 1 sym.MC.distinct_states)
+  in
+  let per_row f =
+    List.map (fun (name, _, por, sym) -> (name, f por sym)) per_scenario
+  in
+  Report.gate ~name:"quotient roster clean at por and sym" (At_least 1.)
+    (per_row (fun por sym ->
+         Bool.to_float (por.MC.violations = [] && sym.MC.violations = [])));
+  Report.gate ~name:"sym never enlarges the search, runs and states <= por"
+    (At_least 1.)
+    (per_row (fun por sym ->
+         Bool.to_float
+           (sym.MC.runs <= por.MC.runs
+           && sym.MC.distinct_states <= por.MC.distinct_states)));
+  Report.gate ~name:"sym/por distinct-state quotient on an N>=4 scenario"
+    ~agg:Max (At_least 5.)
+    (List.filter_map
+       (fun (name, n, por, sym) ->
+         if n >= 4 then Some (name, states_ratio por sym) else None)
+       per_scenario);
+  (* Sleep sets must prune somewhere, or the "upgrade, not replacement"
+     claim is vacuous. *)
+  Report.gate ~name:"sleep sets fire, sleep-pruned runs under sym"
+    ~agg:Max (At_least 1.)
+    (per_row (fun _ sym -> float_of_int sym.MC.sleep_pruned));
   Report.table
     ~title:
       "E17: symmetry quotient, por vs sym at identical bounds (sequential \
@@ -1761,96 +1630,87 @@ let symmetry_sweep ~pool () =
         "scenario"; "por runs"; "sym runs"; "por states"; "sym states";
         "states ratio"; "sleep skips";
       ]
-    ratio_rows;
+    (List.map
+       (fun (name, _, (por : MC.outcome), (sym : MC.outcome)) ->
+         [
+           name;
+           string_of_int por.MC.runs;
+           string_of_int sym.MC.runs;
+           string_of_int por.MC.distinct_states;
+           string_of_int sym.MC.distinct_states;
+           Printf.sprintf "%.2f" (states_ratio por sym);
+           string_of_int sym.MC.sleep_pruned;
+         ])
+       per_scenario);
   (* --- Table B: verdict parity on the E12 roster --- *)
-  let parity_roster =
-    [
-      ("T2 stack, n=2 CC, d2 c1", false, false, (2, 1, 0), rme "t2-mcs" 2 Memory.Cc);
-      ("T3 stack, n=3 CC, d1 c1", false, false, (1, 1, 0), rme "t3-mcs" 3 Memory.Cc);
-      ( "FASAS-CLH, n=2 CC, d1, 2 indep. crashes", false, false, (1, 0, 2),
-        rme "rclh-fasas" 2 Memory.Cc );
-      ( "Barrier, n=2 DSM, 3 epochs, d1 c2", false, false, (1, 2, 0),
-        Harness.Scenarios.barrier ~epochs:3 ~n:2 ~model:Memory.Dsm () );
-      ( "T1(MCS) CSR, n=2 CC, d2 c1 — EXPECTED violation", true, true, (2, 1, 0),
-        rme "t1-mcs" 2 Memory.Cc );
-      ( "T3 literal line 97, n=3 CC, d2 — EXPECTED deadlock", true, true,
-        (2, 0, 0), rme "t3-mcs-literal" 3 Memory.Cc );
-    ]
-  in
   let levels = [ MC.No_reduction; MC.Dedup; MC.Por; MC.Sym ] in
   let parity_cells =
     Pool.map pool
-      (fun ((_, _, stop_on_first, bounds, sc), level) ->
-        explore ~stop_on_first ~level bounds sc)
-      (cross parity_roster levels)
+      (fun ((_, expect, bounds, sc), level) ->
+        search ~stop_on_first:expect ~level bounds sc)
+      (cross reduction_roster levels)
   in
-  let parity_rows =
+  let parity =
     List.concat
       (List.map2
-         (fun (name, expect, _, _, _) outcomes ->
+         (fun (name, expect, _, _) outcomes ->
            List.map2
              (fun level (o : MC.outcome) ->
                let violated = o.MC.violations <> [] in
-               gate
-                 (Printf.sprintf "%s verdict (%s)" name
-                    (MC.reduction_to_string level))
-                 (violated = expect)
-                 (if expect then "expected a violation, search found none"
-                  else
-                    "unexpected violation: "
-                    ^ String.concat "; " o.MC.violations);
-               [
-                 name;
-                 MC.reduction_to_string level;
-                 string_of_int o.MC.runs ^ (if o.MC.truncated then "+" else "");
-                 string_of_int o.MC.distinct_states;
-                 (if violated then "violated" else "clean");
-               ])
+               let level = MC.reduction_to_string level in
+               ( ( Printf.sprintf "%s (%s)" name level,
+                   Bool.to_float (violated = expect) ),
+                 [
+                   name;
+                   level;
+                   string_of_int o.MC.runs ^ (if o.MC.truncated then "+" else "");
+                   string_of_int o.MC.distinct_states;
+                   (if violated then "violated" else "clean");
+                 ] ))
              levels outcomes)
-         parity_roster
+         reduction_roster
          (chunks (List.length levels) parity_cells))
   in
+  Report.gate ~name:"verdict parity, expected verdict at none/dedup/por/sym"
+    (At_least 1.) (List.map fst parity);
   Report.table
     ~title:
       "E17: verdict parity across reduce none/dedup/por/sym on the E12 \
        roster (any verdict flip aborts the bench)"
     ~header:[ "scenario"; "reduce"; "runs"; "states"; "verdict" ]
-    parity_rows;
+    (List.map snd parity);
   (* --- Table C: one bound deeper than E12, exact vs bitstate --- *)
   let deep_bounds = (2, 1, 0) and deep_sc = rme "t3-mcs" 3 Memory.Cc in
-  let t0 = Unix.gettimeofday () in
-  let exact = explore ~level:MC.Sym deep_bounds deep_sc in
-  let exact_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let bits = 22 in
-  let bit =
-    explore ~level:MC.Sym
-      ~vset_mode:(MC.Bitstate { bits; salt = 0 })
-      deep_bounds deep_sc
+  let exact, exact_wall =
+    timed (fun () -> search ~level:MC.Sym deep_bounds deep_sc)
   in
-  let bit_wall = Unix.gettimeofday () -. t0 in
-  Report.metric ~name:"e17.deepened.exact.wall_s"
-    (Sim.Json.Float (Float.round (exact_wall *. 1000.) /. 1000.));
-  Report.metric ~name:"e17.deepened.bitstate.wall_s"
-    (Sim.Json.Float (Float.round (bit_wall *. 1000.) /. 1000.));
-  gate "deepened row clean (exact sym)"
-    (exact.MC.violations = [] && not exact.MC.truncated)
-    (String.concat "; " exact.MC.violations);
-  gate "bitstate verdict parity"
-    (bit.MC.violations = [] && not bit.MC.truncated)
-    (String.concat "; " bit.MC.violations);
-  gate "bitstate under-reports only"
-    (bit.MC.runs <= exact.MC.runs)
-    (Printf.sprintf "bitstate ran %d schedules vs exact %d — collisions \
-                     can only prune" bit.MC.runs exact.MC.runs);
+  let bits = 22 in
+  let bit, bit_wall =
+    timed (fun () ->
+        search ~level:MC.Sym
+          ~vset_mode:(MC.Bitstate { bits; salt = 0 })
+          deep_bounds deep_sc)
+  in
+  Report.metric ~name:"e17.deepened.exact.wall_s" exact_wall;
+  Report.metric ~name:"e17.deepened.bitstate.wall_s" bit_wall;
+  let clean (o : MC.outcome) = o.MC.violations = [] && not o.MC.truncated in
+  let verdict o = if clean o then "clean" else "violated" in
   let occ, bound =
     match (bit.MC.bitstate_occupancy, bit.MC.collision_bound) with
     | Some o, Some b -> (o, b)
-    | _ -> failwith "E17: bitstate search reported no occupancy"
+    | _ -> (Float.nan, Float.nan)
   in
-  gate "bitstate occupancy sane"
-    (Float.is_finite occ && occ > 0. && occ < 1. && Float.is_finite bound)
-    (Printf.sprintf "occupancy=%f collision_bound=%f" occ bound);
+  Report.gate ~name:"deepened row + bitstate" (At_least 1.)
+    (List.map
+       (fun (row, ok) -> (row, Bool.to_float ok))
+       [
+         ("exact sym clean", clean exact);
+         ("bitstate clean", clean bit);
+         ( "bitstate runs <= exact (collisions only prune)",
+           bit.MC.runs <= exact.MC.runs );
+         ( "bitstate occupancy in (0,1), finite collision bound",
+           occ > 0. && occ < 1. && Float.is_finite bound );
+       ]);
   Report.table
     ~title:
       (Printf.sprintf
@@ -1868,31 +1728,12 @@ let symmetry_sweep ~pool () =
       [
         "exact (authoritative)"; string_of_int exact.MC.runs;
         string_of_int exact.MC.steps; string_of_int exact.MC.distinct_states;
-        "-"; "-"; "clean";
+        "-"; "-"; verdict exact;
       ];
       [
         Printf.sprintf "bitstate 2^%d" bits; string_of_int bit.MC.runs;
         string_of_int bit.MC.steps; string_of_int bit.MC.distinct_states;
-        Printf.sprintf "%.6f" occ; Printf.sprintf "%.6f" bound; "clean";
-      ];
-    ];
-  Report.table
-    ~title:
-      "E17: gates (enforced in code before this table prints — a failing \
-       gate aborts the experiment and the bench run)"
-    ~header:[ "gate"; "threshold"; "verdict" ]
-    [
-      [
-        "sym/por distinct-state quotient on an N>=4 scenario";
-        ">= 5x at identical bounds"; "pass";
-      ];
-      [ "sym never enlarges the search"; "runs and states <= por, every row";
-        "pass" ];
-      [ "sleep sets fire"; ">= 1 sleep-pruned run across Table A"; "pass" ];
-      [ "verdict parity"; "same verdict at none/dedup/por/sym"; "pass" ];
-      [
-        "deepened row + bitstate"; "clean, occupancy in (0,1), runs <= exact";
-        "pass";
+        Printf.sprintf "%.6f" occ; Printf.sprintf "%.6f" bound; verdict bit;
       ];
     ]
 

@@ -17,22 +17,20 @@ let usage () =
 (* One "rme-bench/1" document per experiment: every table exactly as
    printed (same strings, so the JSON is as byte-stable as the tables),
    plus the named metrics — Stats histograms etc. — recorded while the
-   experiment ran. The Report.bench schema checks this shape; the
-   [validate.exe] companion runs it over the emitted files. *)
+   experiment ran, and every gate's verdict. The Report.bench schema
+   checks this shape; the [validate.exe] companion runs it over the
+   emitted files and FAILs any file with a failed gate. *)
 let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
-    metrics =
+    metrics verdicts =
   let file = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii name) in
   let open Sim.Json in
+  let strs xs = List (List.map (fun x -> Str x) xs) in
   let table (t : Harness.Report.captured) =
     Obj
       [
-        ("title", Str t.Harness.Report.title);
-        ("header", List (List.map (fun h -> Str h) t.Harness.Report.header));
-        ( "rows",
-          List
-            (List.map
-               (fun row -> List (List.map (fun c -> Str c) row))
-               t.Harness.Report.rows) );
+        ("title", Str t.title);
+        ("header", strs t.header);
+        ("rows", List (List.map strs t.rows));
       ]
   in
   let doc =
@@ -44,6 +42,7 @@ let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
         ("wall_clock_s", Float (Float.round (elapsed *. 1000.) /. 1000.));
         ("tables", List (List.map table tables));
         ("metrics", Obj metrics);
+        ("gates", Harness.Report.gates_json verdicts);
       ]
   in
   (match Schema.check Harness.Report.bench doc with
@@ -88,6 +87,9 @@ let () =
   print_endline
     "(Golab & Hendler, PODC 2018; see DESIGN.md for the experiment index \
      and EXPERIMENTS.md for expected-vs-measured.)";
+  (* A failed gate does not stop the run: every requested experiment
+     finishes and writes its JSON, then the exit code reports it. *)
+  let failed = ref false in
   Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
       List.iter
         (fun name ->
@@ -96,14 +98,22 @@ let () =
             Harness.Report.reset_captured ();
             let t0 = Unix.gettimeofday () in
             run ~pool;
+            let verdicts =
+              Harness.Report.run_gates
+                ~title:(String.uppercase_ascii name ^ ": gates") ()
+            in
             let elapsed = Unix.gettimeofday () -. t0 in
             Printf.printf "[%s finished in %.1fs]\n%!" name elapsed;
+            if List.exists (fun v -> not v.Harness.Report.pass) verdicts then
+              failed := true;
             if !emit_json then
               write_json ~name ~jobs:!jobs ~elapsed
                 (Harness.Report.captured ())
                 (Harness.Report.captured_metrics ())
+                verdicts
           | None ->
             Printf.eprintf "unknown experiment %S (known: %s)\n%!" name
               (String.concat ", " (List.map fst Experiments.all));
             exit 1)
-        requested)
+        requested);
+  if !failed then exit 1

@@ -12,8 +12,9 @@
    (Driver.schema, [run --metrics]), "rme-native-metrics/1"
    (Workers.schema, [native --metrics]) and "rme-service-metrics/1"
    (Loadgen.schema, [service --metrics]). A missing or unknown schema
-   is a FAIL, not a silent fallback. With no FILE arguments it globs
-   BENCH_E*.json in the current directory.
+   is a FAIL, not a silent fallback, and so is a bench file whose
+   [gates] member records a ["fail"] verdict. With no FILE arguments it
+   globs BENCH_E*.json in the current directory.
 
    With [--baseline DIR] it additionally compares each (valid) fresh file
    against DIR/<basename> — the committed expectation, see
@@ -30,9 +31,11 @@
      of exactly 0 compares absolutely — see Report.cell_within_tolerance);
    - remaining cells must match exactly.
 
-   Files with no committed baseline are reported and skipped — committing
-   a baseline is how an experiment opts into the gate. [jobs],
-   [wall_clock_s] and [metrics] are never compared (machine-dependent).
+   The gates table is one of the captured tables, so its verdicts are
+   compared like any other cell. Files with no committed baseline are
+   reported and skipped — committing a baseline is how an experiment
+   opts into the gate. [jobs], [wall_clock_s], [metrics] and the [gates]
+   member's observed values are never compared (machine-dependent).
    Exit 0 iff every file is schema-valid and every gated comparison
    passes; CI's bench-smoke keys on this. *)
 
@@ -91,6 +94,21 @@ let parse_doc file =
     | Ok d -> (
       match Schema.check d doc with Ok () -> Some (d, doc) | Error e -> fail e))
 
+(* Accessors for a bench document; the validated schema guarantees the
+   shapes destructured here. *)
+let get k json = Option.get (Sim.Json.member k json)
+let str = function Sim.Json.Str s -> s | _ -> assert false
+let list f = function Sim.Json.List xs -> List.map f xs | _ -> assert false
+
+(* The harness writes a failed gate's file too, so that it carries the
+   deciding rows; its verdict still fails the check. *)
+let failed_gates doc =
+  List.filter_map
+    (fun (name, verdict) -> if verdict = "fail" then Some name else None)
+    (list
+       (fun g -> (str (get "name" g), str (get "verdict" g)))
+       (get "gates" doc))
+
 (* --- baseline comparison --- *)
 
 let contains ~needle hay =
@@ -107,24 +125,13 @@ let safety_header h =
 
 let number_of_cell = Harness.Report.number_of_cell
 
-(* The validated schema guarantees the shapes destructured here. *)
 let tables doc =
-  match Sim.Json.member "tables" doc with
-  | Some (Sim.Json.List ts) ->
-    List.map
-      (fun t ->
-        let str = function Sim.Json.Str s -> s | _ -> assert false in
-        let strs = function
-          | Sim.Json.List xs -> List.map str xs
-          | _ -> assert false
-        in
-        ( str (Option.get (Sim.Json.member "title" t)),
-          strs (Option.get (Sim.Json.member "header" t)),
-          match Option.get (Sim.Json.member "rows" t) with
-          | Sim.Json.List rs -> List.map strs rs
-          | _ -> assert false ))
-      ts
-  | _ -> assert false
+  list
+    (fun t ->
+      ( str (get "title" t),
+        list str (get "header" t),
+        list (list str) (get "rows" t) ))
+    (get "tables" doc)
 
 let compare_tables ~file ~tolerance fresh base =
   let fail = ref [] in
@@ -226,6 +233,10 @@ let () =
     | Some (d, _) when d != Harness.Report.bench ->
       Printf.printf "%s: ok (%s, schema only)\n" file (Schema.name d);
       true
+    | Some (_, doc) when failed_gates doc <> [] ->
+      Printf.printf "%s: FAIL (gate failed: %s)\n" file
+        (String.concat "; " (failed_gates doc));
+      false
     | Some (_, doc) -> (
       match !baseline with
       | None ->

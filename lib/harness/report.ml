@@ -1,19 +1,31 @@
-let f1 x = Printf.sprintf "%.1f" x
-let i = string_of_int
-
 type captured = { title : string; header : string list; rows : string list list }
 
-(* Tables and metrics land here as a side effect of [table] / [metric];
-   the bench harness drains both into BENCH_E<k>.json after each
-   experiment. Only the main domain prints tables and records metrics
-   (cells are computed on the pool, rendering is not), so no locking is
-   needed. *)
+(* Tables, metrics and gates land here as a side effect of [table] /
+   [metric] / [gate]; the bench harness drains them into BENCH_E<k>.json
+   after each experiment. Only the main domain prints tables and records
+   metrics and gates (cells are computed on the pool, rendering is not),
+   so no locking is needed. *)
 let captured_tables : captured list ref = ref []
 let metric_capture : (string * Sim.Json.t) list ref = ref []
 
+type bound = At_least of float | At_most of float
+type agg = Max | Median | All
+
+type verdict = {
+  name : string;
+  threshold : string;
+  agg : agg;
+  observed : float;
+  pass : bool;
+  deciding : (string * float) list;
+}
+
+let gate_capture : (unit -> verdict) list ref = ref []
+
 let reset_captured () =
   captured_tables := [];
-  metric_capture := []
+  metric_capture := [];
+  gate_capture := []
 
 let captured () = List.rev !captured_tables
 
@@ -73,11 +85,10 @@ let table ?(capture = true) ~title ~header rows =
 
 (* Side-by-side ablation rendering: one row per configuration, a value
    column per variant, and a trailing base-vs-variant ratio column. The
-   numbers are machine-dependent by nature, so the table defaults to
-   [~capture:false] — callers gate on the ratios in code and put the
-   exact values in [metric]s. *)
-let ablation_table ?(capture = false) ~title ~label_header ~base_header
-    ~variant_header ~fmt rows =
+   numbers are machine-dependent by nature, so the table is never
+   captured — callers gate on the ratios and put the exact values in
+   [metric]s. *)
+let ablation_table ~title ~label_header ~base_header ~variant_header ~fmt rows =
   let header =
     [ label_header; base_header; variant_header; "ratio (variant/base)" ]
   in
@@ -93,7 +104,80 @@ let ablation_table ?(capture = false) ~title ~label_header ~base_header
         ])
       rows
   in
-  table ~capture ~title ~header rows
+  table ~capture:false ~title ~header rows
+
+(* --- gates --- *)
+
+let agg_name = function Max -> "max" | Median -> "median" | All -> "all"
+
+(* Deciding rows as documented in the interface; the observed value is
+   the worst of them. A gate with no rows proves nothing, so it fails. *)
+let judge_gate ~name ?(agg = All) bound rows =
+  let within v = match bound with At_least b -> v >= b | At_most b -> v <= b in
+  (* How far past the bound a value lies; NaN is the worst possible row. *)
+  let shortfall v =
+    if Float.is_nan v then Float.infinity
+    else match bound with At_least b -> b -. v | At_most b -> v -. b
+  in
+  let sort key rows =
+    List.stable_sort (fun (_, a) (_, b) -> Float.compare (key a) (key b)) rows
+  in
+  let worst_first = sort (fun v -> -.shortfall v) in
+  let nth_sorted i = [ List.nth (sort Fun.id rows) (i (List.length rows)) ] in
+  let deciding =
+    match (agg, List.filter (fun (_, v) -> not (within v)) rows) with
+    | _ when rows = [] -> []
+    | Max, _ -> nth_sorted (fun n -> n - 1)
+    | Median, _ -> nth_sorted (fun n -> n / 2)
+    | All, [] -> [ List.hd (worst_first rows) ]
+    | All, failing -> failing
+  in
+  let observed =
+    match worst_first deciding with [] -> Float.nan | (_, v) :: _ -> v
+  in
+  let op, b =
+    match bound with At_least b -> (">=", b) | At_most b -> ("<=", b)
+  in
+  {
+    name;
+    threshold = Printf.sprintf "%s %s %g" (agg_name agg) op b;
+    agg;
+    observed;
+    pass = deciding <> [] && within observed;
+    deciding;
+  }
+
+let gate ~name ?agg bound rows =
+  gate_capture := (fun () -> judge_gate ~name ?agg bound rows) :: !gate_capture
+
+let verdict_text v = if v.pass then "pass" else "fail"
+
+(* The one gate runner: every gate the experiment recorded, judged, in
+   one deterministic table (the deciding rows go to the JSON). *)
+let run_gates ~title () =
+  let verdicts = List.rev_map (fun judge -> judge ()) !gate_capture in
+  if verdicts <> [] then
+    table ~title ~header:[ "gate"; "threshold"; "verdict" ]
+      (List.map (fun v -> [ v.name; v.threshold; verdict_text v ]) verdicts);
+  verdicts
+
+let gates_json verdicts =
+  let open Sim.Json in
+  let finite x = if Float.is_finite x then Float x else Null in
+  let row (r, x) = Obj [ ("row", Str r); ("value", finite x) ] in
+  List
+    (List.map
+       (fun v ->
+         Obj
+           [
+             ("name", Str v.name);
+             ("threshold", Str v.threshold);
+             ("agg", Str (agg_name v.agg));
+             ("observed", finite v.observed);
+             ("verdict", Str (verdict_text v));
+             ("deciding", List (List.map row v.deciding));
+           ])
+       verdicts)
 
 (* --- numeric-cell comparison for the baseline gate --- *)
 
@@ -126,6 +210,7 @@ let cell_within_tolerance ~tolerance ~base ~fresh =
 
 let bench =
   let open Sim.Json.Schema in
+  let value = nullable (num ()) in
   doc "rme-bench/1"
     [
       req "experiment" str;
@@ -140,6 +225,17 @@ let bench =
                 req "rows" (list (list str));
               ]));
       req "metrics" (obj []);
+      req "gates"
+        (list
+           (obj
+              [
+                req "name" str;
+                req "threshold" str;
+                req "agg" (enum [ "max"; "median"; "all" ]);
+                req "observed" value;
+                req "verdict" (enum [ "pass"; "fail" ]);
+                req "deciding" (list (obj [ req "row" str; req "value" value ]));
+              ]));
     ]
 
 (* One outcome object — the top-level one or a swarm member's. The

@@ -1,9 +1,9 @@
 (** Plain-text table rendering for the benchmark harness (aligned columns,
     Markdown-ish separators), so every experiment prints rows the way the
-    paper's claims read — plus an in-memory capture of every table printed
-    and every metric recorded since the last {!reset_captured}, so the
-    harness can additionally emit machine-readable [BENCH_E<k>.json] files
-    (schema {!bench}) for cross-PR perf tracking. *)
+    paper's claims read — plus an in-memory capture of every table
+    printed and every metric and gate recorded since the last
+    {!reset_captured}, so the harness can additionally emit
+    machine-readable [BENCH_E<k>.json] files (schema {!bench}). *)
 
 type captured = { title : string; header : string list; rows : string list list }
 
@@ -13,10 +13,9 @@ val table :
     {!captured}). [~capture:false] prints without recording — for
     machine-dependent columns (absolute throughputs, ratios) that belong
     in the run log but must stay out of the baseline-gated JSON; gate on
-    such numbers in code and record them via {!metric} instead. *)
+    such numbers with {!gate} and record them via {!metric} instead. *)
 
 val ablation_table :
-  ?capture:bool ->
   title:string ->
   label_header:string ->
   base_header:string ->
@@ -25,8 +24,8 @@ val ablation_table :
   (string * float * float) list ->
   unit
 (** Side-by-side ablation: one row per [(label, base, variant)] with a
-    trailing variant/base ratio column. Defaults to [~capture:false]
-    (the cells are machine-dependent by nature; see {!table}). *)
+    trailing variant/base ratio column, never captured (the cells are
+    machine-dependent by nature; see {!table}). *)
 
 val render : header:string list -> string list list -> string list
 (** The rendered lines of a table (header, rule, rows) without printing —
@@ -41,9 +40,44 @@ val metric : name:string -> Sim.Json.t -> unit
 (** Record one named metric (e.g. a {!Sim.Stats.to_json} histogram) for
     the current experiment's JSON file. *)
 
+(** {2 Gates} A gate is one claim as data: labelled observations, an
+    aggregate and a bound (DESIGN.md §5.12). *)
+
+type bound = At_least of float | At_most of float
+
+type agg = Max | Median | All
+(** [Median] is the row at index [len/2] of the sorted rows; a yes/no
+    check is an [All] gate over 0/1 rows with [At_least 1.]. *)
+
+type verdict = {
+  name : string;
+  threshold : string;  (** derived, e.g. ["max >= 1.2"] *)
+  agg : agg;
+  observed : float;  (** the worst deciding row's value *)
+  pass : bool;  (** false for a gate with no rows *)
+  deciding : (string * float) list;
+      (** [Max]: the argmax row; [Median]: the median row; [All]: every
+          failing row, or the row closest to the bound when all pass *)
+}
+
+val gate : name:string -> ?agg:agg -> bound -> (string * float) list -> unit
+(** Record a gate (default [All]) over [(row label, value)] pairs. *)
+
+val judge_gate :
+  name:string -> ?agg:agg -> bound -> (string * float) list -> verdict
+(** The verdict {!run_gates} gives such a gate, without recording it. *)
+
+val run_gates : title:string -> unit -> verdict list
+(** Judge the gates recorded since {!reset_captured}, in record order;
+    if there are any, print and capture a [gate | threshold | verdict]
+    table titled [title]. *)
+
+val gates_json : verdict list -> Sim.Json.t
+(** The [gates] member of {!bench}. *)
+
 val reset_captured : unit -> unit
-(** Forget previously captured tables and metrics (call before each
-    experiment). *)
+(** Forget previously captured tables, metrics and gates (call before
+    each experiment). *)
 
 val captured : unit -> captured list
 (** Tables printed since the last {!reset_captured}, in print order. *)
@@ -66,7 +100,9 @@ val cell_within_tolerance : tolerance:float -> base:float -> fresh:float -> bool
 val bench : Sim.Json.Schema.doc
 (** ["rme-bench/1"], the shape of every [BENCH_E<k>.json]: the
     experiment name, [jobs] (an int >= 1), [wall_clock_s] (>= 0), every
-    captured table with string cells, and a metrics object. *)
+    captured table with string cells, a metrics object, and a [gates]
+    array of {!verdict}s ([observed] and row values are [Null] when not
+    finite; [verdict] is ["pass"] or ["fail"]). *)
 
 val mc_outcome : Sim.Json.Schema.doc
 (** ["rme-mc-outcome/1"], the shape of every [model-check --out] /
@@ -79,8 +115,3 @@ val mc_outcome : Sim.Json.Schema.doc
     [sleep_pruned], finite [bitstate_occupancy]/[collision_bound], and a
     top-level [swarm] array whose members each carry their varied
     bounds, bitstate salt and a full outcome object. *)
-
-val f1 : float -> string
-(** Format a float with one decimal. *)
-
-val i : int -> string

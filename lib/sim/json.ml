@@ -213,9 +213,13 @@ let parse s =
         Obj []
       end
       else
+        (* [member] sees only a key's first binding; refuse a second. *)
+        let seen = Hashtbl.create 8 in
         let rec members acc =
           skip_ws ();
           let k = parse_string () in
+          if Hashtbl.mem seen k then fail ("duplicate key " ^ k);
+          Hashtbl.add seen k ();
           skip_ws ();
           expect ':';
           let v = parse_value () in

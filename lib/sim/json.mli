@@ -2,7 +2,8 @@
     (metrics files, trace exports, the artifact schemas). Emission
     refuses non-finite floats, so a leaked [infinity]/[neg_infinity]
     sentinel raises instead of producing invalid JSON. The parser accepts
-    a strict RFC 8259 subset (no comments, no trailing commas). *)
+    a strict RFC 8259 subset (no comments, no trailing commas, no key
+    repeated within an object). *)
 
 type t =
   | Null
@@ -22,7 +23,8 @@ val to_string : ?pretty:bool -> t -> string
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, including a key repeated
+    within one object. *)
 
 val member : string -> t -> t option
 (** [member k (Obj kvs)] is the value bound to [k]; [None] for missing

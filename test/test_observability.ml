@@ -47,7 +47,10 @@ let json_parse_escapes () =
       match Json.parse bad with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted invalid JSON %S" bad)
-    [ "{"; "[1,]"; "nul"; "\"a"; "1 2"; "{\"a\":}" ]
+    [
+      "{"; "[1,]"; "nul"; "\"a"; "1 2"; "{\"a\":}"; "{\"jobs\":1,\"jobs\":2}";
+      "[{\"a\":{\"b\":1,\"b\":1}}]";
+    ]
 
 let json_rejects_non_finite () =
   List.iter
@@ -324,6 +327,7 @@ let minimal_bench ?(schema = Json.Schema.name Report.bench) () =
               ];
           ] );
       ("metrics", Json.Obj [ ("m", Json.Obj [ ("count", Json.Int 0) ]) ]);
+      ("gates", Json.List []);
     ]
 
 let validator_accepts_and_rejects () =
@@ -353,6 +357,32 @@ let validator_accepts_and_rejects () =
       (with_member "wall_clock_s" (Json.Float (-0.5)));
     rejects "missing tables"
       (Json.Obj (List.filter (fun (k, _) -> k <> "tables") kvs));
+    (* A repeated member must not let a schema-valid first binding hide
+       a second one: the parser refuses the document outright. *)
+    (match
+       Json.parse
+         (Json.to_string (Json.Obj (kvs @ [ ("tables", Json.Str "junk") ])))
+     with
+    | exception Json.Parse_error _ -> ()
+    | _ -> Alcotest.fail "parsed a document with a duplicate tables member");
+    let gate verdict =
+      Json.Obj
+        [
+          ("name", Json.Str "g");
+          ("threshold", Json.Str "all >= 1");
+          ("agg", Json.Str "all");
+          ("observed", Json.Null);
+          ("verdict", Json.Str verdict);
+          ("deciding", Json.List []);
+        ]
+    in
+    (match
+       Json.Schema.check Report.bench
+         (with_member "gates" (Json.List [ gate "fail" ]))
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "failed verdict rejected by the schema: %s" e);
+    rejects "unknown verdict" (with_member "gates" (Json.List [ gate "ok" ]));
     rejects "non-string cell"
       (Json.Obj
          (List.map
@@ -371,6 +401,138 @@ let validator_accepts_and_rejects () =
               | kv -> kv)
             kvs))
   | _ -> assert false)
+
+(* --- gates --- *)
+
+(* One table of (agg, bound, rows) cases against the runner's verdict:
+   pass/fail, the observed value, the deciding rows and the threshold
+   text, which comes from the aggregate and the bound alone. *)
+let gate_runner_table () =
+  let rows = [ ("a", 1.); ("b", 3.); ("c", 2.); ("d", 5.) ] in
+  let cases =
+    Report.
+      [
+        (Max, At_least 4., rows, true, 5., [ "d" ], "max >= 4");
+        (Max, At_least 6., rows, false, 5., [ "d" ], "max >= 6");
+        (Max, At_most 5., rows, true, 5., [ "d" ], "max <= 5");
+        (Max, At_most 4.5, rows, false, 5., [ "d" ], "max <= 4.5");
+        (Median, At_least 3., rows, true, 3., [ "b" ], "median >= 3");
+        (Median, At_least 3.5, rows, false, 3., [ "b" ], "median >= 3.5");
+        (Median, At_most 3., rows, true, 3., [ "b" ], "median <= 3");
+        (Median, At_most 2., rows, false, 3., [ "b" ], "median <= 2");
+        (All, At_least 1., rows, true, 1., [ "a" ], "all >= 1");
+        (All, At_least 2.5, rows, false, 1., [ "a"; "c" ], "all >= 2.5");
+        (All, At_most 5., rows, true, 5., [ "d" ], "all <= 5");
+        (All, At_most 2., rows, false, 5., [ "b"; "d" ], "all <= 2");
+        (All, At_most 1., [ ("x", 0.5); ("y", Float.nan) ], false, Float.nan,
+          [ "y" ], "all <= 1");
+        (Max, At_least 0., [], false, Float.nan, [], "max >= 0");
+      ]
+  in
+  List.iteri
+    (fun i (agg, bound, rows, pass, observed, deciding, threshold) ->
+      let v = Report.judge_gate ~name:"g" ~agg bound rows in
+      let what = Printf.sprintf "case %d (%s)" i threshold in
+      Alcotest.(check bool) (what ^ ": verdict") pass v.Report.pass;
+      Alcotest.(check string)
+        (what ^ ": threshold") threshold v.Report.threshold;
+      Alcotest.(check (list string))
+        (what ^ ": deciding rows") deciding (List.map fst v.Report.deciding);
+      if Float.compare observed v.Report.observed <> 0 then
+        Alcotest.failf "%s: observed %g, expected %g" what v.Report.observed
+          observed)
+    cases;
+  (* The runner judges what was recorded, in record order, and captures
+     one deterministic table of it. *)
+  Report.reset_captured ();
+  Report.gate ~name:"holds" ~agg:Report.Max (Report.At_least 1.) rows;
+  Report.gate ~name:"breaks" (Report.At_most 2.) rows;
+  let verdicts = Report.run_gates ~title:"EX: gates" () in
+  Alcotest.(check (list bool)) "verdicts" [ true; false ]
+    (List.map (fun v -> v.Report.pass) verdicts);
+  (match Report.captured () with
+  | [ { Report.title = "EX: gates"; header; rows } ] ->
+    Alcotest.(check (list string)) "header" [ "gate"; "threshold"; "verdict" ]
+      header;
+    Alcotest.(check (list (list string)))
+      "rows"
+      [ [ "holds"; "max >= 1"; "pass" ]; [ "breaks"; "all <= 2"; "fail" ] ]
+      rows
+  | _ -> Alcotest.fail "expected exactly the gates table");
+  Report.reset_captured ();
+  Alcotest.(check int) "reset clears gates" 0
+    (List.length (Report.run_gates ~title:"EX: gates" ()))
+
+(* A failed gate still yields a schema-valid bench file, and
+   validate.exe FAILs it; so does a committed baseline whose verdict was
+   edited to "fail". *)
+let validate_fails_failed_gates () =
+  let in_build f = Filename.concat (Filename.dirname Sys.executable_name) f in
+  let validate = in_build "../bench/validate.exe" in
+  let run_validate doc =
+    let file = Filename.temp_file "bench_gate" ".json" in
+    Out_channel.with_open_bin file (fun oc ->
+        output_string oc (Json.to_string doc));
+    let out = Filename.temp_file "validate" ".txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > %s" (Filename.quote validate)
+           (Filename.quote file) (Filename.quote out))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove file;
+    Sys.remove out;
+    (code, text)
+  in
+  let expect_fail what doc =
+    match Json.Schema.check Report.bench doc with
+    | Error e -> Alcotest.failf "%s: schema rejected the document: %s" what e
+    | Ok () ->
+      let code, text = run_validate doc in
+      if code = 0 then
+        Alcotest.failf "%s: validate.exe accepted it:\n%s" what text
+  in
+  let with_gates gates =
+    match minimal_bench () with
+    | Json.Obj kvs ->
+      Json.Obj (List.remove_assoc "gates" kvs @ [ ("gates", gates) ])
+    | _ -> assert false
+  in
+  Report.reset_captured ();
+  Report.gate ~name:"speedup" ~agg:Report.Max (Report.At_least 1.2)
+    [ ("x n=4", 1.1); ("x n=8", 0.9) ];
+  let verdicts = Report.run_gates ~title:"EX: gates" () in
+  Report.reset_captured ();
+  expect_fail "runner output" (with_gates (Report.gates_json verdicts));
+  let baseline =
+    Json.parse
+      (In_channel.with_open_bin
+         (in_build "../bench/baselines/BENCH_E9.json")
+         In_channel.input_all)
+  in
+  (match run_validate baseline with
+  | 0, _ -> ()
+  | _, text ->
+    Alcotest.failf "validate.exe rejected the E9 baseline:\n%s" text);
+  expect_fail "E9 baseline with a flipped verdict"
+    (match baseline with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (function
+             | "gates", Json.List (Json.Obj g :: rest) ->
+               ( "gates",
+                 Json.List
+                   (Json.Obj
+                      (List.map
+                         (function
+                           | "verdict", _ -> ("verdict", Json.Str "fail")
+                           | kv -> kv)
+                         g)
+                   :: rest) )
+             | kv -> kv)
+           kvs)
+    | _ -> assert false)
 
 (* --- model-check outcome validator (rme-mc-outcome/1) --- *)
 
@@ -575,6 +737,8 @@ let every_schema_requires_its_members () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: emitted document rejected: %s" name e);
       let kvs = match doc with Json.Obj kvs -> kvs | _ -> assert false in
+      if schema == Report.bench && not (List.mem_assoc "gates" kvs) then
+        Alcotest.failf "%s: the E9 baseline carries no gates member" name;
       List.iter
         (fun (k, _) ->
           match
@@ -732,5 +896,10 @@ let () =
           case "mc-outcome" mc_outcome_validator_accepts_and_rejects;
           case "every-schema-member" every_schema_requires_its_members;
           case "zero-baseline-tolerance" tolerance_zero_baseline;
+        ] );
+      ( "gates",
+        [
+          case "runner-table" gate_runner_table;
+          case "validate-fails-failed-gates" validate_fails_failed_gates;
         ] );
     ]
