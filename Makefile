@@ -1,7 +1,7 @@
 # Tier-1 verification plus the parallel-engine smoke test. `make ci` is
 # what .github/workflows/ci.yml runs; keep the two in sync.
 
-.PHONY: all build test differential bench-smoke scenario-smoke metrics-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke perf-smoke trace-sample validate baselines deep-check ci clean
+.PHONY: all build test differential bench-smoke scenario-smoke metrics-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke perf-smoke perf-pair trace-sample validate baselines deep-check ci clean
 
 all: build
 
@@ -241,6 +241,18 @@ perf-smoke: build
 	    *) echo "perf-smoke: $$w failed its correctness gate" >&2; exit 1 ;; \
 	  esac; \
 	done
+
+# Paired parent/change timing (bench/perf_pair.py): REF checked out in a
+# temporary git worktree, PAIRS alternating perfbench runs of workload W
+# against the working tree at the benchmark's run length, each side's
+# median and IQR per end-to-end metric, the ratio, the win count and
+# a gain / no gain / unresolved / regression verdict per metric.
+REF ?= HEAD~1
+W ?= mc-replay
+PAIRS ?= 10
+
+perf-pair: build
+	python3 bench/perf_pair.py --ref $(REF) --workload $(W) --pairs $(PAIRS)
 
 # A small Perfetto-loadable trace of T1(MCS) under a crash storm — CI
 # uploads it as an artifact so a run's behaviour can be eyeballed.

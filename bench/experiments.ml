@@ -831,21 +831,10 @@ let throughput_sweep () =
      the bodies, so the loop always reaches [budget] steps. Everything
      is deterministic except the wall-clock. *)
   let probe ~fingerprints ~budget (sc : MC.scenario) =
-    let mem = Memory.create ~model:sc.model ~n:sc.n in
-    let crash_hooks = ref [] and fp_hooks = ref [] and violations = ref 0 in
-    let ctx : MC.ctx =
-      {
-        violation = (fun _ -> incr violations);
-        on_crash = (fun h -> crash_hooks := h :: !crash_hooks);
-        on_crash_one = (fun _ -> ());
-        on_finish = (fun _ -> ());
-        on_fingerprint = (fun h -> fp_hooks := h :: !fp_hooks);
-        on_sym_fingerprint = (fun _ -> ());
-      }
-    in
-    let body = sc.make_body mem ctx in
-    let rt = Runtime.create mem ~body in
-    List.iter (Runtime.on_crash rt) !crash_hooks;
+    let w = MC.world sc in
+    let violations = ref 0 in
+    MC.reset w ~violation:(fun _ -> incr violations);
+    let rt = MC.runtime w in
     let digest = ref 0 and crashes = ref 0 and steps = ref 0 in
     let t0 = Unix.gettimeofday () in
     while !steps < budget do
@@ -856,14 +845,8 @@ let throughput_sweep () =
           Runtime.step rt !pid;
           incr steps;
           productive := true;
-          if fingerprints then begin
-            let d =
-              Encode.mix (Memory.fingerprint mem) (Runtime.fingerprint rt)
-            in
-            digest :=
-              Encode.mix !digest
-                (List.fold_left (fun acc h -> Encode.mix acc (h ())) d !fp_hooks)
-          end
+          if fingerprints then
+            digest := Encode.mix !digest (MC.state_fingerprint w ~cur:!pid)
         end;
         incr pid
       done;

@@ -182,8 +182,151 @@ let budget_coding ~divergence_bound ~crash_bound ~crash_one_bound =
   end
   else Key_mix
 
-(* Everything one replayed run contributes to the outcome: a run
-   allocates its own [Memory]/[Runtime] and, apart from the visited set,
+(* --- the simulated world ---
+
+   One instance of a scenario: its memory, the stack and monitors
+   [make_body] built over it, the runtime and the hooks registered
+   through [ctx]. [explore] builds one per call and {!reset}s it in place
+   before every run (DESIGN.md §5.14): effect continuations are
+   one-shot, so each run still replays from the root, but it no longer
+   rebuilds the stack, the runtime or the monitors. [sink] is where
+   [ctx.violation] delivers; each run points it at its own list. Hook
+   lists are in reverse registration order, as they were consed. The
+   scratch fields are reused by every run of the world; none of them
+   carries state from one run to the next. *)
+type world = {
+  mem : Memory.t;
+  rt : Runtime.t;
+  sink : (string -> unit) ref;
+  crash_one_hooks : (pid:int -> unit) list;
+  finish_hooks : (unit -> unit) list;
+  fp_hooks : (unit -> int) list;
+  sym_hooks : (int -> int) list;
+  pmask : Bitset.t; (* productive processes of the current step *)
+  dep : Bitset.t; (* POR conflict set of the current choice point *)
+  bundles : int array; (* per-pid digests of the current sym state *)
+}
+
+let world scenario =
+  let n = scenario.n in
+  let mem = Memory.create ~model:scenario.model ~n in
+  let sink = ref ignore in
+  let built = ref false in
+  let register hooks h =
+    if !built then
+      invalid_arg "Model_check: hook registered after the scenario was built";
+    hooks := h :: !hooks
+  in
+  let crash_hooks = ref [] in
+  let crash_one_hooks = ref [] in
+  let finish_hooks = ref [] in
+  let fp_hooks = ref [] in
+  let sym_hooks = ref [] in
+  let ctx =
+    {
+      violation = (fun msg -> !sink msg);
+      on_crash = register crash_hooks;
+      on_crash_one = register crash_one_hooks;
+      on_finish = register finish_hooks;
+      on_fingerprint = register fp_hooks;
+      on_sym_fingerprint = register sym_hooks;
+    }
+  in
+  let body = scenario.make_body mem ctx in
+  built := true;
+  let rt = Runtime.create mem ~body in
+  List.iter (Runtime.on_crash rt) !crash_hooks;
+  {
+    mem;
+    rt;
+    sink;
+    crash_one_hooks = !crash_one_hooks;
+    finish_hooks = !finish_hooks;
+    fp_hooks = !fp_hooks;
+    sym_hooks = !sym_hooks;
+    pmask = Bitset.create n;
+    dep = Bitset.create n;
+    bundles = Array.make (max 1 n) 0;
+  }
+
+let reset w ~violation =
+  Runtime.reset w.rt;
+  Memory.reset w.mem;
+  w.sink := violation
+
+let memory w = w.mem
+let runtime w = w.rt
+
+(* The [Dedup]/[Por] state key: memory and runtime digests, every
+   monitor hash registered through [ctx.on_fingerprint], and the
+   scheduler's last-stepped process. *)
+let state_fingerprint w ~cur =
+  let h = Encode.mix (Memory.fingerprint w.mem) (Runtime.fingerprint w.rt) in
+  let h = List.fold_left (fun h hook -> Encode.mix h (hook ())) h w.fp_hooks in
+  Encode.mix h cur
+
+(* Symmetry-canonical fingerprint (DESIGN.md §5.19): the residue
+   (globals, cell count, epoch, permutation-invariant monitor parts)
+   mixed with the SORTED per-pid bundle digests — each bundle a
+   pid-independent hash of one process's control point, consumed-value
+   signature, memory slice and monitor slice — plus the canonical rank
+   of the last-stepped process. Two states related by a pid permutation
+   hash equal; sorting quotients the orbit. Monitors that registered
+   only the legacy [on_fingerprint] hook fold it into the residue raw:
+   their pid-valued refs then pin the permutation (fewer merges, still
+   sound — a monitor-distinct state never merges away, the §5.13
+   footgun). The bundles live in the world's scratch array; no
+   allocation per state. *)
+let sym_fingerprint w ~cur =
+  let mem = w.mem and rt = w.rt and bundles = w.bundles in
+  let h0 = Encode.mix (Memory.sym_part mem 0) (Memory.cell_count mem) in
+  let h0 = Encode.mix h0 (Runtime.epoch rt) in
+  let h0 =
+    if w.sym_hooks = [] then
+      List.fold_left (fun h hook -> Encode.mix h (hook ())) h0 w.fp_hooks
+    else List.fold_left (fun h hook -> Encode.mix h (hook 0)) h0 w.sym_hooks
+  in
+  let n = Memory.n mem in
+  for pid = 1 to n do
+    let b =
+      Encode.mix (Runtime.sym_contribution rt pid) (Memory.sym_part mem pid)
+    in
+    let b =
+      List.fold_left (fun h hook -> Encode.mix h (hook pid)) b w.sym_hooks
+    in
+    bundles.(pid - 1) <- b
+  done;
+  let cur_bundle = if cur = 0 then 0 else bundles.(cur - 1) in
+  (* Insertion sort: n is single-digit on every model-checked scenario. *)
+  for i = 1 to n - 1 do
+    let v = bundles.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && bundles.(!j) > v do
+      bundles.(!j + 1) <- bundles.(!j);
+      decr j
+    done;
+    bundles.(!j + 1) <- v
+  done;
+  (* Canonical last-stepped process: the rank of its bundle under the
+     canonical order (first match on ties — any permutation mapping the
+     states onto each other maps equal bundles to equal bundles, so the
+     rank is permutation-invariant). *)
+  let canon_cur = ref 0 in
+  if cur <> 0 then begin
+    let i = ref 0 in
+    while bundles.(!i) <> cur_bundle do
+      incr i
+    done;
+    canon_cur := !i + 1
+  end;
+  let h = ref h0 in
+  for i = 0 to n - 1 do
+    h := Encode.mix !h bundles.(i)
+  done;
+  Encode.mix !h !canon_cur
+
+(* Everything one replayed run contributes to the outcome: a run resets
+   the search's {!world} and, apart from that world and the visited set,
    touches no state outside this record. [children] is in push order. *)
 type run_result = {
   r_steps : int;
@@ -197,30 +340,13 @@ type run_result = {
   r_trace : int array;  (* the full decision sequence this run took *)
 }
 
-let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
+let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
     ~max_steps ~reduction ~vset ~coding ~eager
     { base; cut; alt; div_used; crashes_used; ones_used; sleep = sleep0 } =
   let local_violations = ref [] in
   let violation msg = local_violations := msg :: !local_violations in
-  let mem = Memory.create ~model:scenario.model ~n:scenario.n in
-  let crash_hooks = ref [] in
-  let crash_one_hooks = ref [] in
-  let finish_hooks = ref [] in
-  let fp_hooks = ref [] in
-  let sym_hooks = ref [] in
-  let ctx =
-    {
-      violation;
-      on_crash = (fun h -> crash_hooks := h :: !crash_hooks);
-      on_crash_one = (fun h -> crash_one_hooks := h :: !crash_one_hooks);
-      on_finish = (fun h -> finish_hooks := h :: !finish_hooks);
-      on_fingerprint = (fun h -> fp_hooks := h :: !fp_hooks);
-      on_sym_fingerprint = (fun h -> sym_hooks := h :: !sym_hooks);
-    }
-  in
-  let body = scenario.make_body mem ctx in
-  let rt = Runtime.create mem ~body in
-  List.iter (Runtime.on_crash rt) !crash_hooks;
+  reset w ~violation;
+  let mem = w.mem and rt = w.rt and n = Memory.n w.mem in
   (* The incremental memory/runtime digests switch themselves on at the
      first [fingerprint] call, which [covered] issues only past [cut] —
      so the shared prefix fast-forwards with zero fingerprint
@@ -251,7 +377,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
   let por_skips = ref 0 in
   let sleep_skips = ref 0 in
   let symred = reduction = Sym in
-  let sleep_on = symred && scenario.n <= max_sleep_pids in
+  let sleep_on = symred && n <= max_sleep_pids in
   let sleep = ref (if sleep_on then sleep0 else 0) in
   (* [enabled] pids that were spin-blocked at the deadlock, for the
      diagnostic and the crash_one branch victims. *)
@@ -259,73 +385,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
   (* Productive (= enabled and not spin-blocked) processes of the current
      step, as a reusable bitmask (same layout as Memory's reader bitsets)
      instead of a freshly allocated List.filter per step. *)
-  let pmask = Bitset.create scenario.n in
-  let state_fingerprint () =
-    let h = Encode.mix (Memory.fingerprint mem) (Runtime.fingerprint rt) in
-    let h = List.fold_left (fun h hook -> Encode.mix h (hook ())) h !fp_hooks in
-    Encode.mix h !cur
-  in
-  (* Symmetry-canonical fingerprint (DESIGN.md §5.19): the residue
-     (globals, cell count, epoch, permutation-invariant monitor parts)
-     mixed with the SORTED per-pid bundle digests — each bundle a
-     pid-independent hash of one process's control point, consumed-value
-     signature, memory slice and monitor slice — plus the canonical rank
-     of the last-stepped process. Two states related by a pid
-     permutation hash equal; sorting quotients the orbit. Monitors that
-     registered only the legacy [on_fingerprint] hook fold it into the
-     residue raw: their pid-valued refs then pin the permutation (fewer
-     merges, still sound — a monitor-distinct state never merges away,
-     the §5.13 footgun). Scratch arrays are per-replay; no allocation
-     per state. *)
-  let sym_bundles = Array.make (max 1 scenario.n) 0 in
-  let sym_fingerprint () =
-    let h0 = Encode.mix (Memory.sym_part mem 0) (Memory.cell_count mem) in
-    let h0 = Encode.mix h0 (Runtime.epoch rt) in
-    let h0 =
-      if !sym_hooks = [] then
-        List.fold_left (fun h hook -> Encode.mix h (hook ())) h0 !fp_hooks
-      else
-        List.fold_left (fun h hook -> Encode.mix h (hook 0)) h0 !sym_hooks
-    in
-    let n = scenario.n in
-    for pid = 1 to n do
-      let b =
-        Encode.mix (Runtime.sym_contribution rt pid) (Memory.sym_part mem pid)
-      in
-      let b =
-        List.fold_left (fun h hook -> Encode.mix h (hook pid)) b !sym_hooks
-      in
-      sym_bundles.(pid - 1) <- b
-    done;
-    let cur_bundle = if !cur = 0 then 0 else sym_bundles.(!cur - 1) in
-    (* Insertion sort: n is single-digit on every model-checked scenario. *)
-    for i = 1 to n - 1 do
-      let v = sym_bundles.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && sym_bundles.(!j) > v do
-        sym_bundles.(!j + 1) <- sym_bundles.(!j);
-        decr j
-      done;
-      sym_bundles.(!j + 1) <- v
-    done;
-    (* Canonical last-stepped process: the rank of its bundle under the
-       canonical order (first match on ties — any permutation mapping
-       the states onto each other maps equal bundles to equal bundles,
-       so the rank is permutation-invariant). *)
-    let canon_cur = ref 0 in
-    if !cur <> 0 then begin
-      let i = ref 0 in
-      while sym_bundles.(!i) <> cur_bundle do
-        incr i
-      done;
-      canon_cur := !i + 1
-    end;
-    let h = ref h0 in
-    for i = 0 to n - 1 do
-      h := Encode.mix !h sym_bundles.(i)
-    done;
-    Encode.mix !h !canon_cur
-  in
+  let pmask = w.pmask in
   (* After executing each decision at a position >= cut (positions before
      the branch point retrace states the parent run already owned and
      inserted): stop if the resulting state, at the current
@@ -341,7 +401,10 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
     match vset with
     | None -> false
     | Some vs ->
-      let fp = if symred then sym_fingerprint () else state_fingerprint () in
+      let fp =
+        if symred then sym_fingerprint w ~cur:!cur
+        else state_fingerprint w ~cur:!cur
+      in
       (* A state reached with a non-empty sleep set has already ceded
          part of its subtree to earlier siblings, so it must not stand
          in for — nor be pruned by — a sleep-free visit (Godefroid's
@@ -420,7 +483,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
       match Runtime.step_footprint rt decision with
       | None -> sleep := 0
       | Some df ->
-        for q = 1 to scenario.n do
+        for q = 1 to n do
           let bitq = 1 lsl (q - 1) in
           if !sleep land bitq <> 0 then
             match Runtime.step_footprint rt q with
@@ -455,9 +518,8 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
   (* Conflict-set scratch for [branch_mask], reused across choice points
      (cleared per call). Only the [Bitset.snapshot] it returns escapes —
      choice points outlive the loop, so those snapshots must stay. *)
-  let dep_scratch = Bitset.create scenario.n in
   let branch_mask default_pid =
-    let dep = dep_scratch in
+    let dep = w.dep in
     Bitset.clear dep;
     (match Runtime.step_footprint rt default_pid with
     | None -> Bitset.iter (fun q -> Bitset.add dep q) pmask
@@ -544,7 +606,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
           else if decision < 0 then begin
             let victim = -decision in
             Runtime.crash_one rt victim;
-            List.iter (fun h -> h ~pid:victim) !crash_one_hooks
+            List.iter (fun h -> h ~pid:victim) w.crash_one_hooks
           end
           else begin
             Runtime.step rt decision;
@@ -558,7 +620,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
       end
   in
   loop ();
-  if (not !capped) && not !pruned then List.iter (fun h -> h ()) !finish_hooks;
+  if (not !capped) && not !pruned then List.iter (fun h -> h ()) w.finish_hooks;
   (* Branch: preempting to another productive process costs divergence
      budget; injecting a crash costs crash budget. Positions inside the
      forced prefix were branched when their ancestors ran. The taken-trace
@@ -680,7 +742,7 @@ let replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
             sleep = 0;
           };
       if crash_ones_before < crash_one_bound then
-        for pid = 1 to scenario.n do
+        for pid = 1 to n do
           push
             {
               base = trace;
@@ -726,8 +788,7 @@ type replay_report = {
    process not at an await, ...) degrades to the default step — so probe
    replays during shrinking stay total and deterministic even when
    removing an early intervention invalidates a later one. *)
-let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
-  let n = scenario.n in
+let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
   let local_violations = ref [] in
   let first_violation_pos = ref None in
   let pos = ref 0 in
@@ -735,23 +796,8 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
     if !first_violation_pos = None then first_violation_pos := Some !pos;
     local_violations := msg :: !local_violations
   in
-  let mem = Memory.create ~model:scenario.model ~n in
-  let crash_hooks = ref [] in
-  let crash_one_hooks = ref [] in
-  let finish_hooks = ref [] in
-  let ctx =
-    {
-      violation;
-      on_crash = (fun h -> crash_hooks := h :: !crash_hooks);
-      on_crash_one = (fun h -> crash_one_hooks := h :: !crash_one_hooks);
-      on_finish = (fun h -> finish_hooks := h :: !finish_hooks);
-      on_fingerprint = (fun _ -> () (* no visited set on forced replays *));
-      on_sym_fingerprint = (fun _ -> ());
-    }
-  in
-  let body = scenario.make_body mem ctx in
-  let rt = Runtime.create mem ~body in
-  List.iter (Runtime.on_crash rt) !crash_hooks;
+  reset w ~violation;
+  let rt = w.rt and n = Memory.n w.mem in
   let taken = ref [] in
   let interventions = ref [] in
   let cur = ref 0 in
@@ -759,7 +805,7 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
   let crash_ones = ref 0 in
   let capped = ref false in
   let deadlock = ref false in
-  let pmask = Bitset.create n in
+  let pmask = w.pmask in
   let stop = ref false in
   while not !stop do
     match Runtime.enabled rt with
@@ -830,7 +876,7 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
            if neg <= n then begin
              incr crash_ones;
              Runtime.crash_one rt neg;
-             List.iter (fun h -> h ~pid:neg) !crash_one_hooks
+             List.iter (fun h -> h ~pid:neg) w.crash_one_hooks
            end
            else if neg <= 2 * n then ignore (Runtime.lose_wakeup rt (neg - n))
            else Runtime.delay_writes rt (neg - (2 * n)) ~window:delay_window);
@@ -840,7 +886,7 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
   done;
   (* Finish checks run on every non-capped end, deadlocks included —
      exactly [replay]'s policy (there is no pruning here). *)
-  if not !capped then List.iter (fun h -> h ()) !finish_hooks;
+  if not !capped then List.iter (fun h -> h ()) w.finish_hooks;
   {
     rp_steps = !pos;
     rp_trace = Array.of_list (List.rev !taken);
@@ -852,6 +898,9 @@ let run_schedule ?(max_steps = 20_000) ?(delay_window = 8) ~decide scenario =
     rp_crashes = !crashes;
     rp_crash_ones = !crash_ones;
   }
+
+let run_schedule ?max_steps ?delay_window ~decide scenario =
+  run_schedule_in ?max_steps ?delay_window ~decide (world scenario)
 
 (* Pre-sizing hint for the next exploration's visited set: the previous
    reduced search's [distinct_states]. Repeated searches (E12's roster,
@@ -887,8 +936,9 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
       else budget_coding ~divergence_bound ~crash_bound ~crash_one_bound
   in
   let replay =
-    replay ~scenario ~divergence_bound ~crash_bound ~crash_one_bound
-      ~max_steps ~reduction ~vset ~coding ~eager:eager_fingerprints
+    replay ~world:(world scenario) ~divergence_bound ~crash_bound
+      ~crash_one_bound ~max_steps ~reduction ~vset ~coding
+      ~eager:eager_fingerprints
   in
   (* Every run's contribution is folded in here, in DFS order.
      Violations are deduplicated via a hashed set (the recorded list

@@ -218,7 +218,8 @@ val explore :
     [vset_mode = Exact] (see {!vset_mode} for the fixed-memory bitstate
     alternative; ignored under [No_reduction], which keeps no visited
     set). [jobs] is ignored: the search runs sequentially on the
-    calling domain.
+    calling domain. It builds one {!world} and resets it in place
+    before every run.
 
     The search is deterministic: the same arguments give the same
     outcome, counts and witness included, at every [reduction] level
@@ -319,4 +320,51 @@ val run_schedule :
     [max_steps] defaults to [20_000] (same cap and same "step cap
     exceeded" violation as {!explore}); [delay_window] (default [8]) is
     the visibility window, in clock ticks, that a [Delay_writes]
-    decision arms. *)
+    decision arms. Each call builds a fresh {!world}; it is
+    [run_schedule_in ~decide (world scenario)]. *)
+
+(** {2 The simulated world}
+
+    A {!world} is one built instance of a scenario: its memory, the
+    stack and monitors [make_body] built over it, the runtime and the
+    registered hooks. {!explore} builds one per call and resets it in
+    place before every run instead of rebuilding it (DESIGN.md §5.14);
+    {!Shrink} holds one across its probe replays. Reuse is sound only if
+    every piece of OCaml state built over the memory registers its
+    restore with {!Sim.Memory.on_reset} ({!Scenario}'s builder does so
+    for every monitor ref and array it knows of). A world is mutable
+    and belongs to one domain: build one per search, never share one. *)
+
+type world
+
+val world : scenario -> world
+(** Builds the memory, calls [make_body] once and creates the runtime.
+    A [ctx] registration after [make_body] has returned raises
+    [Invalid_argument]. *)
+
+val reset : world -> violation:(string -> unit) -> unit
+(** Resets the runtime ({!Sim.Runtime.reset}) and the memory
+    ({!Sim.Memory.reset}, which runs the registered restores), then
+    points [ctx.violation] at [violation] for the coming run. Runs
+    through {!run_schedule_in} and {!explore} call it themselves. *)
+
+val memory : world -> Sim.Memory.t
+val runtime : world -> Sim.Runtime.t
+
+val state_fingerprint : world -> cur:int -> int
+(** The state key {!Dedup} and {!Por} store: memory and runtime digests,
+    every [ctx.on_fingerprint] hash, and [cur], the last-stepped
+    process. *)
+
+val sym_fingerprint : world -> cur:int -> int
+(** The canonical-orbit key {!Sym} stores (DESIGN.md §5.19). *)
+
+val run_schedule_in :
+  ?max_steps:int ->
+  ?delay_window:int ->
+  decide:(pos:int -> enabled:int list -> default:int -> int) ->
+  world ->
+  replay_report
+(** {!run_schedule} on an existing world, reset first. The world's
+    memory and runtime then hold the run's final state until the next
+    reset. *)

@@ -89,6 +89,18 @@ let assemble t ~capture mem (ctx : Model_check.ctx) =
      monitor-distinct states and prune a violation) cannot happen here. *)
   let refs = List.concat_map (fun m -> m.m_fp_refs) mons in
   let arrays = List.concat_map (fun m -> m.m_fp_arrays) mons @ w.w_arrays in
+  (* The same registration makes the scenario reusable in place: a reset
+     memory puts every fingerprinted ref and array, and every counter,
+     back to its value at assembly (DESIGN.md §5.14). *)
+  let all_refs =
+    refs @ List.concat_map (fun m -> List.map snd m.m_counters) mons
+  in
+  let ref_inits = List.map ( ! ) all_refs in
+  let array_inits = List.map Array.copy arrays in
+  Memory.on_reset mem (fun () ->
+      List.iter2 ( := ) all_refs ref_inits;
+      List.iter2 (fun a a0 -> Array.blit a0 0 a 0 (Array.length a0)) arrays
+        array_inits);
   ctx.on_fingerprint (fun () ->
       List.fold_left Encode.mix_array
         (Encode.mix_refs Encode.fingerprint_seed refs)

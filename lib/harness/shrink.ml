@@ -5,8 +5,9 @@
    the policy itself and carry no information. ddmin then searches for a
    1-minimal subset that still violates, followed by a single-removal
    sweep as a belt-and-braces check. Probes replay via
-   Model_check.run_schedule, whose sanitization keeps every subset
-   executable, so the whole process is deterministic: same scenario +
+   Model_check.run_schedule_in on one world, reset in place before each
+   probe; its sanitization keeps every subset executable, so the whole
+   process is deterministic: same scenario +
    same trace -> same minimized schedule, on any machine. It runs on the
    calling domain; [--jobs] only fans out swarm members and replicas. *)
 
@@ -25,12 +26,14 @@ let decide_of_interventions interventions =
     match Hashtbl.find_opt tbl pos with Some d -> d | None -> default
 
 let minimize ?(max_steps = 20_000) ?(delay_window = 8) scenario trace =
+  (* One world for every probe: each replay resets it in place. *)
+  let world = Model_check.world scenario in
   let probes = ref 0 in
   let probe interventions =
     incr probes;
-    Model_check.run_schedule ~max_steps ~delay_window
+    Model_check.run_schedule_in ~max_steps ~delay_window
       ~decide:(decide_of_interventions interventions)
-      scenario
+      world
   in
   let violates (r : Model_check.replay_report) = r.rp_violations <> [] in
   (* Confirm the trace reproduces a violation when replayed as a forced
@@ -38,10 +41,10 @@ let minimize ?(max_steps = 20_000) ?(delay_window = 8) scenario trace =
   let len = Array.length trace in
   let confirm =
     incr probes;
-    Model_check.run_schedule ~max_steps ~delay_window
+    Model_check.run_schedule_in ~max_steps ~delay_window
       ~decide:(fun ~pos ~enabled:_ ~default ->
         if pos < len then trace.(pos) else default)
-      scenario
+      world
   in
   if not (violates confirm) then None
   else begin

@@ -13,6 +13,10 @@ let make mem =
   let tail = Memory.global mem ~name:"clh.tail" 0 in
   let my_node = Array.init (n + 1) (fun i -> i) in
   let my_pred = Array.make (n + 1) 0 in
+  (* [my_node] carries across passages, so a reset memory must put it back
+     (Memory.on_reset); [my_pred] is written before it is read. *)
+  Memory.on_reset mem (fun () ->
+      Array.iteri (fun i _ -> my_node.(i) <- i) my_node);
   {
     Lock_intf.name = "clh";
     enter =

@@ -8,7 +8,12 @@
     as ordinary functions. All shared accesses must go through {!Sim.Proc};
     any per-process private bookkeeping lives in plain OCaml state and must
     be cleared by [reset] (private state is lost in a crash anyway, and
-    [reset] runs before any post-crash entry). *)
+    [reset] runs before any post-crash entry). The model checker also
+    reuses one built lock across runs ({!Sim.Memory.reset}): private
+    state that a passage reads before writing, and that carries from one
+    passage to the next (CLH's [my_node]), must register its restore
+    with {!Sim.Memory.on_reset}. State written before it is read in every
+    passage (ticket's [my_ticket], Anderson's [my_slot]) needs none. *)
 
 type mutex = {
   name : string;

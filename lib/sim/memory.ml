@@ -18,7 +18,8 @@ let model_of_string s =
    written since the last {!snapshot} (the dirty-set snapshot patch).
    [name] is only the diagnostic prefix; [i]/[j] are its optional
    indices (-1 when absent), formatted by {!name} on demand so that
-   building a stack allocates no strings per cell. *)
+   building a stack allocates no strings per cell. [init] is the value
+   {!reset} restores: the cell's value at allocation. *)
 type cell = {
   id : int;  (* dense allocation index, 0-based; keys snapshots *)
   name : string;
@@ -35,6 +36,7 @@ type cell = {
   sym_owner : int;
   sym_key : int;
   mutable value : int;
+  init : int;
   mutable dirty : bool;
   readers : int array;
 }
@@ -81,6 +83,12 @@ type t = {
   (* RMR flag of the most recent [exec_*] call; lets {!apply} return the
      (result, rmr) pair without the fast paths boxing a tuple. *)
   mutable last_rmr : bool;
+  (* In-place reuse ({!reset}): the first reset seals the memory — no
+     cell or restore may be added afterwards — and every reset runs
+     [restores], the callbacks that OCaml state built over this memory
+     registered, in registration order. *)
+  mutable sealed : bool;
+  mutable restores : (unit -> unit) list;
 }
 
 and tracer = pid:int -> op -> result:int -> rmr:bool -> unit
@@ -115,6 +123,8 @@ let create ~model ~n =
     dirty_ids = Array.make 8 0;
     n_dirty = 0;
     last_rmr = false;
+    sealed = false;
+    restores = [];
   }
 
 let set_tracer t tracer = t.tracer <- tracer
@@ -137,6 +147,7 @@ let push_dirty t id =
    keyed by their per-owner allocation slot, which is what lines the
    k-th cell of every pid up under relabeling. *)
 let alloc t ~name ~i ~j ~home ~sym_owner init =
+  if t.sealed then invalid_arg "Memory.cell: memory already sealed by reset";
   if home < 1 || home > t.n then invalid_arg "Memory.cell: bad home";
   if i < -1 || j < -1 || (i = -1 && j >= 0) then
     invalid_arg "Memory.cell: bad name index";
@@ -160,6 +171,7 @@ let alloc t ~name ~i ~j ~home ~sym_owner init =
       sym_owner;
       sym_key;
       value = init;
+      init;
       dirty = true;
       readers = Array.make t.words 0;
     }
@@ -274,6 +286,30 @@ let[@inline] set_value t c v =
 
 let clear_readers c =
   Array.fill c.readers 0 (Array.length c.readers) 0
+
+let on_reset t f =
+  if t.sealed then
+    invalid_arg "Memory.on_reset: memory already sealed by reset";
+  t.restores <- t.restores @ [ f ]
+
+let reset t =
+  t.sealed <- true;
+  for k = 0 to t.n_cells - 1 do
+    let c = t.cells.(k) in
+    c.value <- c.init;
+    clear_readers c;
+    if not c.dirty then begin
+      c.dirty <- true;
+      push_dirty t k
+    end
+  done;
+  Array.fill t.rmr_count 0 (t.n + 1) 0;
+  Array.fill t.step_count 0 (t.n + 1) 0;
+  (* Both digests go stale with the values; the next [fingerprint] /
+     [sym_part] call resyncs lazily, exactly as on a fresh memory. *)
+  t.fp_live <- false;
+  t.sym_live <- false;
+  List.iter (fun f -> f ()) t.restores
 
 let poke t c v =
   set_value t c v;

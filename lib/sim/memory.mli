@@ -122,6 +122,29 @@ val poke : t -> cell -> int -> unit
     {!fingerprint} digest and the {!snapshot} dirty set stay coherent.
     For test setup only. *)
 
+(** {2 In-place reuse}
+
+    The model checker builds one memory per search and resets it before
+    every run instead of rebuilding the stack (DESIGN.md §5.14). *)
+
+val reset : t -> unit
+(** [reset t] returns [t] to its state after construction: every cell
+    gets back its value at allocation, CC reader sets are cleared, the
+    RMR and step counters are zeroed and both digests ({!fingerprint},
+    {!sym_part}) are switched off, to resync lazily at their next call
+    as on a fresh memory. Every cell is marked for the next {!snapshot}.
+    Then the callbacks registered with {!on_reset} run, in registration
+    order. The first call seals the memory: any later {!cell}, {!global}
+    or {!on_reset} call raises [Invalid_argument]. The tracer is kept. *)
+
+val on_reset : t -> (unit -> unit) -> unit
+(** [on_reset t f] registers [f] to run at every {!reset} of [t]. Any
+    OCaml state built over a memory that a run can change — monitor
+    refs, progress arrays, a lock's private arrays — must register one
+    such callback that puts it back to its value at construction, or a
+    reused memory starts the next run from the last run's state.
+    @raise Invalid_argument once [t] is sealed. *)
+
 (** One shared-memory operation. RMW operations return the old value. *)
 type op =
   | Read of cell

@@ -63,6 +63,7 @@ type t = {
   n : int;
   body : pid:int -> epoch:int -> unit;
   slots : slot array; (* 1-based; index 0 unused *)
+  initial_epoch : int; (* what {!reset} restores [epoch] to *)
   mutable epoch : int;
   mutable clock : int;
   mutable crashes : int;
@@ -149,6 +150,7 @@ let create ?(initial_epoch = 1) mem ~body =
     n;
     body;
     slots = Array.make (n + 1) Fresh;
+    initial_epoch;
     epoch = initial_epoch;
     clock = 0;
     crashes = 0;
@@ -463,6 +465,19 @@ let crash t ?(bump = 1) () =
   List.iter (fun hook -> hook ~epoch:t.epoch) t.crash_hooks
 
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
+
+(* Suspended fibers are dropped, not discontinued: a fresh runtime
+   would not run them either, and discontinuing would execute body code
+   (exception handlers) between runs. *)
+let reset t =
+  Array.fill t.slots 0 (t.n + 1) Fresh;
+  Array.fill t.local_sig 0 (t.n + 1) 0;
+  t.epoch <- t.initial_epoch;
+  t.clock <- 0;
+  t.crashes <- 0;
+  t.fp <- 0;
+  t.fp_live <- false;
+  t.faults <- None
 
 (* --- state identity (for the model checker's visited set) --- *)
 

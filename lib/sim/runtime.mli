@@ -85,6 +85,14 @@ val on_crash : t -> (epoch:int -> unit) -> unit
     are destroyed and the epoch advanced. Monitors use this to reset
     volatile bookkeeping. *)
 
+val reset : t -> unit
+(** [reset t] returns [t] to its state at {!create} for in-place reuse
+    (DESIGN.md §5.14): every process back in the NCS with an empty
+    signature, the epoch at [initial_epoch], clock and crash count at 0,
+    the digest off (to resync lazily at the next {!fingerprint}) and no
+    armed fault. Suspended fibers are dropped. Crash hooks are kept. The
+    memory is not touched: reset it with {!Memory.reset}. *)
+
 (** {2 Injectable faults}
 
     Two fault classes beyond the paper's crash steps, armed explicitly by

@@ -117,24 +117,12 @@ let runtime_storm ~scenario ~crash_ones () =
   let module MC = Harness.Model_check in
   let rng = Random.State.make [| 0xBEEF; (if crash_ones then 1 else 0) |] in
   let sc : MC.scenario = scenario in
-  let mem = Memory.create ~model:sc.MC.model ~n:sc.MC.n in
-  let crash_hooks = ref [] in
-  let ctx : MC.ctx =
-    {
-      (* Monitors are not under test here — and the independent-crash
-         storm deliberately breaks system-wide-failure algorithms
-         (DESIGN.md §5.10), so violations are expected noise. *)
-      violation = (fun _ -> ());
-      on_crash = (fun h -> crash_hooks := h :: !crash_hooks);
-      on_crash_one = (fun _ -> ());
-      on_finish = (fun _ -> ());
-      on_fingerprint = (fun _ -> ());
-      on_sym_fingerprint = (fun _ -> ());
-    }
-  in
-  let body = sc.MC.make_body mem ctx in
-  let rt = Runtime.create mem ~body in
-  List.iter (Runtime.on_crash rt) !crash_hooks;
+  let w = MC.world sc in
+  (* Monitors are not under test here — and the independent-crash storm
+     deliberately breaks system-wide-failure algorithms (DESIGN.md
+     §5.10), so violations are expected noise. *)
+  MC.reset w ~violation:ignore;
+  let mem = MC.memory w and rt = MC.runtime w in
   ignore (Runtime.fingerprint rt);
   ignore (Memory.fingerprint mem);
   for i = 0 to 3_999 do

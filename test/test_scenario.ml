@@ -68,6 +68,13 @@ let legacy_rme ?(passages = 1) ?(check_csr = true) ~n ~model ~make () =
     let occupant = ref 0 in
     let csr_owner = ref 0 in
     let cs_done = ref 0 in
+    (* The search reuses one world per explore call: put the fixture's
+       own state back at every reset. *)
+    Memory.on_reset mem (fun () ->
+        Array.fill completed 0 (n + 1) 0;
+        occupant := 0;
+        csr_owner := 0;
+        cs_done := 0);
     ctx.on_crash (fun ~epoch:_ ->
         if !occupant <> 0 then csr_owner := !occupant;
         occupant := 0);
@@ -123,6 +130,9 @@ let legacy_barrier_generic ~epochs ~n ~model ~leader_of ~make_enter =
     let enter = make_enter mem in
     let completed = Array.make (n + 1) 0 in
     let leader_begun = ref (-1) in
+    Memory.on_reset mem (fun () ->
+        Array.fill completed 0 (n + 1) 0;
+        leader_begun := -1);
     ctx.on_fingerprint (fun () ->
         Encode.mix_array
           (Encode.mix Encode.fingerprint_seed !leader_begun)
@@ -448,6 +458,227 @@ let storm_violation_shrinks () =
     Alcotest.(check (list string))
       "storm shrink replays" m.Harness.Shrink.s_violations rp.MC.rp_violations
 
+(* --- in-place reuse (DESIGN.md §5.14) ---
+
+   The model checker builds one world per search and resets it before
+   every run. A reset world must behave exactly like a fresh one. *)
+
+let memory_reset_restores () =
+  let build () =
+    let mem = Memory.create ~model:Memory.Cc ~n:2 in
+    let a = Memory.global mem ~name:"a" 5 in
+    let b = Memory.cell mem ~name:"b" ~home:2 0 in
+    (mem, a, b)
+  in
+  let mem, a, b = build () in
+  let order = ref [] in
+  Memory.on_reset mem (fun () -> order := 1 :: !order);
+  Memory.on_reset mem (fun () -> order := 2 :: !order);
+  let fresh, fa, _ = build () in
+  Memory.reset mem;
+  Alcotest.(check (list int)) "restores run in registration order" [ 2; 1 ]
+    !order;
+  ignore (Memory.fingerprint mem);
+  ignore (Memory.sym_part mem 1);
+  ignore (Memory.exec_read mem ~pid:1 a);
+  ignore (Memory.exec_write mem ~pid:2 b 9);
+  ignore (Memory.exec_faa mem ~pid:1 a 3);
+  ignore (Memory.exec_read mem ~pid:2 a);
+  ignore (Memory.snapshot mem);
+  Memory.reset mem;
+  Alcotest.(check (array int)) "values" (Memory.snapshot fresh)
+    (Memory.snapshot mem);
+  Alcotest.(check (pair int int)) "counters" (0, 0)
+    (Memory.total_rmrs mem, Memory.steps mem ~pid:1 + Memory.steps mem ~pid:2);
+  Alcotest.(check int) "fingerprint" (Memory.fingerprint fresh)
+    (Memory.fingerprint mem);
+  Alcotest.(check int) "sym slice" (Memory.sym_part fresh 2)
+    (Memory.sym_part mem 2);
+  (* pid 2 had [a] cached before the reset: its next read is an RMR
+     again, as on the fresh memory. *)
+  ignore (Memory.exec_read fresh ~pid:2 fa);
+  ignore (Memory.exec_read mem ~pid:2 a);
+  Alcotest.(check int) "reader sets cleared" (Memory.rmrs fresh ~pid:2)
+    (Memory.rmrs mem ~pid:2);
+  Alcotest.check_raises "allocation after the seal"
+    (Invalid_argument "Memory.cell: memory already sealed by reset")
+    (fun () -> ignore (Memory.global mem ~name:"late" 0));
+  Alcotest.check_raises "restore registered after the seal"
+    (Invalid_argument "Memory.on_reset: memory already sealed by reset")
+    (fun () -> Memory.on_reset mem ignore)
+
+let runtime_reset_restores () =
+  let build () =
+    let mem = Memory.create ~model:Memory.Cc ~n:2 in
+    let c = Memory.global mem ~name:"c" 0 in
+    let rt =
+      Runtime.create mem ~body:(fun ~pid ~epoch:_ ->
+          if pid = 1 then ignore (Proc.await c ~until:(fun v -> v <> 0))
+          else Proc.write c 1)
+    in
+    (mem, rt)
+  in
+  let mem, rt = build () in
+  let hooks = ref 0 in
+  Runtime.on_crash rt (fun ~epoch:_ -> incr hooks);
+  ignore (Runtime.fingerprint rt);
+  Runtime.step rt 1;
+  ignore (Runtime.lose_wakeup rt 1);
+  Runtime.delay_writes rt 2 ~window:3;
+  Runtime.crash rt ~bump:2 ();
+  Runtime.step rt 1;
+  Runtime.reset rt;
+  Memory.reset mem;
+  let _, fresh = build () in
+  Alcotest.(check (list int)) "every process back in the NCS" [ 1; 2 ]
+    (Runtime.enabled rt);
+  Alcotest.(check (list int)) "epoch, clock, crashes" [ 1; 0; 0 ]
+    [ Runtime.epoch rt; Runtime.clock rt; Runtime.crashes rt ];
+  Alcotest.(check int) "fingerprint, faults included"
+    (Runtime.fingerprint fresh) (Runtime.fingerprint rt);
+  Alcotest.(check int) "slow fingerprint" (Runtime.fingerprint_slow fresh)
+    (Runtime.fingerprint_slow rt);
+  Runtime.crash rt ();
+  Alcotest.(check int) "crash hooks kept" 2 !hooks
+
+(* A seeded storm as a decide function: system-wide crashes, independent
+   crashes, lost wakeups and delayed writes, random preemptions, the
+   default otherwise. It owns its rng, so build one per run. *)
+let storm_decide ~n ~seed =
+  let rng = Random.State.make [| 0x2e05e; seed |] in
+  fun ~pos:_ ~enabled ~default ->
+    match Random.State.int rng 100 with
+    | 0 -> MC.crash_decision
+    | 1 -> -(1 + Random.State.int rng n)
+    | 2 | 3 -> -(n + 1 + Random.State.int rng n)
+    | 4 | 5 -> -((2 * n) + 1 + Random.State.int rng n)
+    | k when k < 30 ->
+      List.nth enabled (Random.State.int rng (List.length enabled))
+    | _ -> default
+
+type observed = {
+  o_trace : int array;
+  o_violations : string list;
+  o_deadlock : bool;
+  o_capped : bool;
+  o_rmrs : int list;
+  o_steps : int list;
+  o_snapshot : int array;
+  o_fp : int;
+  o_sym : int;
+}
+
+let storm_on w ~seed =
+  let mem = MC.memory w in
+  let n = Memory.n mem in
+  let rp =
+    MC.run_schedule_in ~max_steps:3_000 ~decide:(storm_decide ~n ~seed) w
+  in
+  let per_pid f = List.init n (fun i -> f mem ~pid:(i + 1)) in
+  {
+    o_trace = rp.MC.rp_trace;
+    o_violations = rp.MC.rp_violations;
+    o_deadlock = rp.MC.rp_deadlock;
+    o_capped = rp.MC.rp_capped;
+    o_rmrs = per_pid Memory.rmrs;
+    o_steps = per_pid Memory.steps;
+    o_snapshot = Memory.snapshot mem;
+    o_fp = MC.state_fingerprint w ~cur:0;
+    o_sym = MC.sym_fingerprint w ~cur:0;
+  }
+
+(* Runs [storms] seeded storms back to back on one world, each against
+   the same storm on a fresh world; returns every field that differed. *)
+let reuse_mismatches ?(storms = 8) sc =
+  let reused = MC.world sc in
+  List.concat_map
+    (fun seed ->
+      let a = storm_on (MC.world sc) ~seed and b = storm_on reused ~seed in
+      List.filter_map
+        (fun (what, same) ->
+          if same then None else Some (Printf.sprintf "storm %d: %s" seed what))
+        [
+          ("trace", a.o_trace = b.o_trace);
+          ("violations", a.o_violations = b.o_violations);
+          ("deadlock", a.o_deadlock = b.o_deadlock);
+          ("step cap", a.o_capped = b.o_capped);
+          ("per-pid RMRs", a.o_rmrs = b.o_rmrs);
+          ("per-pid steps", a.o_steps = b.o_steps);
+          ("final snapshot", a.o_snapshot = b.o_snapshot);
+          ("state fingerprint", a.o_fp = b.o_fp);
+          ("sym fingerprint", a.o_sym = b.o_sym);
+        ])
+    (List.init storms (fun k -> k + 1))
+
+(* Every registered scenario, over every recoverable and conventional
+   stack it accepts, at n=2 on CC and DSM. *)
+let reuse_matches_fresh () =
+  let stacks = Rme.Stack.recoverable_names @ Rme.Stack.conventional_names in
+  let accepted = Hashtbl.create 64 in
+  List.iter
+    (fun (info : Harness.Scenario.info) ->
+      let build = Option.get (Harness.Scenario.find info.i_name) in
+      List.iter
+        (fun model ->
+          List.iter
+            (fun stack ->
+              let p =
+                {
+                  Harness.Scenario.default_params with
+                  sp_stack = stack;
+                  sp_n = 2;
+                  sp_model = model;
+                  sp_passages = 2;
+                  sp_crash_bound = 1;
+                }
+              in
+              let sc = build p in
+              match MC.world sc with
+              | exception Invalid_argument _ when info.i_needs_stack -> ()
+              | _ ->
+                Hashtbl.replace accepted stack ();
+                let what =
+                  Format.asprintf "%s %s %a" info.i_name
+                    (if info.i_needs_stack then stack else "-")
+                    Memory.pp_model model
+                in
+                (match reuse_mismatches sc with
+                | [] -> ()
+                | ms -> Alcotest.failf "%s: %s" what (String.concat "; " ms)))
+            (if info.i_needs_stack then stacks else [ "-" ]))
+        [ Memory.Cc; Memory.Dsm ])
+    (Harness.Scenario.infos ());
+  List.iter
+    (fun stack ->
+      Alcotest.(check bool)
+        (stack ^ " checked") true (Hashtbl.mem accepted stack))
+    stacks
+
+(* Negative control: a ref that steers control flow but registers no
+   restore survives the reset, so the reused world diverges — and
+   registering the restore is the whole fix. *)
+let unregistered_ref_flagged () =
+  let leaky ~register =
+    {
+      MC.n = 2;
+      model = Memory.Cc;
+      make_body =
+        (fun mem _ctx ->
+          let c = Memory.global mem ~name:"leak.c" 0 in
+          let runs = ref 0 in
+          if register then Memory.on_reset mem (fun () -> runs := 0);
+          fun ~pid ~epoch:_ ->
+            if pid = 1 then incr runs;
+            for _ = 1 to !runs do
+              Proc.write c pid
+            done);
+    }
+  in
+  Alcotest.(check bool) "unregistered ref flagged" true
+    (reuse_mismatches (leaky ~register:false) <> []);
+  Alcotest.(check (list string)) "registered ref clean" []
+    (reuse_mismatches (leaky ~register:true))
+
 let () =
   Alcotest.run "scenario"
     [
@@ -481,5 +712,12 @@ let () =
           slow_case "locally-minimal" shrunk_schedule_is_locally_minimal;
           case "clean-trace" clean_trace_shrinks_to_none;
           slow_case "storm-shrinks" storm_violation_shrinks;
+        ] );
+      ( "reuse",
+        [
+          case "memory-reset" memory_reset_restores;
+          case "runtime-reset" runtime_reset_restores;
+          slow_case "matches-fresh" reuse_matches_fresh;
+          case "unregistered-ref-flagged" unregistered_ref_flagged;
         ] );
     ]
