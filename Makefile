@@ -66,14 +66,16 @@ scenario-smoke: build
 # The CLI's metrics files (DESIGN.md §5.12): a tiny `run`, `native` and
 # `service` run each write their --metrics JSON (rme-metrics/1,
 # rme-native-metrics/1, rme-service-metrics/1), and validate.exe
-# schema-checks all three — any FAIL exits non-zero.
+# schema-checks all three — any FAIL exits non-zero. The native and
+# service runs drive both controllers of the native run kernel: a crash
+# storm (a crash every millisecond) and the crash-recovery drill.
 metrics-smoke: build
 	dune exec bin/rme_cli.exe -- run -s t3-mcs -n 3 -p 20 --crash-mean 200 \
 	  --metrics metrics_run.json
-	dune exec bin/rme_cli.exe -- native -s t1-mcs -n 2 -p 500 \
-	  --metrics metrics_native.json
+	dune exec bin/rme_cli.exe -- native -s t3-mcs -n 2 -p 20000 \
+	  --crash-interval 1 --metrics metrics_native.json
 	dune exec bin/rme_cli.exe -- service -n 2 --keys 1000 --shards 64 \
-	  --per-worker 500 --metrics metrics_service.json
+	  --per-worker 500 --drill-after 0.05 --metrics metrics_service.json
 	dune exec bench/validate.exe -- metrics_run.json metrics_native.json \
 	  metrics_service.json
 

@@ -956,9 +956,9 @@ let throughput_sweep () =
    native registry at n in {1, 4, 8}.
 
    Methodology notes, both learned the hard way on a 1-core host:
-   - every throughput row arms [sync_start], because without the barrier a
-     small budget can finish inside one OS timeslice before the next
-     domain even spawns, silently measuring serial execution;
+   - every row starts behind the run kernel's start barrier, because
+     without it a small budget can finish inside one OS timeslice before
+     the next domain even spawns, silently measuring serial execution;
    - the contended rows run fixed-duration windows ([run_for]) rather
      than fixed passage budgets: a fixed budget measures a bimodal mix of
      "finished before the workers ever truly overlapped" and convoy,
@@ -987,7 +987,7 @@ let native_substrate_ablation () =
       if tuned then Rme_native.Backoff.Exponential else Rme_native.Backoff.Spin
     in
     let r =
-      Rme_native.Workers.run ~seed:14 ~spin ~sync_start:true ?run_for ~latency
+      Rme_native.Workers.run ~seed:14 ~spin ?run_for ~latency
         ~alloc_probe ~n ~passages
         ~make:(fun crash ~n ->
           Rme_native.Stack.recoverable ~padded:tuned crash ~n name)
@@ -1121,7 +1121,7 @@ let native_substrate_ablation () =
      minor-heap words per post-warmup passage, contended (n=2) so the
      backoff path is actually exercised. Probe rows are separate from the
      sweep: the latency instrumentation itself boxes a float per passage,
-     and the probe needs a fixed budget (the audit divides by it). *)
+     and a fixed budget guarantees the probe passes its warmup mark. *)
   let alloc_rows =
     List.map
       (fun name ->

@@ -103,6 +103,53 @@ let stack_arg =
     & info [ "stack"; "s" ] ~docv:"STACK"
         ~doc:"Recoverable lock stack (see $(b,rme list)).")
 
+(* The native substrate's knobs, shared by `native` and `service`. *)
+
+let spin_policy =
+  Arg.enum
+    (List.map
+       (fun m -> (Rme_native.Backoff.mode_name m, m))
+       Rme_native.Backoff.modes)
+
+let pin_arg =
+  Arg.(
+    value & flag
+    & info [ "pin" ]
+        ~doc:
+          "Pin worker domains to cores (worker $(i,p) to core (p-1) mod \
+           cores; Linux affinity, best-effort no-op elsewhere). The \
+           report says how many workers actually landed.")
+
+let spin_arg =
+  Arg.(
+    value
+    & opt spin_policy Rme_native.Backoff.Exponential
+    & info [ "spin" ] ~docv:"POLICY"
+        ~doc:
+          "Spin-wait policy between lock re-checks: $(b,backoff) (seeded \
+           capped exponential, the default), $(b,relax) (one cpu_relax \
+           per miss plus a periodic OS yield — the pre-backoff \
+           behaviour), or $(b,spin) (pure cpu_relax; E14's bare \
+           ablation).")
+
+let no_padding_arg =
+  Arg.(
+    value & flag
+    & info [ "no-padding" ]
+        ~doc:
+          "Allocate backend cells back-to-back instead of one per cache \
+           line (the false-sharing ablation of E14).")
+
+let run_for_arg =
+  Arg.(
+    value
+    & opt (some pos_float) None
+    & info [ "run-for" ] ~docv:"SECONDS"
+        ~doc:
+          "Close the run's window after $(docv) seconds: workers stop \
+           starting new work, finish what is in flight, and leave the \
+           rest of their budget undone.")
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (runs replay).")
 
@@ -132,12 +179,6 @@ let metrics_arg =
           "Write the run's machine-readable metrics (JSON, including RMR \
            and step histograms) to $(docv). With --replicas, the first \
            seed's metrics are written.")
-
-let spin_policy =
-  Arg.enum
-    (List.map
-       (fun m -> (Rme_native.Backoff.mode_name m, m))
-       Rme_native.Backoff.modes)
 
 let write_file file contents =
   let oc = open_out_bin file in
@@ -1070,56 +1111,8 @@ let native_cmd =
              every $(docv) milliseconds (a passages/s time series across \
              crash storms, included in --metrics output).")
   in
-  let pin =
-    Arg.(
-      value & flag
-      & info [ "pin" ]
-          ~doc:
-            "Pin worker domains to cores (worker $(i,p) to core (p-1) mod \
-             cores; Linux affinity, best-effort no-op elsewhere). The \
-             report says how many workers actually landed.")
-  in
-  let spin =
-    Arg.(
-      value
-      & opt spin_policy Rme_native.Backoff.Exponential
-      & info [ "spin" ] ~docv:"POLICY"
-          ~doc:
-            "Spin-wait policy between lock re-checks: $(b,backoff) (seeded \
-             capped exponential, the default), $(b,relax) (one cpu_relax \
-             per miss plus a periodic OS yield — the pre-backoff \
-             behaviour), or $(b,spin) (pure cpu_relax; E14's bare \
-             ablation).")
-  in
-  let no_padding =
-    Arg.(
-      value & flag
-      & info [ "no-padding" ]
-          ~doc:
-            "Allocate backend cells back-to-back instead of one per cache \
-             line (the false-sharing ablation of E14).")
-  in
-  let sync_start =
-    Arg.(
-      value & flag
-      & info [ "sync-start" ]
-          ~doc:
-            "Hold every worker at a barrier until the last domain is up, \
-             so short runs measure contention instead of spawn skew.")
-  in
-  let run_for =
-    Arg.(
-      value
-      & opt (some pos_float) None
-      & info [ "run-for" ] ~docv:"SECONDS"
-          ~doc:
-            "Stop starting new passages after $(docv) seconds, whatever \
-             --passages remains: a fixed window much longer than an OS \
-             timeslice measures the contended steady state instead of \
-             the luck of spawn order.")
-  in
   let run stack model n passages seed crash_interval jobs replicas
-      sample_interval pin spin no_padding sync_start run_for metrics =
+      sample_interval pin spin no_padding run_for metrics =
     if not (List.mem stack Rme_native.Stack.recoverable_names) then begin
       Printf.eprintf "unknown native stack %S; available: %s\n" stack
         (String.concat ", " Rme_native.Stack.recoverable_names);
@@ -1131,7 +1124,7 @@ let native_cmd =
           ?crash_interval:(Option.map (fun ms -> ms /. 1000.) crash_interval)
           ?sample_interval:
             (Option.map (fun ms -> ms /. 1000.) sample_interval)
-          ~spin ~pin ~sync_start ?run_for
+          ~spin ~pin ?run_for
           ~latency:(Option.is_some metrics)
           ~seed ~n ~passages
           ~make:(fun crash ~n ->
@@ -1180,8 +1173,8 @@ let native_cmd =
           distributed-barrier machinery of Fig. 2.")
     Term.(
       const run $ stack_arg $ model_arg $ n_arg $ passages_arg $ seed_arg
-      $ crash_interval $ jobs_arg $ replicas $ sample_interval $ pin $ spin
-      $ no_padding $ sync_start $ run_for $ metrics_arg)
+      $ crash_interval $ jobs_arg $ replicas $ sample_interval $ pin_arg
+      $ spin_arg $ no_padding_arg $ run_for_arg $ metrics_arg)
 
 (* --- service: the sharded lock-service workload (DESIGN.md §5.17) --- *)
 
@@ -1272,33 +1265,6 @@ let service_cmd =
              request (arm on drill-free runs; the lock passage path is \
              gated allocation-free).")
   in
-  let pin =
-    Arg.(
-      value & flag
-      & info [ "pin" ] ~doc:"Pin worker domains to cores (best-effort).")
-  in
-  let spin =
-    Arg.(
-      value
-      & opt spin_policy Rme_native.Backoff.Exponential
-      & info [ "spin" ] ~docv:"POLICY"
-          ~doc:"Spin-wait policy: backoff, relax or spin (as in rme native).")
-  in
-  let no_padding =
-    Arg.(
-      value & flag
-      & info [ "no-padding" ]
-          ~doc:"Allocate backend cells back-to-back (false-sharing ablation).")
-  in
-  let run_for =
-    Arg.(
-      value
-      & opt (some pos_float) None
-      & info [ "run-for" ] ~docv:"SECONDS"
-          ~doc:
-            "Stop admitting new requests after $(docv) seconds, leaving \
-             the stream tail unserved.")
-  in
   let run stack model n seed keys shards per_worker theta rate think_ns batch
       drill_after drill_timeout traffic_budget alloc_probe pin spin no_padding
       run_for metrics =
@@ -1341,8 +1307,8 @@ let service_cmd =
     Term.(
       const run $ stack_arg $ model_arg $ n_arg $ seed_arg $ keys $ shards
       $ per_worker $ theta $ rate $ think_ns $ batch $ drill_after
-      $ drill_timeout $ traffic_budget $ alloc_probe $ pin $ spin $ no_padding
-      $ run_for $ metrics_arg)
+      $ drill_timeout $ traffic_budget $ alloc_probe $ pin_arg $ spin_arg
+      $ no_padding_arg $ run_for_arg $ metrics_arg)
 
 let () =
   let doc =

@@ -1,17 +1,8 @@
-(** Cycle-accuracy clocks for the native harness (C stubs in
-    rme_stubs.c). Both externals are [@@noalloc] and return tagged ints,
-    so taking a timestamp itself produces zero GC garbage. (Recording
-    the difference into a histogram still boxes a float, which is why
-    E14 arms latency and the allocation probe on separate rows —
-    DESIGN.md §5.15.) *)
+(** The native harness's clock (C stub in rme_stubs.c). The external is
+    [@@noalloc] and returns a tagged int, so taking a timestamp itself
+    produces zero GC garbage. (Recording the difference into a histogram
+    still boxes a float, which is why E14 arms latency and the
+    allocation probe on separate rows — DESIGN.md §5.15.) *)
 
 external now_ns : unit -> int = "rme_monotonic_ns" [@@noalloc]
-(** Monotonic wall clock, nanoseconds. The default passage timer. *)
-
-external cycles : unit -> int = "rme_cycles" [@@noalloc]
-(** Cycle counter (RDTSC on x86_64), else monotonic nanoseconds. Only
-    differences of nearby readings are meaningful: the value wraps at
-    2^62. *)
-
-external cycles_is_tsc : unit -> bool = "rme_cycles_is_tsc" [@@noalloc]
-(** Whether {!cycles} reads a real cycle counter or the ns fallback. *)
+(** Monotonic wall clock, nanoseconds. *)

@@ -1,4 +1,4 @@
-/* Native-substrate C stubs: monotonic/cycle clocks for the per-passage
+/* Native-substrate C stubs: the monotonic clock for the per-passage
    latency histograms, and best-effort thread-to-core pinning. All are
    [@@noalloc]-safe: no OCaml allocation, no callbacks, no blocking. */
 
@@ -17,39 +17,6 @@ CAMLprim value rme_monotonic_ns(value unit)
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return Val_long((int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec);
 }
-
-/* Cycle counter where the ISA has a cheap one (x86_64 RDTSC); else fall
-   back to the monotonic clock so callers always get a monotone value.
-   rme_cycles_is_tsc tells the harness which one it is reading. */
-#if defined(__x86_64__)
-
-CAMLprim value rme_cycles(value unit)
-{
-  unsigned lo, hi;
-  (void)unit;
-  __asm__ __volatile__("rdtsc" : "=a"(lo), "=d"(hi));
-  /* Mask into 62 bits: the counter wraps instead of overflowing the
-     tagged int, and callers only ever difference nearby readings. */
-  return Val_long((((uint64_t)hi << 32) | lo) & 0x3fffffffffffffffULL);
-}
-
-CAMLprim value rme_cycles_is_tsc(value unit)
-{
-  (void)unit;
-  return Val_true;
-}
-
-#else
-
-CAMLprim value rme_cycles(value unit) { return rme_monotonic_ns(unit); }
-
-CAMLprim value rme_cycles_is_tsc(value unit)
-{
-  (void)unit;
-  return Val_false;
-}
-
-#endif
 
 /* Pin the calling thread (hence the calling domain: OCaml 5 domains are
    one systhread at a time on the domain's backbone thread) to one core.

@@ -1,7 +1,8 @@
 (** Native stress/throughput harness: N domains hammer one recoverable
-    lock, a controller injects stop-the-world crashes, and online monitors
-    track the same properties the simulator's driver checks (CS occupancy,
-    CSR, lost updates on an intentionally unprotected counter). *)
+    lock over the {!Run} kernel, a controller injects stop-the-world
+    crashes, and online monitors track the same properties the
+    simulator's driver checks: CS occupancy and lost updates on an
+    intentionally unprotected counter (one {!Monitor} slot), and CSR. *)
 
 type sample = { at : float;  (** seconds since the run started *)
                 total_passages : int }
@@ -27,67 +28,55 @@ type result = {
       (** workers whose core pin actually landed; 0 unless [~pin:true]
           on a platform with affinity support *)
   passage_ns : Sim.Stats.t option;
-      (** per-passage latency histogram, all workers merged; [Some]
-          iff the run was armed with [~latency:true] *)
-  timer_is_tsc : bool;
-      (** unit of {!passage_ns}: cycles (x86 TSC) when [~timer:`Cycles]
-          resolved to a real cycle counter, monotonic ns otherwise *)
+      (** per-passage latency histogram in monotonic ns, all workers
+          merged; [Some] iff the run was armed with [~latency:true] *)
   alloc_words_per_passage : float option;
-      (** worker 1's minor-heap words per steady-state passage (first
-          fifth of its passages = warmup); [Some] iff the run was armed
-          with [~alloc_probe:true] and ran failure-free *)
+      (** worker 1's minor-heap words per steady-state passage
+          ({!Run.outcome.alloc_words_per_op}: the first fifth of the
+          budget is warmup); [Some] iff the run was armed with
+          [~alloc_probe:true] and worker 1 passed the warmup mark *)
 }
 
 val run :
   ?crash_interval:float ->
   ?max_crashes:int ->
   ?seed:int ->
-  ?csr_poll:bool ->
   ?sample_interval:float ->
   ?spin:Backoff.mode ->
   ?pin:bool ->
   ?latency:bool ->
-  ?timer:[ `Ns | `Cycles ] ->
   ?alloc_probe:bool ->
-  ?sync_start:bool ->
   ?run_for:float ->
   n:int ->
   passages:int ->
   make:(Crash.t -> n:int -> Intf.rme) ->
   unit ->
   result
-(** [run ~n ~passages ~make ()] spawns [n] worker domains, each executing
-    [passages] passages. [crash_interval] (seconds) arms the crash
-    controller; [max_crashes] (default 50) bounds it. [seed] makes the
-    controller jitter each interval over [dt/2, 3dt/2) with a seeded PRNG,
-    so the crash {e schedule} replays for a given seed (the interleaving
-    underneath is still real hardware concurrency); it also seeds the
-    spin-backoff streams. [csr_poll] (default true) inserts a crash poll
-    point {e inside} the critical section so crashed-in-CS recovery is
-    actually exercised. [sample_interval] (seconds, min 1ms) arms a
-    passive sampler thread that records the total-passage counter
-    periodically ({!result.samples}) — a passages/s time series across
-    crash storms.
+(** [run ~n ~passages ~make ()] runs [n] worker domains over the {!Run}
+    kernel (start barrier, window, probe, pinning; [elapsed] counts from
+    the moment all workers are live), each executing [passages]
+    passages. Every passage polls the crash flag once inside the
+    critical section, so crashed-in-CS recovery is exercised.
+    [crash_interval] (seconds) arms the crash controller; [max_crashes]
+    (default 50) bounds it. [seed] jitters each interval over
+    [dt/2, 3dt/2) with a seeded PRNG, so the crash {e schedule} replays
+    (the interleaving underneath is still real hardware concurrency),
+    and seeds the spin-backoff streams. [sample_interval] (seconds, min
+    1ms) arms a passive sampler thread recording the total-passage
+    counter ({!result.samples}). With neither armed the main domain
+    just joins.
 
     Hardware knobs (DESIGN.md §5.15): [spin] picks the spin-wait policy
-    (default {!Backoff.Exponential}); [pin] (default false) pins worker
-    [pid] to core [(pid-1) mod cores], best-effort — {!result.pinned}
-    reports how many landed; [latency] arms per-passage latency
-    histograms ([timer] selects monotonic ns, the default, or the cycle
-    counter); [alloc_probe] measures worker 1's steady-state minor-heap
-    allocation per passage (meaningful failure-free only). Latency
-    recording itself boxes a float per passage, so don't combine it with
-    [alloc_probe] on a row whose audit must read zero. [sync_start]
-    (default false) holds every worker at a barrier until the last
-    domain is up — without it, budgets that fit in one OS timeslice
-    finish before the next domain spawns and a "contended" run silently
-    measures serial execution (E14 arms it on every throughput row).
-    [run_for] (seconds) additionally stops workers from starting new
-    passages once the window closes, whatever [passages] remains:
-    fixed-duration windows much longer than an OS timeslice measure the
-    contended steady state instead of the bimodal
-    finished-before-overlap mix that fixed budgets produce; in-flight
-    passages complete cleanly, so FIFO queues drain. *)
+    (default {!Backoff.Exponential}); [pin] (default false) pins workers
+    to cores, best-effort; [latency] arms per-passage latency histograms
+    (monotonic ns); [alloc_probe] measures worker 1's steady-state
+    minor-heap allocation per passage (failure-free runs only). Latency
+    recording boxes a float per passage, so don't combine it with
+    [alloc_probe] on a row whose audit must read zero. [run_for]
+    (seconds) stops workers from starting new passages once the window
+    closes, whatever [passages] remains: windows much longer than an OS
+    timeslice measure the contended steady state instead of the bimodal
+    finished-before-overlap mix that fixed budgets produce. *)
 
 val schema : Sim.Json.Schema.doc
 (** ["rme-native-metrics/1"], the shape {!metrics} emits ([native

@@ -87,7 +87,8 @@ let flush t ~epoch =
         end
       done;
       (* In-CS poll point: lets the drill crash a holder (the analogue of
-         Workers' csr_poll), after this batch's serves are accounted. *)
+         the poll inside Workers' CS), after this batch's serves are
+         accounted. *)
       Crash.check crash;
       Table.release t.table ~pid:t.pid ~epoch ~shard:s;
       t.batches <- t.batches + 1;

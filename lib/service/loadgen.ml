@@ -1,8 +1,9 @@
 (* The service load harness: n worker domains replay pregenerated
    open-loop traffic (Traffic) against a sharded lock table (Table)
-   through per-domain batching clients (Client), under the same crash
-   protocol, monitors and metrics discipline as [Rme_native.Workers] —
-   plus the crash-recovery drill: a system-wide epoch bump while under
+   through per-domain batching clients (Client), over the same run kernel
+   ([Rme_native.Run]: spawn, pinning, start barrier, window, allocation
+   probe) and monitor set as [Rme_native.Workers] — plus the
+   crash-recovery drill: a system-wide epoch bump while under
    load, with the controller measuring how long the recovery barrier
    takes to drain across every shard that was hot at the bump.
 
@@ -42,7 +43,7 @@
 module Crash = Rme_native.Crash
 module Backoff = Rme_native.Backoff
 module Clock = Rme_native.Clock
-module Pin = Rme_native.Pin
+module Run = Rme_native.Run
 
 type drill_report = {
   d_epoch : int;  (** epoch after the bump *)
@@ -89,8 +90,6 @@ type result = {
           armed with [~alloc_probe:true] (arm it on drill-free runs) *)
 }
 
-let minor_words_int () = int_of_float (Gc.minor_words ())
-
 let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
     ?(theta = 0.99) ?(rate_rps = 0.) ?(think_ns = 0) ?(batch = 16)
     ?(spin = Backoff.Exponential) ?(pin = false) ?(alloc_probe = false)
@@ -110,9 +109,6 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
   in
   let budget = per_worker in
   let open_loop = rate_rps > 0. in
-  let cores = Domain.recommended_domain_count () in
-  let started = Atomic.make 0 in
-  let pinned = Atomic.make 0 in
   let drill_done = Atomic.make (if drill_after = None then 1 else 0) in
   (* Per-worker plain result state, allocated before spawn; each slot has
      a single writer and is read by the main domain only after join. *)
@@ -122,36 +118,15 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
   let sweeps = Array.make (n + 1) 0 in
   let wbatches = Array.make n 0 in
   let wmax_batch = Array.make n 0 in
-  let alloc_start = ref (-1) in
-  let alloc_stop = ref (-1) in
-  let alloc_mark = ref 0 in
-  let alloc_served = ref 0 in
-  let warmup = max 1 (budget / 5) in
-  let deadline =
-    match run_for with
-    | None -> max_int
-    | Some s -> Clock.now_ns () + int_of_float (s *. 1e9)
-  in
-  let timed = deadline <> max_int in
-  let t0_wall = ref 0. in
-  let worker pid () =
-    if pin && Pin.to_core ((pid - 1) mod cores) then
-      ignore (Atomic.fetch_and_add pinned 1);
-    (* Start barrier, always armed: a service run is contended by
-       construction, and the drill controller must know every worker is
-       live before it arms the timer (DESIGN.md §5.15). *)
-    ignore (Atomic.fetch_and_add started 1);
-    while Atomic.get started < n do
-      Domain.cpu_relax ()
-    done;
+  let body run ~pid =
     let st = traffic.Traffic.streams.(pid - 1) in
     let skeys = st.Traffic.s_keys and arr = st.Traffic.s_arrival_ns in
     let served = served_flags.(pid - 1) in
     let mylat = lat.(pid - 1) in
     let myshard = wshard_served.(pid - 1) in
     let mark = ref 0 and next = ref 0 in
+    let progress () = !mark in
     let swept_epoch = ref (Crash.epoch crash) in
-    let probing = alloc_probe && pid = 1 in
     let bk = Crash.backoff crash in
     let t0 = Clock.now_ns () in
     let on_served ~tag ~shard =
@@ -166,7 +141,28 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
       mylat.(i) <- (if open_loop then t0 + arr.(i) else Clock.now_ns ());
       Client.submit client ~key:skeys.(i) ~tag:i
     in
-    let body ~epoch =
+    let step ~epoch () =
+      let now_rel = Clock.now_ns () - t0 in
+      while !next < budget && Client.room client && arr.(!next) <= now_rel do
+        push !next;
+        incr next
+      done;
+      if Client.pending client > 0 then Client.flush client ~epoch
+      else if !next < budget then begin
+        (* Open-loop idle: nothing due yet; pace out to the next
+           arrival under the crash-polled backoff. *)
+        let target = t0 + arr.(!next) in
+        while Clock.now_ns () < target do
+          Crash.check crash;
+          Backoff.once bk
+        done;
+        Backoff.reset bk
+      end;
+      while !mark < budget && Bytes.get served !mark = '\001' do
+        incr mark
+      done
+    in
+    fun ~epoch ->
       if epoch > !swept_epoch then begin
         (* Post-crash re-entry: see the module comment's protocol. *)
         Table.abandon_held table ~pid;
@@ -178,56 +174,17 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
           if Bytes.get served i = '\000' then push i
         done
       end;
-      while !mark < budget && ((not timed) || Clock.now_ns () < deadline) do
-        Crash.check crash;
-        if probing && !alloc_start < 0 && !mark >= warmup then begin
-          alloc_mark := !mark;
-          alloc_start := minor_words_int ()
-        end;
-        let now_rel = Clock.now_ns () - t0 in
-        while !next < budget && Client.room client && arr.(!next) <= now_rel do
-          push !next;
-          incr next
-        done;
-        if Client.pending client > 0 then Client.flush client ~epoch
-        else if !next < budget then begin
-          (* Open-loop idle: nothing due yet; pace out to the next
-             arrival under the crash-polled backoff. *)
-          let target = t0 + arr.(!next) in
-          while Clock.now_ns () < target do
-            Crash.check crash;
-            Backoff.once bk
-          done;
-          Backoff.reset bk
-        end;
-        while !mark < budget && Bytes.get served !mark = '\001' do
-          incr mark
-        done
-      done;
-      if probing && !alloc_start >= 0 && !alloc_stop < 0 then begin
-        alloc_stop := minor_words_int ();
-        alloc_served := !mark
-      end;
+      Run.loop run ~pid ~progress (step ~epoch);
       (* Hold until the drill completes so this worker's sweep partition
          keeps a live recoverer (no-op when no drill is armed). *)
       if Atomic.get drill_done = 0 then
-        Crash.spin_until crash (fun () -> Atomic.get drill_done = 1)
-    in
-    Crash.worker_run crash ~pid body;
-    wbatches.(pid - 1) <- Client.batches client;
-    wmax_batch.(pid - 1) <- Client.max_batch client;
-    Crash.worker_done crash ~pid
+        Crash.spin_until crash (fun () -> Atomic.get drill_done = 1);
+      wbatches.(pid - 1) <- Client.batches client;
+      wmax_batch.(pid - 1) <- Client.max_batch client
   in
-  let domains = List.init n (fun i -> Domain.spawn (worker (i + 1))) in
-  while Atomic.get started < n do
-    Domain.cpu_relax ()
-  done;
-  t0_wall := Unix.gettimeofday ();
   let crashes = ref 0 in
   let drill = ref None in
-  (match drill_after with
-  | None -> ()
-  | Some s ->
+  let drill_controller s _run =
     Unix.sleepf s;
     let tc = Clock.now_ns () in
     Crash.crash crash;
@@ -254,9 +211,14 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
           d_drained = hot - remaining;
           d_drain_s = drain_s;
           d_sweeps = 0 (* filled in after join *);
-        });
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. !t0_wall in
+        }
+  in
+  let outcome =
+    Run.run ~pin ?run_for ~alloc_probe
+      ?controller:(Option.map drill_controller drill_after)
+      ~crash ~n ~budget body
+  in
+  let elapsed = outcome.Run.elapsed in
   let drill =
     Option.map
       (fun d -> { d with d_sweeps = Array.fold_left ( + ) 0 sweeps })
@@ -314,13 +276,6 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
         !c)
       served_flags
   in
-  let alloc_words_per_req =
-    if alloc_probe && !alloc_stop >= 0 && !alloc_served > !alloc_mark then
-      Some
-        (float_of_int (!alloc_stop - !alloc_start)
-        /. float_of_int (!alloc_served - !alloc_mark))
-    else None
-  in
   {
     stack;
     n;
@@ -343,14 +298,14 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
     max_batch = Array.fold_left Stdlib.max 0 wmax_batch;
     elapsed;
     spin;
-    pinned = Atomic.get pinned;
+    pinned = outcome.Run.pinned;
     traffic_fingerprint = Traffic.fingerprint traffic;
     open_loop;
     latency_ns = agg;
     shard_latency =
       List.map (fun (s, h) -> (s, shard_served.(s), h)) top_hists;
     drill;
-    alloc_words_per_req;
+    alloc_words_per_req = outcome.Run.alloc_words_per_op;
   }
 
 let total_served r = Array.fold_left ( + ) 0 r.served

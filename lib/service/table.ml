@@ -10,23 +10,17 @@
    touch the lookup is one atomic load and a pattern match, so
    materialization stays entirely off the steady-state passage path.
 
-   Monitoring mirrors [Rme_native.Workers] per shard: an occupancy
-   counter checked at entry (mutual exclusion across the *logical* shard,
-   independent of the lock's own internals), a deliberately-plain
-   per-shard counter vs an atomic completion counter (lost updates reveal
-   broken exclusion), and a per-shard last-served epoch that the
-   crash-recovery drill reads to observe the recovery barrier draining.
-
-   Crash discipline: [acquire] records the holder in a per-pid slot
-   *after* the occupancy increment with no crash-poll point in between
-   (plain OCaml code cannot raise {!Rme_native.Crash.Crashed}; only
-   backend operations poll), so on a crash the worker's re-entry handler
-   can call [abandon_held] to release the occupancy monitor exactly when
-   it was really held. *)
+   Monitoring is one {!Rme_native.Monitor} slot per shard (occupancy,
+   lost updates, the held slot), beside a per-shard last-served epoch
+   that the crash-recovery drill reads to watch the recovery barrier
+   drain. [Monitor.enter] records the held shard with no crash-poll point
+   after the occupancy increment, so the re-entry handler's
+   [abandon_held] releases the occupancy exactly when it was held. *)
 
 module Crash = Rme_native.Crash
 module Stack = Rme_native.Stack
 module Intf = Rme_native.Intf
+module Monitor = Rme_native.Monitor
 
 type t = {
   crash : Crash.t;
@@ -38,18 +32,18 @@ type t = {
   padded : bool;
   locks : Intf.rme option Atomic.t array;  (* length [shards] *)
   materialized : int Atomic.t;
-  occupancy : int Atomic.t array;
-  me_violations : int Atomic.t;
-  counter : int array;  (* deliberately plain; see module comment *)
-  completions : int Atomic.t array;
+  monitor : Monitor.t;  (* one slot per shard *)
   served_epoch : int Atomic.t array;  (* epoch of the last completed
                                          passage; 0 = never served *)
-  holding : int array;  (* per pid (index 1..n): shard currently held,
-                           -1 = none; single-writer per slot *)
-  engaged : int array;  (* per pid: shard whose passage (recover..exit)
-                           this pid is inside, -1 = none; spans strictly
-                           more than [holding] — see [repair_engaged] *)
+  engaged : int array;  (* at [pid * line]: shard whose passage
+                           (recover..exit) this pid is inside, -1 = none;
+                           spans strictly more than the monitor's held
+                           slot — see [repair_engaged] *)
 }
+
+(* Words per cache line: each pid writes its [engaged] entry twice per
+   passage, so entries sit a line apart instead of false-sharing. *)
+let line = 8
 
 (* Key -> shard spread: one avalanche round of the fingerprint mix, so
    the Zipf head keys (0, 1, 2, ...) land on unrelated shards the way
@@ -77,13 +71,9 @@ let create ?(model = Sim.Memory.Cc) ?(padded = true) ?(shards = 1024) ~stack
     padded;
     locks = Array.init shards (fun _ -> Atomic.make None);
     materialized = Atomic.make 0;
-    occupancy = Array.init shards (fun _ -> Atomic.make 0);
-    me_violations = Atomic.make 0;
-    counter = Array.make shards 0;
-    completions = Array.init shards (fun _ -> Atomic.make 0);
+    monitor = Monitor.create ~n ~slots:shards;
     served_epoch = Array.init shards (fun _ -> Atomic.make 0);
-    holding = Array.make (n + 1) (-1);
-    engaged = Array.make (n + 1) (-1);
+    engaged = Array.make ((n + 1) * line) (-1);
   }
 
 let shards t = t.shards
@@ -91,7 +81,7 @@ let keys t = t.keys
 let stack_name t = t.stack
 let crash_handle t = t.crash
 let materialized t = Atomic.get t.materialized
-let me_violations t = Atomic.get t.me_violations
+let me_violations t = Monitor.me_violations t.monitor
 
 let shard_of t key = shard_of_key ~shards:t.shards key
 
@@ -116,40 +106,29 @@ let acquire t ~pid ~epoch ~shard =
      flag), and the lock's recovery barriers will block *other* pids on
      this pid re-passaging exactly this shard. [repair_engaged] reads it
      on re-entry. *)
-  t.engaged.(pid) <- shard;
+  t.engaged.(pid * line) <- shard;
   let lock = lock_of t shard in
   lock.Intf.recover ~pid ~epoch;
   lock.Intf.enter ~pid ~epoch;
-  if Atomic.fetch_and_add t.occupancy.(shard) 1 <> 0 then
-    ignore (Atomic.fetch_and_add t.me_violations 1);
-  (* No crash-poll point between the increment and this store. *)
-  t.holding.(pid) <- shard
+  Monitor.enter t.monitor ~pid ~slot:shard
 
 (* One request's critical-section work; call between [acquire] and
    [release], any number of times (batching serves several requests
    under one passage). *)
-let serve t ~shard =
-  t.counter.(shard) <- t.counter.(shard) + 1;
-  ignore (Atomic.fetch_and_add t.completions.(shard) 1)
+let serve t ~shard = Monitor.serve t.monitor ~slot:shard
 
 let release t ~pid ~epoch ~shard =
-  t.holding.(pid) <- -1;
-  ignore (Atomic.fetch_and_add t.occupancy.(shard) (-1));
+  Monitor.exit t.monitor ~pid ~slot:shard;
   Atomic.set t.served_epoch.(shard) epoch;
   (* The lock's own exit can crash-unwind; monitors are already clean. *)
   (match Atomic.get t.locks.(shard) with
   | Some lock -> lock.Intf.exit ~pid ~epoch
   | None -> assert false);
-  t.engaged.(pid) <- -1
+  t.engaged.(pid * line) <- -1
 
 (* Post-crash: release the occupancy monitor iff this pid died holding a
    shard. Call from the worker's re-entry path before anything else. *)
-let abandon_held t ~pid =
-  let shard = t.holding.(pid) in
-  if shard >= 0 then begin
-    t.holding.(pid) <- -1;
-    ignore (Atomic.fetch_and_add t.occupancy.(shard) (-1))
-  end
+let abandon_held t ~pid = ignore (Monitor.abandon t.monitor ~pid)
 
 (* Post-crash, after [abandon_held]: one recovery passage over the shard
    this pid's crash-unwound passage was entangled with, if any. This MUST
@@ -165,7 +144,7 @@ let abandon_held t ~pid =
    interrupted by another crash, the slot is still set and the repair
    reruns. Returns the passages performed (0 or 1). *)
 let repair_engaged t ~pid ~epoch =
-  let shard = t.engaged.(pid) in
+  let shard = t.engaged.(pid * line) in
   if shard < 0 then 0
   else begin
     acquire t ~pid ~epoch ~shard;
@@ -204,16 +183,6 @@ let undrained t ~epoch =
   done;
   !u
 
-let completions t =
-  Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.completions
-
-let shard_completions t = Array.map Atomic.get t.completions
-
-(* Shards where the plain counter disagrees with the atomic completion
-   count — each one is a lost update, i.e. broken mutual exclusion. *)
-let lost_update_shards t =
-  let bad = ref 0 in
-  for s = 0 to t.shards - 1 do
-    if t.counter.(s) <> Atomic.get t.completions.(s) then incr bad
-  done;
-  !bad
+let completions t = Monitor.total_completions t.monitor
+let shard_completions t = Monitor.completions t.monitor
+let lost_update_shards t = Monitor.lost_update_slots t.monitor

@@ -4,9 +4,8 @@
     first touch (CAS-install, so materialization never serializes other
     shards and stays off the steady-state passage path).
 
-    Per-shard monitors mirror [Rme_native.Workers]: an occupancy counter
-    (logical mutual exclusion), a deliberately-plain counter vs an atomic
-    completion counter (lost updates), and the epoch of the last
+    Monitoring is one {!Rme_native.Monitor} slot per shard (logical
+    mutual exclusion, lost updates), plus the epoch of each shard's last
     completed passage (what the crash drill watches drain). The passage
     path — [acquire]/[serve]/[release] on a materialized shard — is
     allocation-free. *)

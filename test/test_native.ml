@@ -131,6 +131,130 @@ let pin_noop_when_unsupported () =
     Alcotest.(check bool) "unsupported: to_core is a no-op" false
       (Rme_native.Pin.to_core 0)
 
+(* --- Run kernel --- *)
+
+module Run = Rme_native.Run
+module Monitor = Rme_native.Monitor
+
+let kernel_barrier_and_controller () =
+  (* Every body and the controller start only once all n workers are
+     live; the pin count is sane; elapsed fits inside the call. *)
+  let n = 3 in
+  let crash = Rme_native.Crash.create ~n () in
+  let early = Atomic.make 0 and bodies = Atomic.make 0 in
+  let controller_saw = ref (-1) in
+  let t0 = Unix.gettimeofday () in
+  let o =
+    Run.run ~pin:true ~crash ~n ~budget:1
+      ~controller:(fun run -> controller_saw := Run.live run)
+      (fun run ~pid:_ ->
+        if Run.live run < n then Atomic.incr early;
+        Atomic.incr bodies;
+        fun ~epoch:_ -> ())
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "every body ran" n (Atomic.get bodies);
+  Alcotest.(check int) "no body started before all were live" 0
+    (Atomic.get early);
+  Alcotest.(check int) "controller started with all live" n !controller_saw;
+  Alcotest.(check bool) "elapsed within the call's wall time" true
+    (0. <= o.Run.elapsed && o.Run.elapsed <= wall);
+  Alcotest.(check bool) "pinned within [0, n]" true
+    (0 <= o.Run.pinned && o.Run.pinned <= n);
+  Alcotest.(check bool) "probe disarmed" true (o.Run.alloc_words_per_op = None)
+
+let kernel_window_ends_unbounded_budget () =
+  let n = 2 in
+  let crash = Rme_native.Crash.create ~n () in
+  let steps = Array.make (n + 1) 0 in
+  let t0 = Unix.gettimeofday () in
+  let o =
+    Run.run ~run_for:0.05 ~crash ~n ~budget:max_int (fun run ~pid ->
+        fun ~epoch:_ ->
+          Run.loop run ~pid
+            ~progress:(fun () -> steps.(pid))
+            (fun () -> steps.(pid) <- steps.(pid) + 1))
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  if wall > 5.0 then Alcotest.failf "a 0.05s window ran for %.2fs" wall;
+  Alcotest.(check bool) "every worker stepped" true
+    (steps.(1) > 0 && steps.(2) > 0);
+  Alcotest.(check bool) "elapsed within the call's wall time" true
+    (o.Run.elapsed <= wall)
+
+let probe_under_window () =
+  (* A window that closes before worker 1 reaches the warmup mark has
+     measured nothing: the probe must say so rather than divide by the
+     budget. With latency armed (a boxed float per passage) any reading
+     it does take must show the allocation. *)
+  let t1 crash ~n = Rme_native.Stack.recoverable crash ~n "t1-mcs" in
+  let unbounded =
+    Rme_native.Workers.run ~alloc_probe:true ~run_for:0.05 ~n:1
+      ~passages:max_int ~make:t1 ()
+  in
+  assert_native_clean "unbounded probe run" unbounded;
+  Alcotest.(check bool) "max_int budget: no reading" true
+    (unbounded.Rme_native.Workers.alloc_words_per_passage = None);
+  let boxed =
+    Rme_native.Workers.run ~latency:true ~alloc_probe:true ~run_for:0.05 ~n:1
+      ~passages:100_000_000 ~make:t1 ()
+  in
+  assert_native_clean "latency probe run" boxed;
+  match boxed.Rme_native.Workers.alloc_words_per_passage with
+  | None -> ()
+  | Some w when w >= 1.0 -> ()
+  | Some w -> Alcotest.failf "allocating path read %.4f words/passage" w
+
+(* --- Monitor --- *)
+
+let monitor_counts_violations () =
+  let m = Monitor.create ~n:2 ~slots:2 in
+  Monitor.enter m ~pid:1 ~slot:0;
+  Monitor.enter m ~pid:2 ~slot:0;
+  Alcotest.(check int) "two holders, one violation" 1
+    (Monitor.me_violations m);
+  (* Lost updates: two domains race the plain counter of slot 0 while
+     slot 1 is served alone. The atomic completion count stays exact. *)
+  Monitor.serve m ~slot:1;
+  let per_domain = 200_000 in
+  let rounds = ref 0 in
+  while Monitor.lost_update_slots m = 0 && !rounds < 20 do
+    incr rounds;
+    let go = Atomic.make 0 in
+    let racer () =
+      Atomic.incr go;
+      while Atomic.get go < 2 do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to per_domain do
+        Monitor.serve m ~slot:0
+      done
+    in
+    let d = Domain.spawn racer in
+    racer ();
+    Domain.join d
+  done;
+  Alcotest.(check int) "one lost-update slot" 1 (Monitor.lost_update_slots m);
+  Alcotest.(check int) "completions exact"
+    ((2 * per_domain * !rounds) + 1)
+    (Monitor.total_completions m)
+
+let monitor_abandon_releases_held_slot () =
+  let m = Monitor.create ~n:2 ~slots:3 in
+  Monitor.enter m ~pid:1 ~slot:2;
+  Monitor.enter m ~pid:2 ~slot:0;
+  Alcotest.(check int) "abandon returns the held slot" 2
+    (Monitor.abandon m ~pid:1);
+  Alcotest.(check int) "nothing left to abandon" (-1)
+    (Monitor.abandon m ~pid:1);
+  Monitor.enter m ~pid:1 ~slot:2;
+  Alcotest.(check int) "abandoned slot is free again" 0
+    (Monitor.me_violations m);
+  Monitor.exit m ~pid:1 ~slot:2;
+  Monitor.enter m ~pid:1 ~slot:0;
+  Alcotest.(check int) "other pid's slot still held" 1
+    (Monitor.me_violations m)
+
 (* --- Crash protocol --- *)
 
 let crash_protocol_epochs () =
@@ -358,7 +482,7 @@ let native_instrumentation_smoke () =
     | Error e -> Alcotest.failf "%s: metrics invalid: %s" what e
   in
   let lat =
-    Rme_native.Workers.run ~latency:true ~sync_start:true ~n:2 ~passages:2_000
+    Rme_native.Workers.run ~latency:true ~n:2 ~passages:2_000
       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
       ()
   in
@@ -370,7 +494,7 @@ let native_instrumentation_smoke () =
       (Sim.Stats.count h));
   check_metrics "latency run" lat;
   let probe =
-    Rme_native.Workers.run ~alloc_probe:true ~sync_start:true ~n:1
+    Rme_native.Workers.run ~alloc_probe:true ~n:1
       ~passages:5_000
       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
       ()
@@ -383,7 +507,7 @@ let native_instrumentation_smoke () =
       Alcotest.failf "steady-state passage path allocates: %.2f words" w);
   check_metrics "alloc probe run" probe;
   let windowed =
-    Rme_native.Workers.run ~run_for:0.05 ~sync_start:true ~n:2
+    Rme_native.Workers.run ~run_for:0.05 ~n:2
       ~passages:max_int
       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
       ()
@@ -400,7 +524,7 @@ let native_window_outlives_sampler () =
      The chunked wait notices the finished run within ~10 ms. *)
   let t0 = Unix.gettimeofday () in
   let windowed =
-    Rme_native.Workers.run ~run_for:0.05 ~sample_interval:5.0 ~sync_start:true
+    Rme_native.Workers.run ~run_for:0.05 ~sample_interval:5.0
       ~n:2 ~passages:max_int
       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
       ()
@@ -417,7 +541,7 @@ let native_window_outlives_sampler () =
      possibly-empty samples list) must still validate. *)
   let t0 = Unix.gettimeofday () in
   let budgeted =
-    Rme_native.Workers.run ~sample_interval:5.0 ~sync_start:true ~n:2
+    Rme_native.Workers.run ~sample_interval:5.0 ~n:2
       ~passages:200
       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
       ()
@@ -465,6 +589,11 @@ let () =
           case "pinned-run-clean" native_pinned_run_clean;
           case "instrumentation-smoke" native_instrumentation_smoke;
           case "window-outlives-sampler" native_window_outlives_sampler;
+          case "kernel-barrier-controller" kernel_barrier_and_controller;
+          case "kernel-window" kernel_window_ends_unbounded_budget;
+          case "probe-under-window" probe_under_window;
+          case "monitor-violations" monitor_counts_violations;
+          case "monitor-abandon" monitor_abandon_releases_held_slot;
         ] );
       ("crash-protocol", [ case "epochs" crash_protocol_epochs ]);
       ( "barrier",

@@ -720,7 +720,7 @@ let emitted_documents () =
     (Driver.schema, Driver.metrics (crashy_report 21), [], Some "completed");
     ( Rme_native.Workers.schema,
       Rme_native.Workers.metrics native,
-      [ "passage_latency"; "latency_unit"; "alloc_words_per_passage" ],
+      [ "passage_latency"; "alloc_words_per_passage" ],
       Some "completed" );
     ( Rme_service.Loadgen.schema,
       Rme_service.Loadgen.metrics service,
