@@ -244,11 +244,13 @@ perf-smoke: build
 	  esac; \
 	done
 
-# Paired parent/change timing (bench/perf_pair.py): REF checked out in a
-# temporary git worktree, PAIRS alternating perfbench runs of workload W
-# against the working tree at the benchmark's run length, each side's
-# median and IQR per end-to-end metric, the ratio, the win count and
-# a gain / no gain / unresolved / regression verdict per metric.
+# Paired parent/change timing (bench/perf_pair.py): REF checked out in one
+# temporary git worktree, then for each workload in W (one or several,
+# W="mc-replay mc-sym") PAIRS alternating perfbench runs against the
+# working tree at the benchmark's run length, each side's median and IQR
+# per end-to-end metric, the ratio, the win count and a gain / no gain /
+# unresolved / regression verdict per metric; a last line names every
+# regression.
 REF ?= HEAD~1
 W ?= mc-replay
 PAIRS ?= 10

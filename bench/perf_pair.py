@@ -3,17 +3,18 @@
 
 Run from the repository root:
 
-    python3 bench/perf_pair.py --ref HEAD~1 --workload mc-replay --pairs 10
+    python3 bench/perf_pair.py --ref HEAD~1 --workload mc-replay mc-sym --pairs 10
 
-(or `make perf-pair REF=HEAD~1 W=mc-replay PAIRS=10`). It checks out REF
-in a temporary git worktree (under $TMPDIR, /tmp by default; removed
-afterwards) and runs perfbench/run.py alternately in the two trees at
-BENCHMARK.json's run_seconds, swapping which tree runs first in every
-other pair, so slow drifts of the host load hit both sides alike. The
-metrics come from the result line of each run.
+(or `make perf-pair REF=HEAD~1 W="mc-replay mc-sym" PAIRS=10`). It checks
+out REF in one temporary git worktree (under $TMPDIR, /tmp by default;
+removed afterwards) and, for each workload in turn, runs perfbench/run.py
+alternately in the two trees at BENCHMARK.json's run_seconds, swapping
+which tree runs first in every other pair, so slow drifts of the host
+load hit both sides alike. The metrics come from the result line of each
+run.
 
-It prints every pair and, for each end-to-end metric BENCHMARK.json
-declares, each side's median and IQR (interquartile range, linear
+It prints every pair and, per workload, one verdict block: for each
+end-to-end metric BENCHMARK.json declares, each side's median and IQR (interquartile range, linear
 interpolation between closest ranks, as perfbench/measure.ml computes
 percentiles), the change/reference ratio of the medians and the number
 of pairs the change won. The verdict, in order:
@@ -26,7 +27,9 @@ of pairs the change won. The verdict, in order:
   "better, not a gain"  better by more than the IQR, too few wins;
   otherwise how much worse the change is against the metric's bound,
   and "regression" beyond it.
-It exits non-zero when a run fails or reports "correct": false.
+A last line names every workload and metric judged "regression", or says
+there is none. It exits non-zero when a run fails or reports
+"correct": false.
 """
 
 import argparse
@@ -96,10 +99,26 @@ def report(name, lower, bound, ref, change):
         verdict = "worse by %.1f%%, within the %g%% bound" % (
             100 * worse_by, 100 * bound)
     ratio = "%.3f" % (ch_med / ref_med) if ref_med else "n/a"
-    print("%-12s ref median %.6g IQR %.6g | change median %.6g IQR %.6g"
+    print("  %-12s ref median %.6g IQR %.6g | change median %.6g IQR %.6g"
           " | ratio %s, won %d of %d (%s is better): %s"
           % (name, ref_med, ref_iqr, ch_med, ch_iqr, ratio, wins, len(ref),
              "lower" if lower else "higher", verdict))
+    return verdict
+
+
+def pairs(ref_tree, workload, metrics, seconds, count):
+    runs = {"ref": [], "change": []}
+    for i in range(count):
+        order = [("ref", ref_tree), ("change", ".")]
+        if i % 2 == 1:
+            order.reverse()
+        for side, tree in order:
+            runs[side].append(run_once(tree, workload, seconds))
+        print("%s pair %2d (%s first): %s" % (workload, i + 1, order[0][0], "  ".join(
+            "%s ref %.6g change %.6g" % (m["name"], runs["ref"][-1][m["name"]],
+                                         runs["change"][-1][m["name"]])
+            for m in metrics)), flush=True)
+    return runs
 
 
 def main():
@@ -108,7 +127,8 @@ def main():
     bench = benchmark()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ref", required=True, help="reference revision")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+",
+                    help="one or more workloads, measured in turn")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
     metrics = bench["end_to_end"]
@@ -118,28 +138,23 @@ def main():
     ref_tree = os.path.join(tmp, "ref")
     subprocess.run(["git", "worktree", "add", "--detach", ref_tree, args.ref],
                    check=True, stdout=subprocess.DEVNULL)
+    regressions = []
     try:
-        runs = {"ref": [], "change": []}
-        for i in range(args.pairs):
-            order = [("ref", ref_tree), ("change", ".")]
-            if i % 2 == 1:
-                order.reverse()
-            for side, tree in order:
-                runs[side].append(run_once(tree, args.workload, seconds))
-            print("pair %2d (%s first): %s" % (i + 1, order[0][0], "  ".join(
-                "%s ref %.6g change %.6g" % (m["name"], runs["ref"][-1][m["name"]],
-                                             runs["change"][-1][m["name"]])
-                for m in metrics)), flush=True)
+        for workload in args.workload:
+            runs = pairs(ref_tree, workload, metrics, seconds, args.pairs)
+            print("%s vs working tree on %s, %d pairs of %gs runs"
+                  % (args.ref, workload, args.pairs, seconds))
+            for m in metrics:
+                name = m["name"]
+                verdict = report(name, m["better"] == "lower", m["bound"],
+                                 [r[name] for r in runs["ref"]],
+                                 [r[name] for r in runs["change"]])
+                if verdict.startswith("regression"):
+                    regressions.append("%s %s" % (workload, name))
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", ref_tree])
         shutil.rmtree(tmp, ignore_errors=True)
-
-    print("%s vs %s on %s, %d pairs of %gs runs"
-          % (args.ref, "working tree", args.workload, args.pairs, seconds))
-    for m in metrics:
-        name = m["name"]
-        report(name, m["better"] == "lower", m["bound"],
-               [r[name] for r in runs["ref"]], [r[name] for r in runs["change"]])
+    print("regressions: %s" % (", ".join(regressions) if regressions else "none"))
 
 
 if __name__ == "__main__":

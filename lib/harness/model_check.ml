@@ -182,6 +182,24 @@ let budget_coding ~divergence_bound ~crash_bound ~crash_one_bound =
   end
   else Key_mix
 
+(* A growable int buffer: a world's per-run trail and choice points. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buf () = { data = Array.make 256 0; len = 0 }
+
+(* Makes room for [k] more ints at the end of [b]; returns their offset. *)
+let reserve b k =
+  let off = b.len in
+  if off + k > Array.length b.data then begin
+    let bigger = Array.make (max (off + k) (2 * Array.length b.data)) 0 in
+    Array.blit b.data 0 bigger 0 off;
+    b.data <- bigger
+  end;
+  b.len <- off + k;
+  off
+
+let append b v = b.data.(reserve b 1) <- v
+
 (* --- the simulated world ---
 
    One instance of a scenario: its memory, the stack and monitors
@@ -205,7 +223,18 @@ type world = {
   pmask : Bitset.t; (* productive processes of the current step *)
   dep : Bitset.t; (* POR conflict set of the current choice point *)
   bundles : int array; (* per-pid digests of the current sym state *)
+  trail : buf; (* the decisions the current run has taken *)
+  points : buf; (* its choice points, laid out as below *)
 }
+
+(* One choice point in [points]: these fields, then the productive set
+   and, under [Por]/[Sym], the POR conflict set, each as [Bitset.width]
+   words — so any n fits, and recording one allocates nothing. *)
+let cp_pos = 0 (* trace position *)
+let cp_default = 1 (* the default pid there *)
+let cp_sleep = 2 (* the sleep set there *)
+let cp_opaque = 3 (* productive processes whose next step is opaque *)
+let cp_sets = 4
 
 let world scenario =
   let n = scenario.n in
@@ -247,6 +276,8 @@ let world scenario =
     pmask = Bitset.create n;
     dep = Bitset.create n;
     bundles = Array.make (max 1 n) 0;
+    trail = buf ();
+    points = buf ();
   }
 
 let reset w ~violation =
@@ -264,6 +295,13 @@ let state_fingerprint w ~cur =
   let h = Encode.mix (Memory.fingerprint w.mem) (Runtime.fingerprint w.rt) in
   let h = List.fold_left (fun h hook -> Encode.mix h (hook ())) h w.fp_hooks in
   Encode.mix h cur
+
+(* [h] mixed with every hook's slice of [pid], without the closure a
+   [List.fold_left] over [pid] would allocate per process and state. *)
+let rec mix_slices h hooks pid =
+  match hooks with
+  | [] -> h
+  | hook :: rest -> mix_slices (Encode.mix h (hook pid)) rest pid
 
 (* Symmetry-canonical fingerprint (DESIGN.md §5.19): the residue
    (globals, cell count, epoch, permutation-invariant monitor parts)
@@ -291,9 +329,7 @@ let sym_fingerprint w ~cur =
     let b =
       Encode.mix (Runtime.sym_contribution rt pid) (Memory.sym_part mem pid)
     in
-    let b =
-      List.fold_left (fun h hook -> Encode.mix h (hook pid)) b w.sym_hooks
-    in
+    let b = mix_slices b w.sym_hooks pid in
     bundles.(pid - 1) <- b
   done;
   let cur_bundle = if cur = 0 then 0 else bundles.(cur - 1) in
@@ -340,6 +376,52 @@ type run_result = {
   r_trace : int array;  (* the full decision sequence this run took *)
 }
 
+(* [scan]'s answers besides a pid. *)
+let all_finished = 0
+let stuck = -1
+
+(* The per-step scan [replay] and [run_schedule_in] share: fills
+   [w.pmask] with the productive (runnable and not spin-blocked)
+   processes and returns the run-until-blocked default — [cur] while it
+   stays productive, else the next productive pid after it, wrapping
+   around — or [all_finished] when no process is runnable and [stuck]
+   when every runnable process is spin-blocked. Fair, and terminating for
+   livelock-free algorithms. Allocates nothing. *)
+let scan w ~cur =
+  let rt = w.rt and pmask = w.pmask in
+  Bitset.clear pmask;
+  let runnable = ref false and first = ref 0 and next = ref 0 in
+  for p = 1 to Runtime.n rt do
+    if Runtime.runnable rt p then begin
+      runnable := true;
+      if not (Runtime.blocked rt p) then begin
+        Bitset.add pmask p;
+        if !first = 0 then first := p;
+        if !next = 0 && p > cur then next := p
+      end
+    end
+  done;
+  if not !runnable then all_finished
+  else if !first = 0 then stuck
+  else if Bitset.mem pmask cur then cur
+  else if !next <> 0 then !next
+  else !first
+
+(* The deadlock path, after [scan] answered [stuck]: the runnable
+   processes, every one spin-blocked, and the violation naming what each
+   spins on. *)
+let deadlock_report rt =
+  let enabled = Runtime.enabled rt in
+  let where =
+    String.concat ", "
+      (List.map
+         (fun p ->
+           Printf.sprintf "p%d@%s" p
+             (Option.value ~default:"?" (Runtime.blocked_on rt p)))
+         enabled)
+  in
+  (enabled, "deadlock: " ^ where)
+
 let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
     ~max_steps ~reduction ~vset ~coding ~eager
     { base; cut; alt; div_used; crashes_used; ones_used; sleep = sleep0 } =
@@ -356,35 +438,33 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
     ignore (Memory.fingerprint mem);
     ignore (Runtime.fingerprint rt)
   end;
+  (* The budget vector ([div_used], [crashes_used], [ones_used]) is the
+     forced part's, precomputed by the parent (see {!item}): free
+     positions always take the default, so a run consumes nothing more,
+     and every choice point it records is reached with exactly this
+     budget. *)
   let forced_len = if alt <> no_alt then cut + 1 else cut in
-  let forced i = if i < cut then base.(i) else alt in
-  (* The trace actually taken, and the positions at which alternatives
-     remain to be explored. *)
-  let taken = ref [] in
-  let choice_points = ref [] in
+  (* The trace actually taken, and the choice points: the positions at
+     which alternatives remain to be explored. *)
+  let trail = w.trail and points = w.points in
+  trail.len <- 0;
+  points.len <- 0;
+  let width = Bitset.width w.pmask in
+  let stride = cp_sets + (2 * width) in
   let cur = ref 0 in
-  (* The budget consumed by the forced part, precomputed by the parent
-     (see {!item}): free positions always take the default, so these
-     never move past [forced_len]. *)
-  let divergences = ref div_used in
-  let crashes = ref crashes_used in
-  let crash_ones = ref ones_used in
   let pos = ref 0 in
-  let steps = ref 0 in
   let capped = ref false in
   let deadlock = ref false in
   let pruned = ref false in
   let por_skips = ref 0 in
   let sleep_skips = ref 0 in
   let symred = reduction = Sym in
+  let por = match reduction with Por | Sym -> true | No_reduction | Dedup -> false in
   let sleep_on = symred && n <= max_sleep_pids in
   let sleep = ref (if sleep_on then sleep0 else 0) in
   (* [enabled] pids that were spin-blocked at the deadlock, for the
-     diagnostic and the crash_one branch victims. *)
+     crash_one branch victims. *)
   let deadlock_enabled = ref [] in
-  (* Productive (= enabled and not spin-blocked) processes of the current
-     step, as a reusable bitmask (same layout as Memory's reader bitsets)
-     instead of a freshly allocated List.filter per step. *)
   let pmask = w.pmask in
   (* After executing each decision at a position >= cut (positions before
      the branch point retrace states the parent run already owned and
@@ -412,63 +492,47 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
          mask. Raw (pid-indexed) masks merge only across equal masks —
          conservative, never wrong. *)
       let fp = if !sleep <> 0 then Encode.mix fp !sleep else fp in
-      let bit, closure, key =
+      let hit =
         match coding with
         | Closure closures ->
           let pack =
-            min !divergences divergence_bound
+            min div_used divergence_bound
             + ((divergence_bound + 1)
-               * (min !crashes crash_bound
-                 + ((crash_bound + 1) * min !crash_ones crash_one_bound)))
+               * (min crashes_used crash_bound
+                 + ((crash_bound + 1) * min ones_used crash_one_bound)))
           in
-          (1 lsl pack, closures.(pack), fp)
+          Parallel.Vset.covers_or_add vs fp ~bit:(1 lsl pack)
+            ~closure:closures.(pack)
         | Key_mix ->
           let key =
-            Encode.mix (Encode.mix (Encode.mix fp !divergences) !crashes)
-              !crash_ones
+            Encode.mix (Encode.mix (Encode.mix fp div_used) crashes_used)
+              ones_used
           in
-          (1, 1, key)
+          Parallel.Vset.covers_or_add vs key ~bit:1 ~closure:1
       in
-      if Parallel.Vset.covers_or_add vs key ~bit ~closure then begin
-        pruned := true;
-        true
-      end
-      else false
+      if hit then pruned := true;
+      hit
   in
-  (* Run-until-blocked default: keep stepping the current process while
-     it is productive; on spin-block or completion, rotate to the next
-     productive process. Fair, and terminating for livelock-free
-     algorithms. *)
-  let default () =
-    if Bitset.mem pmask !cur then !cur
-    else
-      match Bitset.first_gt pmask !cur with
-      | Some pid -> pid
-      | None -> Option.get (Bitset.first pmask)
-  in
-  (* Sleep-aware default ([Sym] only): same run-until-blocked rotation,
-     skipping processes whose next transition an earlier sibling already
-     explored. [None] when every productive process is asleep — the
-     whole remaining subtree is covered elsewhere, so the run truncates
-     (DESIGN.md §5.19). *)
+  (* Sleep-aware default ([Sym] only): [scan]'s run-until-blocked
+     rotation, skipping processes whose next transition an earlier
+     sibling already explored. 0 when every productive process is asleep
+     — the whole remaining subtree is covered elsewhere, so the run
+     truncates (DESIGN.md §5.19). *)
   let slept q = !sleep land (1 lsl (q - 1)) <> 0 in
-  let rec first_unslept_gt p =
-    match Bitset.first_gt pmask p with
-    | None -> None
-    | Some q -> if slept q then first_unslept_gt q else Some q
+  let first_unslept_gt p =
+    let q = ref 0 and i = ref (p + 1) in
+    while !q = 0 && !i <= n do
+      if Bitset.mem pmask !i && not (slept !i) then q := !i;
+      incr i
+    done;
+    !q
   in
-  let default_unslept () =
-    if !sleep = 0 then Some (default ())
-    else if Bitset.mem pmask !cur && not (slept !cur) then Some !cur
+  let default_unslept d =
+    if !sleep = 0 then d
+    else if Bitset.mem pmask !cur && not (slept !cur) then !cur
     else
-      match first_unslept_gt !cur with
-      | Some q -> Some q
-      | None -> first_unslept_gt 0
-  in
-  let footprints_conflict df qf =
-    List.exists
-      (fun (c1, w1) -> List.exists (fun (c2, w2) -> c1 = c2 && (w1 || w2)) qf)
-      df
+      let q = first_unslept_gt !cur in
+      if q <> 0 then q else first_unslept_gt 0
   in
   (* Wake rule: executing a transition removes from the sleep set every
      process whose pending operation depends on it (Godefroid's
@@ -478,19 +542,15 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
      everything. Uses pre-execution footprints: called before the
      decision runs. *)
   let wake decision =
-    if decision <= 0 then sleep := 0
+    if decision <= 0 || Runtime.opaque rt decision then sleep := 0
     else
-      match Runtime.step_footprint rt decision with
-      | None -> sleep := 0
-      | Some df ->
-        for q = 1 to n do
-          let bitq = 1 lsl (q - 1) in
-          if !sleep land bitq <> 0 then
-            match Runtime.step_footprint rt q with
-            | None -> sleep := !sleep land lnot bitq
-            | Some qf ->
-              if footprints_conflict df qf then sleep := !sleep land lnot bitq
-        done
+      for q = 1 to n do
+        let bitq = 1 lsl (q - 1) in
+        if
+          !sleep land bitq <> 0
+          && (Runtime.opaque rt q || Runtime.conflict rt decision q)
+        then sleep := !sleep land lnot bitq
+      done
   in
   (* Productive processes whose next step is opaque (fresh start):
      excluded from child sleep sets — their first step depends on
@@ -498,12 +558,9 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
      wake. *)
   let opaque_mask () =
     let m = ref 0 in
-    Bitset.iter
-      (fun q ->
-        match Runtime.step_footprint rt q with
-        | None -> m := !m lor (1 lsl (q - 1))
-        | Some _ -> ())
-      pmask;
+    for q = 1 to n do
+      if Bitset.mem pmask q && Runtime.opaque rt q then m := !m lor (1 lsl (q - 1))
+    done;
     !m
   in
   (* POR: preempting the default process d in favour of q only matters if
@@ -514,137 +571,113 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
      step, until the first conflicting position (or until q becomes the
      default for free). Crash decisions conflict with everything and a
      fresh process's first step is opaque, so both stay branched.
-     DESIGN.md §5.13 gives the commutation argument. *)
-  (* Conflict-set scratch for [branch_mask], reused across choice points
-     (cleared per call). Only the [Bitset.snapshot] it returns escapes —
-     choice points outlive the loop, so those snapshots must stay. *)
-  let branch_mask default_pid =
+     DESIGN.md §5.13 gives the commutation argument. The conflict set is
+     built in [w.dep] and stored into the choice point at [off]. *)
+  let store_branch_mask default_pid off =
     let dep = w.dep in
     Bitset.clear dep;
-    (match Runtime.step_footprint rt default_pid with
-    | None -> Bitset.iter (fun q -> Bitset.add dep q) pmask
-    | Some df ->
-      Bitset.iter
-        (fun q ->
-          if q = default_pid then ()
-          else
-            match Runtime.step_footprint rt q with
-            | None -> Bitset.add dep q
-            | Some qf -> if footprints_conflict df qf then Bitset.add dep q)
-        pmask);
-    Bitset.snapshot dep
+    let opaque = Runtime.opaque rt default_pid in
+    for q = 1 to n do
+      if
+        Bitset.mem pmask q
+        && (opaque
+           || q <> default_pid
+              && (Runtime.opaque rt q || Runtime.conflict rt default_pid q))
+      then Bitset.add dep q
+    done;
+    Bitset.store dep points.data off
   in
-  let rec loop () =
-    match Runtime.enabled rt with
-    | [] -> ()
-    | enabled ->
-      Bitset.clear pmask;
-      List.iter
-        (fun p -> if not (Runtime.blocked rt p) then Bitset.add pmask p)
-        enabled;
-      if Bitset.is_empty pmask then begin
-        (* Every runnable process is spinning on a condition no one can
-           ever change: a genuine deadlock (a crash would reset it, but
-           a failure-free suffix stays stuck — a liveness violation). *)
-        deadlock := true;
-        deadlock_enabled := enabled;
-        let where =
-          String.concat ", "
-            (List.map
-               (fun p ->
-                 Printf.sprintf "p%d@%s" p
-                   (Option.value ~default:"?" (Runtime.blocked_on rt p)))
-               enabled)
-        in
-        violation ("deadlock: " ^ where)
-      end
-      else if !pos >= max_steps then begin
-        capped := true;
-        violation "step cap exceeded (possible livelock)"
-      end
+  let continue = ref true in
+  while !continue do
+    continue := false;
+    let d = scan w ~cur:!cur in
+    if d = all_finished then ()
+    else if d = stuck then begin
+      (* Every runnable process is spinning on a condition no one can
+         ever change: a genuine deadlock (a crash would reset it, but a
+         failure-free suffix stays stuck — a liveness violation). *)
+      deadlock := true;
+      let enabled, msg = deadlock_report rt in
+      deadlock_enabled := enabled;
+      violation msg
+    end
+    else if !pos >= max_steps then begin
+      capped := true;
+      violation "step cap exceeded (possible livelock)"
+    end
+    else begin
+      let free = !pos >= forced_len in
+      (* Budget accounting is precomputed in the item (free positions
+         always take the default, so nothing is consumed here); the
+         default is therefore free to be sleep-aware without perturbing
+         any counter. *)
+      let default_pid = if sleep_on && free then default_unslept d else d in
+      if default_pid = 0 then
+        (* Every productive process is asleep: each pending transition
+           was already explored from an earlier sibling, so the whole
+           remaining subtree is covered — truncate, like a visited
+           state. *)
+        pruned := true
       else begin
-        let free = !pos >= forced_len in
-        (* Budget accounting is precomputed in the item (free positions
-           always take the default, so nothing is consumed here); the
-           default is therefore free to be sleep-aware without
-           perturbing any counter. *)
-        let default_choice =
-          if sleep_on && free then default_unslept () else Some (default ())
+        let p = !pos in
+        let decision =
+          if free then default_pid else if p < cut then base.(p) else alt
         in
-        match default_choice with
-        | None ->
-          (* Every productive process is asleep: each pending transition
-             was already explored from an earlier sibling, so the whole
-             remaining subtree is covered — truncate, like a visited
-             state. *)
-          pruned := true
-        | Some default_pid ->
-          let decision = if free then default_pid else forced !pos in
-          if free then begin
-            let branchable =
-              match reduction with
-              | Por | Sym -> Some (branch_mask default_pid)
-              | No_reduction | Dedup -> None
-            in
-            choice_points :=
-              ( !pos,
-                Bitset.snapshot pmask,
-                branchable,
-                default_pid,
-                !divergences,
-                !crashes,
-                !crash_ones,
-                !sleep,
-                if sleep_on then opaque_mask () else 0 )
-              :: !choice_points
-          end;
-          (* The sleep set is valid from [cut] (the item carries the mask
-             for exactly that position); earlier positions retrace
-             ancestor history from before the mask existed. *)
-          if sleep_on && !pos >= cut && !sleep <> 0 then wake decision;
-          if decision = crash_decision then Runtime.crash rt ()
-          else if decision < 0 then begin
-            let victim = -decision in
-            Runtime.crash_one rt victim;
-            List.iter (fun h -> h ~pid:victim) w.crash_one_hooks
-          end
-          else begin
-            Runtime.step rt decision;
-            cur := decision
-          end;
-          let p = !pos in
-          taken := decision :: !taken;
-          incr pos;
-          incr steps;
-          if p < cut || not (covered ()) then loop ()
+        if free then begin
+          let off = reserve points stride in
+          let data = points.data in
+          data.(off + cp_pos) <- p;
+          data.(off + cp_default) <- default_pid;
+          data.(off + cp_sleep) <- !sleep;
+          data.(off + cp_opaque) <- (if sleep_on then opaque_mask () else 0);
+          Bitset.store pmask data (off + cp_sets);
+          if por then store_branch_mask default_pid (off + cp_sets + width)
+        end;
+        (* The sleep set is valid from [cut] (the item carries the mask
+           for exactly that position); earlier positions retrace ancestor
+           history from before the mask existed. *)
+        if sleep_on && p >= cut && !sleep <> 0 then wake decision;
+        if decision = crash_decision then Runtime.crash rt ()
+        else if decision < 0 then begin
+          let victim = -decision in
+          Runtime.crash_one rt victim;
+          List.iter (fun h -> h ~pid:victim) w.crash_one_hooks
+        end
+        else begin
+          Runtime.step rt decision;
+          cur := decision
+        end;
+        append trail decision;
+        pos := p + 1;
+        if p < cut || not (covered ()) then continue := true
       end
-  in
-  loop ();
+    end
+  done;
   if (not !capped) && not !pruned then List.iter (fun h -> h ()) w.finish_hooks;
   (* Branch: preempting to another productive process costs divergence
      budget; injecting a crash costs crash budget. Positions inside the
      forced prefix were branched when their ancestors ran. The taken-trace
      array is materialized once and shared by every child (it is never
      mutated again). *)
-  let trace = Array.of_list (List.rev !taken) in
+  let trace = Array.sub trail.data 0 trail.len in
   let children = ref [] in
   let push it = children := it :: !children in
   if !deadlock then begin
     (* The deadlock was reached with the full trace taken, so the branch
        position is the trace's length. Crash alternatives restart the
        sleep set: a crash depends on every transition. *)
-    if !crashes < crash_bound then
+    if crashes_used < crash_bound then
       push
         {
           base = trace;
           cut = !pos;
           alt = crash_decision;
-          div_used = !divergences;
-          crashes_used = !crashes + 1;
-          ones_used = !crash_ones;
+          div_used;
+          crashes_used = crashes_used + 1;
+          ones_used;
           sleep = 0;
         };
-    if !crash_ones < crash_one_bound then
+    if ones_used < crash_one_bound then
       List.iter
         (fun pid ->
           push
@@ -652,111 +685,100 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
               base = trace;
               cut = !pos;
               alt = -pid;
-              div_used = !divergences;
-              crashes_used = !crashes;
-              ones_used = !crash_ones + 1;
+              div_used;
+              crashes_used;
+              ones_used = ones_used + 1;
               sleep = 0;
             })
         !deadlock_enabled
   end;
-  List.iter
-    (fun ( i,
-           productive,
-           branchable,
-           default_pid,
-           div_before,
-           crashes_before,
-           crash_ones_before,
-           sleep_at,
-           opaque_at ) ->
-      if div_before < divergence_bound then begin
-        (* Step siblings actually branched from this choice point
-           (productive, not the default, not POR-masked, not asleep), as
-           a bitmask: each child's sleep set carries the siblings
-           explored {e before} it — pop order within a choice point is
-           descending pid, so that is every branched [p > pid] — plus
-           the default (explored first, by the parent run itself), plus
-           the inherited mask; minus opaque processes, whose first step
-           depends on everything. The child's own wake rule at [cut]
-           then drops whatever depends on [alt] (DESIGN.md §5.19). *)
-        let branched =
-          if sleep_on then begin
-            let m = ref 0 in
-            Bitset.iter
-              (fun pid ->
-                if
-                  pid <> default_pid
-                  && sleep_at land (1 lsl (pid - 1)) = 0
-                  &&
-                  match branchable with
-                  | Some mask -> Bitset.mem mask pid
-                  | None -> true
-                then m := !m lor (1 lsl (pid - 1)))
-              productive;
-            !m
-          end
-          else 0
-        in
-        Bitset.iter
-          (fun pid ->
-            if pid <> default_pid then
-              if sleep_on && sleep_at land (1 lsl (pid - 1)) <> 0 then
-                (* Asleep: this transition from this state was already
-                   explored from an earlier sibling — suppress the
-                   branch entirely. *)
-                incr sleep_skips
-              else
-                match branchable with
-                | Some mask when not (Bitset.mem mask pid) -> incr por_skips
-                | Some _ | None ->
-                  let child_sleep =
-                    if sleep_on then
-                      (sleep_at
-                      lor (1 lsl (default_pid - 1))
-                      lor (branched land lnot ((1 lsl pid) - 1)))
-                      land lnot opaque_at
-                      land lnot (1 lsl (pid - 1))
-                    else 0
-                  in
-                  push
-                    {
-                      base = trace;
-                      cut = i;
-                      alt = pid;
-                      div_used = div_before + 1;
-                      crashes_used = crashes_before;
-                      ones_used = crash_ones_before;
-                      sleep = child_sleep;
-                    })
-          productive
-      end;
-      if crashes_before < crash_bound then
+  (* Choice points, latest first. *)
+  let data = points.data in
+  for k = (points.len / stride) - 1 downto 0 do
+    let off = k * stride in
+    let i = data.(off + cp_pos) and default_pid = data.(off + cp_default) in
+    let sleep_at = data.(off + cp_sleep) and opaque_at = data.(off + cp_opaque) in
+    let productive = off + cp_sets in
+    (* Without POR every productive process is branchable. *)
+    let branchable = if por then productive + width else productive in
+    if div_used < divergence_bound then begin
+      (* Step siblings actually branched from this choice point
+         (productive, not the default, not POR-masked, not asleep), as a
+         bitmask: each child's sleep set carries the siblings explored
+         {e before} it — pop order within a choice point is descending
+         pid, so that is every branched [p > pid] — plus the default
+         (explored first, by the parent run itself), plus the inherited
+         mask; minus opaque processes, whose first step depends on
+         everything. The child's own wake rule at [cut] then drops
+         whatever depends on [alt] (DESIGN.md §5.19). *)
+      let branched = ref 0 in
+      if sleep_on then
+        for pid = 1 to n do
+          if
+            Bitset.mem_stored data productive pid
+            && pid <> default_pid
+            && sleep_at land (1 lsl (pid - 1)) = 0
+            && Bitset.mem_stored data branchable pid
+          then branched := !branched lor (1 lsl (pid - 1))
+        done;
+      for pid = 1 to n do
+        if Bitset.mem_stored data productive pid && pid <> default_pid then
+          if sleep_on && sleep_at land (1 lsl (pid - 1)) <> 0 then
+            (* Asleep: this transition from this state was already
+               explored from an earlier sibling — suppress the branch
+               entirely. *)
+            incr sleep_skips
+          else if not (Bitset.mem_stored data branchable pid) then
+            incr por_skips
+          else
+            let child_sleep =
+              if sleep_on then
+                (sleep_at
+                lor (1 lsl (default_pid - 1))
+                lor (!branched land lnot ((1 lsl pid) - 1)))
+                land lnot opaque_at
+                land lnot (1 lsl (pid - 1))
+              else 0
+            in
+            push
+              {
+                base = trace;
+                cut = i;
+                alt = pid;
+                div_used = div_used + 1;
+                crashes_used;
+                ones_used;
+                sleep = child_sleep;
+              }
+      done
+    end;
+    if crashes_used < crash_bound then
+      push
+        {
+          base = trace;
+          cut = i;
+          alt = crash_decision;
+          div_used;
+          crashes_used = crashes_used + 1;
+          ones_used;
+          sleep = 0;
+        };
+    if ones_used < crash_one_bound then
+      for pid = 1 to n do
         push
           {
             base = trace;
             cut = i;
-            alt = crash_decision;
-            div_used = div_before;
-            crashes_used = crashes_before + 1;
-            ones_used = crash_ones_before;
+            alt = -pid;
+            div_used;
+            crashes_used;
+            ones_used = ones_used + 1;
             sleep = 0;
-          };
-      if crash_ones_before < crash_one_bound then
-        for pid = 1 to n do
-          push
-            {
-              base = trace;
-              cut = i;
-              alt = -pid;
-              div_used = div_before;
-              crashes_used = crashes_before;
-              ones_used = crash_ones_before + 1;
-              sleep = 0;
-            }
-        done)
-    !choice_points;
+          }
+      done
+  done;
   {
-    r_steps = !steps;
+    r_steps = !pos;
     r_capped = !capped;
     r_deadlock = !deadlock;
     r_pruned = !pruned;
@@ -798,98 +820,80 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
   in
   reset w ~violation;
   let rt = w.rt and n = Memory.n w.mem in
-  let taken = ref [] in
+  let trail = w.trail in
+  trail.len <- 0;
   let interventions = ref [] in
   let cur = ref 0 in
   let crashes = ref 0 in
   let crash_ones = ref 0 in
   let capped = ref false in
   let deadlock = ref false in
-  let pmask = w.pmask in
   let stop = ref false in
   while not !stop do
-    match Runtime.enabled rt with
-    | [] -> stop := true
-    | enabled ->
-      Bitset.clear pmask;
-      List.iter
-        (fun p -> if not (Runtime.blocked rt p) then Bitset.add pmask p)
-        enabled;
-      if Bitset.is_empty pmask && Runtime.drain_faults rt then
-        (* A buffered write was the only way forward: flushing it may
-           unblock a spinner, so re-evaluate before calling deadlock. *)
-        ()
-      else if Bitset.is_empty pmask then begin
-        deadlock := true;
-        let where =
-          String.concat ", "
-            (List.map
-               (fun p ->
-                 Printf.sprintf "p%d@%s" p
-                   (Option.value ~default:"?" (Runtime.blocked_on rt p)))
-               enabled)
-        in
-        violation ("deadlock: " ^ where);
-        stop := true
-      end
-      else if !pos >= max_steps then begin
-        capped := true;
-        violation "step cap exceeded (possible livelock)";
-        stop := true
-      end
-      else begin
-        let default_pid =
-          if Bitset.mem pmask !cur then !cur
-          else
-            match Bitset.first_gt pmask !cur with
-            | Some pid -> pid
-            | None -> Option.get (Bitset.first pmask)
-        in
-        let want = decide ~pos:!pos ~enabled ~default:default_pid in
-        let d =
-          if want = crash_decision then want
-          else if want > 0 then
-            if want <= n && Runtime.runnable rt want then want else default_pid
-          else begin
-            let neg = -want in
-            if neg <= n then
-              if Runtime.runnable rt neg then want else default_pid
-            else if neg <= 2 * n then
-              if Runtime.awaiting rt (neg - n) then want else default_pid
-            else if neg <= 3 * n then
-              if Runtime.runnable rt (neg - (2 * n)) then want
-              else default_pid
+    let default_pid = scan w ~cur:!cur in
+    if default_pid = all_finished then stop := true
+    else if default_pid = stuck && Runtime.drain_faults rt then
+      (* A buffered write was the only way forward: flushing it may
+         unblock a spinner, so re-evaluate before calling deadlock. *)
+      ()
+    else if default_pid = stuck then begin
+      deadlock := true;
+      violation (snd (deadlock_report rt));
+      stop := true
+    end
+    else if !pos >= max_steps then begin
+      capped := true;
+      violation "step cap exceeded (possible livelock)";
+      stop := true
+    end
+    else begin
+      let want =
+        decide ~pos:!pos ~enabled:(Runtime.enabled rt) ~default:default_pid
+      in
+      let d =
+        if want = crash_decision then want
+        else if want > 0 then
+          if want <= n && Runtime.runnable rt want then want else default_pid
+        else begin
+          let neg = -want in
+          if neg <= n then
+            if Runtime.runnable rt neg then want else default_pid
+          else if neg <= 2 * n then
+            if Runtime.awaiting rt (neg - n) then want else default_pid
+          else if neg <= 3 * n then
+            if Runtime.runnable rt (neg - (2 * n)) then want
             else default_pid
-          end
-        in
-        if d <> default_pid then interventions := (!pos, d) :: !interventions;
-        (if d = crash_decision then begin
-           incr crashes;
-           Runtime.crash rt ()
+          else default_pid
+        end
+      in
+      if d <> default_pid then interventions := (!pos, d) :: !interventions;
+      (if d = crash_decision then begin
+         incr crashes;
+         Runtime.crash rt ()
+       end
+       else if d > 0 then begin
+         Runtime.step rt d;
+         cur := d
+       end
+       else
+         let neg = -d in
+         if neg <= n then begin
+           incr crash_ones;
+           Runtime.crash_one rt neg;
+           List.iter (fun h -> h ~pid:neg) w.crash_one_hooks
          end
-         else if d > 0 then begin
-           Runtime.step rt d;
-           cur := d
-         end
-         else
-           let neg = -d in
-           if neg <= n then begin
-             incr crash_ones;
-             Runtime.crash_one rt neg;
-             List.iter (fun h -> h ~pid:neg) w.crash_one_hooks
-           end
-           else if neg <= 2 * n then ignore (Runtime.lose_wakeup rt (neg - n))
-           else Runtime.delay_writes rt (neg - (2 * n)) ~window:delay_window);
-        taken := d :: !taken;
-        incr pos
-      end
+         else if neg <= 2 * n then ignore (Runtime.lose_wakeup rt (neg - n))
+         else Runtime.delay_writes rt (neg - (2 * n)) ~window:delay_window);
+      append trail d;
+      incr pos
+    end
   done;
   (* Finish checks run on every non-capped end, deadlocks included —
      exactly [replay]'s policy (there is no pruning here). *)
   if not !capped then List.iter (fun h -> h ()) w.finish_hooks;
   {
     rp_steps = !pos;
-    rp_trace = Array.of_list (List.rev !taken);
+    rp_trace = Array.sub trail.data 0 trail.len;
     rp_interventions = List.rev !interventions;
     rp_violations = List.rev !local_violations;
     rp_first_violation_pos = !first_violation_pos;

@@ -43,9 +43,8 @@
       where the schedule explosion lives.
     - {!Por}: [Dedup] plus conservative partial-order reduction. At a
       choice point, the preemption branch to process [q] is skipped when
-      [q]'s and the default process's pending operations
-      ({!Sim.Runtime.step_footprint}) touch disjoint cells or only read a
-      common one: the two orders commute, so the [q] branch is deferred
+      [q]'s and the default process's pending operations touch disjoint
+      cells or only read a common one ({!Sim.Runtime.conflict} is false): the two orders commute, so the [q] branch is deferred
       step-by-step to the first conflicting position (reached within the
       same default run at no extra divergence cost). Crash branches and
       fresh processes (unknown footprint) are never pruned.

@@ -9,7 +9,12 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { n; words = Array.make (((max n 1 - 1) / bits_per_word) + 1) 0 }
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+(* Loops rather than [Array.fill]/[Array.blit]: a set is one or two
+   words, less than the cost of the C call. *)
+let clear t =
+  for i = 0 to Array.length t.words - 1 do
+    t.words.(i) <- 0
+  done
 
 let check t pid =
   if pid < 1 || pid > t.n then invalid_arg "Bitset: pid out of range"
@@ -20,59 +25,17 @@ let add t pid =
   let w = bit / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (bit mod bits_per_word))
 
-let mem t pid =
-  pid >= 1 && pid <= t.n
-  &&
+let[@inline] mem_words words off pid =
   let bit = pid - 1 in
-  t.words.(bit / bits_per_word) land (1 lsl (bit mod bits_per_word)) <> 0
+  words.(off + (bit / bits_per_word)) land (1 lsl (bit mod bits_per_word)) <> 0
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
+let mem t pid = pid >= 1 && pid <= t.n && mem_words t.words 0 pid
 
-let snapshot t = { n = t.n; words = Array.copy t.words }
+let width t = Array.length t.words
 
-let cardinal t =
-  (* n is small (process counts); a loop beats popcount gymnastics. *)
-  let c = ref 0 in
-  Array.iter
-    (fun w ->
-      let w = ref w in
-      while !w <> 0 do
-        w := !w land (!w - 1);
-        incr c
-      done)
-    t.words;
-  !c
+let store t dst off =
+  for i = 0 to Array.length t.words - 1 do
+    dst.(off + i) <- t.words.(i)
+  done
 
-let fold_bits f t acc =
-  let acc = ref acc in
-  Array.iteri
-    (fun wi w ->
-      let w = ref w in
-      while !w <> 0 do
-        let bit = !w land - !w in
-        let i =
-          (* index of the lowest set bit *)
-          let rec log2 b k = if b = 1 then k else log2 (b lsr 1) (k + 1) in
-          log2 bit 0
-        in
-        acc := f ((wi * bits_per_word) + i + 1) !acc;
-        w := !w land lnot bit
-      done)
-    t.words;
-  !acc
-
-let iter f t = fold_bits (fun pid () -> f pid) t ()
-
-exception Found of int
-
-let first t =
-  match fold_bits (fun pid () -> raise (Found pid)) t () with
-  | () -> None
-  | exception Found pid -> Some pid
-
-let first_gt t k =
-  match
-    fold_bits (fun pid () -> if pid > k then raise (Found pid)) t ()
-  with
-  | () -> None
-  | exception Found pid -> Some pid
+let mem_stored = mem_words

@@ -1,8 +1,7 @@
 (** Small mutable bitsets over process IDs [1..n] — the same word layout
-    as {!Memory}'s per-cell reader set, packaged for reuse by schedulers
-    and the model checker's per-step productive-process scan (which
-    previously re-allocated [List.filter]/[List.find_opt] chains on every
-    simulated step). *)
+    as {!Memory}'s per-cell reader set, packaged for the model checker's
+    per-step productive-process scan and POR conflict set. No operation
+    allocates. *)
 
 type t
 
@@ -15,18 +14,17 @@ val mem : t -> int -> bool
 (** False (rather than an error) for values outside [1..n], so callers can
     probe with sentinels like "no current process". *)
 
-val is_empty : t -> bool
+(** {2 Sets stored inline in an int buffer}
 
-val cardinal : t -> int
+    A choice point records its sets as words inside a flat int buffer
+    instead of as a copied {!t}. *)
 
-val first : t -> int option
-(** Smallest member. *)
+val width : t -> int
+(** The number of words a copy of the set takes. *)
 
-val first_gt : t -> int -> int option
-(** Smallest member strictly greater than the argument. *)
+val store : t -> int array -> int -> unit
+(** [store t dst off] copies the set's {!width} words to [dst.(off ..)]. *)
 
-val iter : (int -> unit) -> t -> unit
-(** In increasing order. *)
-
-val snapshot : t -> t
-(** An independent copy (for recording a choice point). *)
+val mem_stored : int array -> int -> int -> bool
+(** [mem_stored words off pid] is {!mem} on the set that {!store} put at
+    [words.(off ..)]; [pid] must be in [1..n]. *)

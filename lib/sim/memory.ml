@@ -19,7 +19,9 @@ let model_of_string s =
    [name] is only the diagnostic prefix; [i]/[j] are its optional
    indices (-1 when absent), formatted by {!name} on demand so that
    building a stack allocates no strings per cell. [init] is the value
-   {!reset} restores: the cell's value at allocation. *)
+   {!reset} restores: the cell's value at allocation. [touched] marks the
+   cell as changed since the last {!reset} (or since allocation): its
+   value, or its CC reader set, may differ from the allocation state. *)
 type cell = {
   id : int;  (* dense allocation index, 0-based; keys snapshots *)
   name : string;
@@ -38,6 +40,7 @@ type cell = {
   mutable value : int;
   init : int;
   mutable dirty : bool;
+  mutable touched : bool;
   readers : int array;
 }
 
@@ -64,6 +67,11 @@ type t = {
      write (DESIGN.md §5.14). *)
   mutable fp : int;
   mutable fp_live : bool;
+  (* The digest of the allocation values, accumulated as cells are
+     allocated ([sym_init] below is its per-owner counterpart): a resync
+     starts from it and patches only the touched cells (DESIGN.md
+     §5.14). *)
+  mutable fp_init : int;
   (* Per-owner symmetry digests, index 0 the residue: [sym.(o)] is the
      xor over cells owned by [o] of [Encode.mix sym_key value].
      Maintained incrementally only once [sym_live] — flipped by the
@@ -73,6 +81,7 @@ type t = {
      (drives [sym_key] assignment at allocation). *)
   sym : int array;
   mutable sym_live : bool;
+  sym_init : int array;
   sym_slots : int array;
   (* Dirty-set snapshot support: [snap] holds the values as of the last
      {!snapshot} call; [dirty_ids]'s first [n_dirty] entries are the ids
@@ -80,6 +89,11 @@ type t = {
   mutable snap : int array;
   mutable dirty_ids : int array;
   mutable n_dirty : int;
+  (* The first [n_touched] entries of [touched_ids] are the cells whose
+     [touched] flag is set, so {!reset} and the digest resyncs cost
+     O(touched cells), not O(cells). *)
+  mutable touched_ids : int array;
+  mutable n_touched : int;
   (* RMR flag of the most recent [exec_*] call; lets {!apply} return the
      (result, rmr) pair without the fast paths boxing a tuple. *)
   mutable last_rmr : bool;
@@ -116,12 +130,16 @@ let create ~model ~n =
     n_cells = 0;
     fp = 0;
     fp_live = false;
+    fp_init = 0;
     sym = Array.make (n + 1) 0;
     sym_live = false;
+    sym_init = Array.make (n + 1) 0;
     sym_slots = Array.make (n + 1) 0;
     snap = [||];
     dirty_ids = Array.make 8 0;
     n_dirty = 0;
+    touched_ids = Array.make 8 0;
+    n_touched = 0;
     last_rmr = false;
     sealed = false;
     restores = [];
@@ -132,15 +150,24 @@ let set_tracer t tracer = t.tracer <- tracer
 let model t = t.model
 let n t = t.n
 
+let grow ids =
+  let bigger = Array.make (2 * Array.length ids) 0 in
+  Array.blit ids 0 bigger 0 (Array.length ids);
+  bigger
+
 let push_dirty t id =
-  let cap = Array.length t.dirty_ids in
-  if t.n_dirty = cap then begin
-    let bigger = Array.make (2 * cap) 0 in
-    Array.blit t.dirty_ids 0 bigger 0 cap;
-    t.dirty_ids <- bigger
-  end;
+  if t.n_dirty = Array.length t.dirty_ids then t.dirty_ids <- grow t.dirty_ids;
   t.dirty_ids.(t.n_dirty) <- id;
   t.n_dirty <- t.n_dirty + 1
+
+let[@inline] touch t c =
+  if not c.touched then begin
+    c.touched <- true;
+    if t.n_touched = Array.length t.touched_ids then
+      t.touched_ids <- grow t.touched_ids;
+    t.touched_ids.(t.n_touched) <- c.id;
+    t.n_touched <- t.n_touched + 1
+  end
 
 (* Residue cells keep a distinct negative-keyed domain ([lnot id]) so a
    global and a slice cell can never share a [sym_key]; slice cells are
@@ -173,6 +200,7 @@ let alloc t ~name ~i ~j ~home ~sym_owner init =
       value = init;
       init;
       dirty = true;
+      touched = false;
       readers = Array.make t.words 0;
     }
   in
@@ -185,9 +213,11 @@ let alloc t ~name ~i ~j ~home ~sym_owner init =
   t.cells.(id) <- c;
   t.n_cells <- id + 1;
   push_dirty t id;
-  if t.fp_live then t.fp <- t.fp lxor Encode.mix c.zkey init;
-  if t.sym_live then
-    t.sym.(sym_owner) <- t.sym.(sym_owner) lxor Encode.mix sym_key init;
+  let z = Encode.mix c.zkey init and zs = Encode.mix sym_key init in
+  t.fp_init <- t.fp_init lxor z;
+  t.sym_init.(sym_owner) <- t.sym_init.(sym_owner) lxor zs;
+  if t.fp_live then t.fp <- t.fp lxor z;
+  if t.sym_live then t.sym.(sym_owner) <- t.sym.(sym_owner) lxor zs;
   c
 
 let cell t ~name ?(i = -1) ?(j = -1) ~home init =
@@ -229,12 +259,14 @@ let snapshot t =
 
 (* Reader sets are deliberately excluded from the digest: they feed the
    CC RMR *accounting* only and can never change control flow, so two
-   states differing only in cache residency have identical futures. *)
+   states differing only in cache residency have identical futures. An
+   untouched cell holds its allocation value, so a resync starts from the
+   allocation digest and swaps the contribution of touched cells only. *)
 let resync t =
-  let acc = ref 0 in
-  for i = 0 to t.n_cells - 1 do
-    let c = t.cells.(i) in
-    acc := !acc lxor Encode.mix c.zkey c.value
+  let acc = ref t.fp_init in
+  for k = 0 to t.n_touched - 1 do
+    let c = t.cells.(t.touched_ids.(k)) in
+    acc := !acc lxor Encode.mix c.zkey c.init lxor Encode.mix c.zkey c.value
   done;
   t.fp <- !acc;
   t.fp_live <- true
@@ -244,10 +276,12 @@ let fingerprint t =
   Encode.mix (Encode.mix Encode.fingerprint_seed t.n_cells) t.fp
 
 let sym_resync t =
-  Array.fill t.sym 0 (Array.length t.sym) 0;
-  for i = 0 to t.n_cells - 1 do
-    let c = t.cells.(i) in
-    t.sym.(c.sym_owner) <- t.sym.(c.sym_owner) lxor Encode.mix c.sym_key c.value
+  Array.blit t.sym_init 0 t.sym 0 (Array.length t.sym);
+  for k = 0 to t.n_touched - 1 do
+    let c = t.cells.(t.touched_ids.(k)) in
+    let o = c.sym_owner in
+    t.sym.(o) <-
+      t.sym.(o) lxor Encode.mix c.sym_key c.init lxor Encode.mix c.sym_key c.value
   done;
   t.sym_live <- true
 
@@ -265,9 +299,9 @@ let fingerprint_slow t =
 
 (* Every value mutation funnels through here: xor the old Zobrist
    contribution out of the running digest and the new one in (when
-   maintenance is live), and mark the cell for the next snapshot patch.
-   A same-value store is a no-op for both — the digest and the snapshot
-   depend on values only. *)
+   maintenance is live), and mark the cell for the next snapshot patch
+   and the next reset. A same-value store is a no-op for all three — the
+   digest, the snapshot and the reset depend on values only. *)
 let[@inline] set_value t c v =
   if v <> c.value then begin
     if t.fp_live then
@@ -278,6 +312,7 @@ let[@inline] set_value t c v =
         t.sym.(o) lxor Encode.mix c.sym_key c.value lxor Encode.mix c.sym_key v
     end;
     c.value <- v;
+    touch t c;
     if not c.dirty then begin
       c.dirty <- true;
       push_dirty t c.id
@@ -292,21 +327,30 @@ let on_reset t f =
     invalid_arg "Memory.on_reset: memory already sealed by reset";
   t.restores <- t.restores @ [ f ]
 
+(* Only touched cells can differ from their allocation state: an
+   untouched cell still holds its [init] value, and its reader set has
+   stayed empty since the last reset. A restored value marks the cell
+   dirty like any other change, so the next [snapshot] patches it. *)
 let reset t =
   t.sealed <- true;
-  for k = 0 to t.n_cells - 1 do
-    let c = t.cells.(k) in
-    c.value <- c.init;
+  for k = 0 to t.n_touched - 1 do
+    let c = t.cells.(t.touched_ids.(k)) in
+    c.touched <- false;
     clear_readers c;
-    if not c.dirty then begin
-      c.dirty <- true;
-      push_dirty t k
+    if c.value <> c.init then begin
+      c.value <- c.init;
+      if not c.dirty then begin
+        c.dirty <- true;
+        push_dirty t c.id
+      end
     end
   done;
+  t.n_touched <- 0;
   Array.fill t.rmr_count 0 (t.n + 1) 0;
   Array.fill t.step_count 0 (t.n + 1) 0;
   (* Both digests go stale with the values; the next [fingerprint] /
-     [sym_part] call resyncs lazily, exactly as on a fresh memory. *)
+     [sym_part] call resyncs lazily, as on a fresh memory, and with no
+     cell touched yet that resync is a copy of the allocation digests. *)
   t.fp_live <- false;
   t.sym_live <- false;
   List.iter (fun f -> f ()) t.restores
@@ -332,16 +376,6 @@ let op_cell = function
   | Fasas (c, _, _) ->
     c
 
-(* Which cells one operation touches, and whether each access can change
-   the cell. A failed CAS still counts as a write here: commuting it past
-   a concurrent read of the same cell would reorder an RMR-visible
-   invalidation, and — decisively — whether it fails depends on the
-   cell's value, so it is dependent with writes either way. *)
-let footprint = function
-  | Read c -> [ (c.id, false) ]
-  | Write (c, _) | Cas (c, _, _) | Fas (c, _) | Faa (c, _) -> [ (c.id, true) ]
-  | Fasas (c, _, dst) -> [ (c.id, true); (dst.id, true) ]
-
 let reader_mem c pid =
   let bit = pid - 1 in
   c.readers.(bit / bits_per_word) land (1 lsl (bit mod bits_per_word)) <> 0
@@ -358,7 +392,10 @@ let charge t ~pid ~(is_read : bool) c =
   | Cc ->
     if is_read then begin
       let cached = reader_mem c pid in
-      reader_add c pid;
+      if not cached then begin
+        reader_add c pid;
+        touch t c
+      end;
       not cached
     end
     else begin

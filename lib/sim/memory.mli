@@ -81,7 +81,9 @@ val fingerprint : t -> int
     {!Encode.zobrist}[ (id c) (peek c)], XOR-combined into a running
     digest that every write updates in O(1) — so this call is a field
     read, not a fold (DESIGN.md §5.14). Maintenance is enabled lazily by
-    the first call (an O(cells) resync); until then writes pay nothing,
+    the first call (a resync from the digest of the allocation values,
+    patched for the cells changed since the last {!reset}: O(touched
+    cells)); until then writes pay nothing,
     which is what lets the model checker fast-forward replay prefixes
     and run [--reduce none] digest-free. Equal fingerprints mean equal
     {!snapshot}s up to hash collisions. CC reader sets are excluded:
@@ -99,7 +101,7 @@ val sym_part : t -> int -> int
     which is what lets the model checker's [--reduce sym] sort the
     per-pid digests into a canonical orbit representative. Like
     {!fingerprint}, maintenance is enabled lazily by the first call (an
-    O(cells) resync); until then writes pay one dead branch. A cell
+    O(touched cells) resync); until then writes pay one dead branch. A cell
     allocated through {!cell} with a home that is not "the pid this cell
     belongs to under relabeling" merely pins that pid's slice (fewer
     merges, never a false merge beyond ordinary hash collisions).
@@ -132,10 +134,14 @@ val reset : t -> unit
     gets back its value at allocation, CC reader sets are cleared, the
     RMR and step counters are zeroed and both digests ({!fingerprint},
     {!sym_part}) are switched off, to resync lazily at their next call
-    as on a fresh memory. Every cell is marked for the next {!snapshot}.
-    Then the callbacks registered with {!on_reset} run, in registration
-    order. The first call seals the memory: any later {!cell}, {!global}
-    or {!on_reset} call raises [Invalid_argument]. The tracer is kept. *)
+    as on a fresh memory. The memory keeps a list of the cells whose
+    value or reader set changed since the last reset (or since
+    allocation), so a reset costs O(touched cells + n), not O(cells).
+    Every cell whose value it restores is marked for the next
+    {!snapshot}. Then the callbacks registered with {!on_reset} run, in
+    registration order. The first call seals the memory: any later
+    {!cell}, {!global} or {!on_reset} call raises [Invalid_argument].
+    The tracer is kept. *)
 
 val on_reset : t -> (unit -> unit) -> unit
 (** [on_reset t f] registers [f] to run at every {!reset} of [t]. Any
@@ -164,13 +170,6 @@ type op =
 
 val op_name : op -> string
 val op_cell : op -> cell
-
-val footprint : op -> (int * bool) list
-(** [(cell id, may_write)] for every cell the operation touches (one
-    entry, except FASAS's two). A CAS is a write even if it would fail:
-    its outcome depends on the cell value and it invalidates cached
-    copies, so it never commutes with another access to the same cell.
-    Used by the model checker's partial-order reduction. *)
 
 val apply : t -> pid:int -> op -> int * bool
 (** [apply t ~pid op] executes [op] on behalf of process [pid], updates the

@@ -1,10 +1,15 @@
-(* One suspension constructor per {!Proc} effect: [advance] dispatches
-   straight to the matching {!Memory} fast path with the operands in
-   registers — no [Memory.op] is ever built on the no-tracer path. All
-   memory suspensions resume with [int] ([Write] included; the value is
-   discarded by [Proc.write]). *)
+(* A process's slot: in the NCS, finished, or suspended at a
+   shared-memory operation. One suspension constructor per {!Proc}
+   effect: [advance] dispatches straight to the matching {!Memory} fast
+   path with the operands in registers — no [Memory.op] is ever built on
+   the no-tracer path. All memory suspensions resume with [int] ([Write]
+   included; the value is discarded by [Proc.write]). The slots array
+   stores a status directly, and [Fresh]/[Finished] are constant
+   constructors, so settling a step allocates nothing beyond the
+   suspension the effect handler built. *)
 type status =
-  | Returned
+  | Fresh  (** in the NCS; body not started in the current epoch *)
+  | Finished  (** body returned; stays done until the next crash *)
   | Sus_read of Memory.cell * (int, status) Effect.Deep.continuation
   | Sus_write of Memory.cell * int * (int, status) Effect.Deep.continuation
   | Sus_cas of
@@ -20,11 +25,6 @@ type status =
       * Memory.cell
       * (int -> int -> bool)
       * (int * int, status) Effect.Deep.continuation
-
-type slot =
-  | Fresh  (** in the NCS; body not started in the current epoch *)
-  | Waiting of status  (** suspended at a shared-memory operation *)
-  | Finished  (** body returned; stays done until the next crash *)
 
 (* Injectable-fault state ({!Scenario}'s failure schedules), allocated
    lazily by the first injection so fault-free runs keep [t.faults =
@@ -62,7 +62,7 @@ type t = {
   mem : Memory.t;
   n : int;
   body : pid:int -> epoch:int -> unit;
-  slots : slot array; (* 1-based; index 0 unused *)
+  slots : status array; (* 1-based; index 0 unused *)
   initial_epoch : int; (* what {!reset} restores [epoch] to *)
   mutable epoch : int;
   mutable clock : int;
@@ -94,11 +94,11 @@ type t = {
 
 let handler : (unit, status) Effect.Deep.handler =
   {
-    retc = (fun () -> Returned);
+    retc = (fun () -> Finished);
     exnc =
       (fun e ->
         match e with
-        | Proc.Crashed -> Returned
+        | Proc.Crashed -> Finished
         | e -> raise e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -240,8 +240,10 @@ let runnable t pid =
   pid >= 1 && pid <= t.n
   &&
   match t.slots.(pid) with
-  | Fresh | Waiting _ -> true
   | Finished -> false
+  | Fresh | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
+  | Sus_fasas _ | Sus_await _ | Sus_await2 _ ->
+    true
 
 (* A process is spin-blocked if its pending operation is an await whose
    condition does not currently hold: stepping it re-reads the cell(s) but
@@ -255,31 +257,24 @@ let blocked t pid =
   suppressed t pid
   ||
   match t.slots.(pid) with
-  | Fresh | Finished -> false
-  | Waiting st -> (
-    match st with
-    | Sus_await (c, pred, _) -> not (pred (Memory.peek c))
-    | Sus_await2 (c1, c2, pred, _) ->
-      not (pred (Memory.peek c1) (Memory.peek c2))
-    | Returned | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
-    | Sus_fasas _ ->
-      false)
+  | Sus_await (c, pred, _) -> not (pred (Memory.peek c))
+  | Sus_await2 (c1, c2, pred, _) -> not (pred (Memory.peek c1) (Memory.peek c2))
+  | Fresh | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _
+  | Sus_faa _ | Sus_fasas _ ->
+    false
 
 let blocked_on t pid =
   match t.slots.(pid) with
-  | Fresh | Finished -> None
-  | Waiting st -> (
-    match st with
-    | Sus_await (c, pred, _) ->
-      if pred (Memory.peek c) && not (suppressed t pid) then None
-      else Some (Memory.name c)
-    | Sus_await2 (c1, c2, pred, _) ->
-      if pred (Memory.peek c1) (Memory.peek c2) && not (suppressed t pid) then
-        None
-      else Some (Memory.name c1 ^ "+" ^ Memory.name c2)
-    | Returned | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
-    | Sus_fasas _ ->
-      None)
+  | Sus_await (c, pred, _) ->
+    if pred (Memory.peek c) && not (suppressed t pid) then None
+    else Some (Memory.name c)
+  | Sus_await2 (c1, c2, pred, _) ->
+    if pred (Memory.peek c1) (Memory.peek c2) && not (suppressed t pid) then
+      None
+    else Some (Memory.name c1 ^ "+" ^ Memory.name c2)
+  | Fresh | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _
+  | Sus_faa _ | Sus_fasas _ ->
+    None
 
 let enabled t =
   let rec collect pid acc =
@@ -294,11 +289,14 @@ let start t pid =
   let epoch = t.epoch in
   Effect.Deep.match_with (fun () -> t.body ~pid ~epoch) () handler
 
+(* Top-level rather than a closure in [advance], which would allocate
+   one on every step. *)
+let[@inline] consume t pid v = t.local_sig.(pid) <- Encode.mix t.local_sig.(pid) v
+
 (* Executes one suspended operation, resuming the fiber when possible.
    Returns the fiber's next state. An await whose condition fails keeps the
    same continuation: the read was charged, the process stays put. *)
 let advance t ~pid st =
-  let consume v = t.local_sig.(pid) <- Encode.mix t.local_sig.(pid) v in
   (* A held store buffer drains before any further operation by its
      owner (fence semantics): the process can never observe shared
      memory ahead of its own unpublished write. *)
@@ -306,10 +304,10 @@ let advance t ~pid st =
   | Some f -> ( match f.buf_cell.(pid) with Some _ -> flush_buf t f pid | None -> ())
   | None -> ());
   match st with
-  | Returned -> Returned
+  | Fresh | Finished -> st
   | Sus_read (c, k) ->
     let v = Memory.exec_read t.mem ~pid c in
-    consume v;
+    consume t pid v;
     Effect.Deep.continue k v
   | Sus_write (c, v, k) -> (
     match t.faults with
@@ -322,32 +320,32 @@ let advance t ~pid st =
       f.buf_v.(pid) <- v;
       f.buf_due.(pid) <- t.clock + f.armed.(pid);
       f.armed.(pid) <- -1;
-      consume v;
+      consume t pid v;
       Effect.Deep.continue k v
     | _ ->
       let v = Memory.exec_write t.mem ~pid c v in
-      consume v;
+      consume t pid v;
       Effect.Deep.continue k v)
   | Sus_cas (c, expect, repl, k) ->
     let v = Memory.exec_cas t.mem ~pid c ~expect ~repl in
-    consume v;
+    consume t pid v;
     Effect.Deep.continue k v
   | Sus_fas (c, v, k) ->
     let v = Memory.exec_fas t.mem ~pid c v in
-    consume v;
+    consume t pid v;
     Effect.Deep.continue k v
   | Sus_faa (c, d, k) ->
     let v = Memory.exec_faa t.mem ~pid c d in
-    consume v;
+    consume t pid v;
     Effect.Deep.continue k v
   | Sus_fasas (c, v, dst, k) ->
     let v = Memory.exec_fasas t.mem ~pid c v ~dst in
-    consume v;
+    consume t pid v;
     Effect.Deep.continue k v
   | Sus_await (c, pred, k) ->
     let v = Memory.exec_read t.mem ~pid c in
     if pred v then begin
-      consume v;
+      consume t pid v;
       Effect.Deep.continue k v
     end
     else st
@@ -355,17 +353,18 @@ let advance t ~pid st =
     let v1 = Memory.exec_read t.mem ~pid c1 in
     let v2 = Memory.exec_read t.mem ~pid c2 in
     if pred v1 v2 then begin
-      consume v1;
-      consume v2;
+      consume t pid v1;
+      consume t pid v2;
       Effect.Deep.continue k (v1, v2)
     end
     else st
 
-let settle t pid = function
-  | Returned -> t.slots.(pid) <- Finished
-  | st -> t.slots.(pid) <- Waiting st
-
-let slot_tag = function Fresh -> 1 | Waiting _ -> 2 | Finished -> 3
+let slot_tag = function
+  | Fresh -> 1
+  | Finished -> 3
+  | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _ | Sus_fasas _
+  | Sus_await _ | Sus_await2 _ ->
+    2
 
 let[@inline] contribution t pid =
   Encode.mix
@@ -396,28 +395,26 @@ let step t pid =
   t.clock <- t.clock + 1;
   match t.slots.(pid) with
   | Finished -> invalid_arg "Runtime.step: process is not runnable"
-  | (Fresh | Waiting _) as slot ->
+  | slot ->
     if t.fp_live then t.fp <- t.fp lxor contribution t pid;
-    (match slot with
-    | Fresh -> (
-      match start t pid with
-      | Returned -> t.slots.(pid) <- Finished
-      | st -> settle t pid (advance t ~pid st))
-    | Waiting st -> settle t pid (advance t ~pid st)
-    | Finished -> assert false);
+    t.slots.(pid) <-
+      (match slot with
+      | Fresh -> (
+        match start t pid with Finished -> Finished | st -> advance t ~pid st)
+      | st -> advance t ~pid st);
     if t.fp_live then t.fp <- t.fp lxor contribution t pid
 
 let discontinue_status st =
   let kill : type a. (a, status) Effect.Deep.continuation -> unit =
    fun k ->
     match Effect.Deep.discontinue k Proc.Crashed with
-    | Returned -> ()
-    | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
+    | Finished -> ()
+    | Fresh | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
     | Sus_fasas _ | Sus_await _ | Sus_await2 _ ->
       failwith "Runtime.crash: a fiber caught the Crashed exception"
   in
   match st with
-  | Returned -> ()
+  | Fresh | Finished -> ()
   | Sus_read (_, k) -> kill k
   | Sus_write (_, _, k) -> kill k
   | Sus_cas (_, _, _, k) -> kill k
@@ -432,9 +429,7 @@ let crash_one t pid =
   clear_faults_of t pid;
   t.clock <- t.clock + 1;
   if t.fp_live then t.fp <- t.fp lxor contribution t pid;
-  (match t.slots.(pid) with
-  | Waiting st -> discontinue_status st
-  | Fresh | Finished -> ());
+  discontinue_status t.slots.(pid);
   t.slots.(pid) <- Fresh;
   t.local_sig.(pid) <- 0;
   if t.fp_live then t.fp <- t.fp lxor contribution t pid
@@ -452,9 +447,7 @@ let crash t ?(bump = 1) () =
   t.clock <- t.clock + 1;
   t.crashes <- t.crashes + 1;
   for pid = 1 to t.n do
-    (match t.slots.(pid) with
-    | Waiting st -> discontinue_status st
-    | Fresh | Finished -> ());
+    discontinue_status t.slots.(pid);
     t.slots.(pid) <- Fresh;
     t.local_sig.(pid) <- 0
   done;
@@ -537,20 +530,22 @@ let awaiting t pid =
   pid >= 1 && pid <= t.n
   &&
   match t.slots.(pid) with
-  | Waiting (Sus_await _ | Sus_await2 _) -> true
-  | Fresh | Finished | Waiting _ -> false
+  | Sus_await _ | Sus_await2 _ -> true
+  | Fresh | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _
+  | Sus_faa _ | Sus_fasas _ ->
+    false
 
 let lose_wakeup t pid =
   if pid < 1 || pid > t.n then invalid_arg "Runtime.lose_wakeup: bad pid";
   match t.slots.(pid) with
-  | Waiting (Sus_await (c, _, _)) ->
+  | Sus_await (c, _, _) ->
     let f = get_faults t in
     f.susp.(pid) <- true;
     f.susp_cell.(pid) <- Some c;
     f.susp_v.(pid) <- Memory.peek c;
     f.susp_cell2.(pid) <- None;
     true
-  | Waiting (Sus_await2 (c1, c2, _, _)) ->
+  | Sus_await2 (c1, c2, _, _) ->
     let f = get_faults t in
     f.susp.(pid) <- true;
     f.susp_cell.(pid) <- Some c1;
@@ -558,7 +553,9 @@ let lose_wakeup t pid =
     f.susp_cell2.(pid) <- Some c2;
     f.susp_v2.(pid) <- Memory.peek c2;
     true
-  | Fresh | Finished | Waiting _ -> false
+  | Fresh | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _
+  | Sus_faa _ | Sus_fasas _ ->
+    false
 
 let delay_writes t pid ~window =
   if pid < 1 || pid > t.n then invalid_arg "Runtime.delay_writes: bad pid";
@@ -587,23 +584,39 @@ let drain_faults t =
     done;
     !any
 
-let step_footprint t pid =
-  if pid < 1 || pid > t.n then invalid_arg "Runtime.step_footprint: bad pid";
+let opaque t pid =
+  if pid < 1 || pid > t.n then invalid_arg "Runtime.opaque: bad pid";
+  (* Starting the body runs arbitrary setup up to its first operation,
+     which then executes within the same step — unknowable without
+     running it. *)
   match t.slots.(pid) with
-  | Fresh ->
-    (* Starting the body runs arbitrary setup up to its first operation,
-       which then executes within the same step — unknowable without
-       running it. *)
-    None
-  | Finished -> Some []
-  | Waiting st -> (
-    match st with
-    | Returned -> Some []
-    | Sus_read (c, _) | Sus_await (c, _, _) -> Some [ (Memory.id c, false) ]
-    | Sus_write (c, _, _) | Sus_cas (c, _, _, _) | Sus_fas (c, _, _)
-    | Sus_faa (c, _, _) ->
-      Some [ (Memory.id c, true) ]
-    | Sus_fasas (c, _, dst, _) ->
-      Some [ (Memory.id c, true); (Memory.id dst, true) ]
-    | Sus_await2 (c1, c2, _, _) ->
-      Some [ (Memory.id c1, false); (Memory.id c2, false) ])
+  | Fresh -> true
+  | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _
+  | Sus_fasas _ | Sus_await _ | Sus_await2 _ ->
+    false
+
+(* The [i]-th cell (0 or 1) a pending operation accesses, or -1. *)
+let access st i =
+  match st with
+  | Sus_read (c, _) | Sus_await (c, _, _) | Sus_write (c, _, _)
+  | Sus_cas (c, _, _, _) | Sus_fas (c, _, _) | Sus_faa (c, _, _) ->
+    if i = 0 then Memory.id c else -1
+  | Sus_fasas (c1, _, c2, _) | Sus_await2 (c1, c2, _, _) ->
+    Memory.id (if i = 0 then c1 else c2)
+  | Fresh | Finished -> -1
+
+(* A failed CAS still counts as a write: whether it fails depends on the
+   cell's value, and it invalidates cached copies, so it never commutes
+   with another access to the same cell. *)
+let may_write = function
+  | Sus_write _ | Sus_cas _ | Sus_fas _ | Sus_faa _ | Sus_fasas _ -> true
+  | Fresh | Finished | Sus_read _ | Sus_await _ | Sus_await2 _ -> false
+
+let conflict t p q =
+  if p < 1 || p > t.n || q < 1 || q > t.n then
+    invalid_arg "Runtime.conflict: bad pid";
+  let sp = t.slots.(p) and sq = t.slots.(q) in
+  (may_write sp || may_write sq)
+  &&
+  let shared a = a >= 0 && (a = access sq 0 || a = access sq 1) in
+  shared (access sp 0) || shared (access sp 1)

@@ -176,11 +176,17 @@ val sym_contribution : t -> int -> int
     included (it is permutation-invariant; the caller mixes it into the
     residue). Computed on demand; observer API. *)
 
-val step_footprint : t -> int -> (int * bool) list option
-(** The shared-memory accesses [(cell id, may_write)] that [step t pid]
-    would perform right now: the suspended operation's footprint, or the
-    spin re-read(s) of an await. [None] for a fresh process (starting the
-    body executes arbitrary setup plus its first operation — unknown
-    without running it), so callers must treat fresh processes as
-    touching everything. Used by the model checker's partial-order
-    reduction to decide whether two processes' next steps commute. *)
+val opaque : t -> int -> bool
+(** [opaque t pid] is true iff [pid] is in the NCS, so its next step is
+    unknown without running it: starting the body executes arbitrary
+    setup plus its first operation. The model checker's partial-order
+    reduction treats such a step as depending on everything. *)
+
+val conflict : t -> int -> int -> bool
+(** [conflict t p q] is true iff the next steps of [p] and [q] — each
+    the pending operation, or the spin re-read(s) of an await — access a
+    common cell and at least one may write it (a CAS counts as a write
+    even if it would fail). Steps that do not conflict commute. Neither
+    process may be {!opaque}; a finished process conflicts with nothing.
+    Used by the model checker's partial-order reduction and sleep sets;
+    allocates nothing. *)

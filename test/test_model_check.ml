@@ -427,6 +427,31 @@ let key_mix_fallback_still_sound () =
     "still prunes" true
     (o.Harness.Model_check.pruned_runs > 0)
 
+(* Minor words per explored step of a small replay search (t2-mcs n=2,
+   one divergence, one crash, no reduction; 1,189 runs of ~49 steps).
+   The scheduler keeps its per-step bookkeeping in the world's int
+   buffers and the runtime stores a step's suspension unboxed, so what
+   a step allocates is mostly the effect suspension itself: 19.9 words
+   per step. The bound leaves 50% headroom and fails a scheduler that
+   conses per step (68.9 words when the trace, the runnable list and
+   the choice points were lists). Calibrated on OCaml 5.1.1 only;
+   another compiler may allocate differently. *)
+let words_per_step_bound = 30.
+
+let replay_words_per_step () =
+  let sc =
+    Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
+      ~make:(fun mem -> Rme.Stack.recoverable mem "t2-mcs")
+      ()
+  in
+  let before = Gc.minor_words () in
+  let o = Harness.Model_check.explore ~divergence_bound:1 ~crash_bound:1 sc in
+  let words = Gc.minor_words () -. before in
+  let per_step = words /. float o.Harness.Model_check.steps in
+  if per_step > words_per_step_bound then
+    Alcotest.failf "%d steps allocated %.0f minor words (%.1f/step), bound %.0f"
+      o.Harness.Model_check.steps words per_step words_per_step_bound
+
 let () =
   Alcotest.run "model_check"
     [
@@ -461,4 +486,5 @@ let () =
           case "sym-crash-violations" sym_preserves_crash_violations;
           case "bitstate-underreports" bitstate_underreports_never_fabricates;
         ] );
+      ("allocation", [ case "words-per-step" replay_words_per_step ]);
     ]

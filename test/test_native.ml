@@ -214,29 +214,54 @@ let monitor_counts_violations () =
   Alcotest.(check int) "two holders, one violation" 1
     (Monitor.me_violations m);
   (* Lost updates: two domains race the plain counter of slot 0 while
-     slot 1 is served alone. The atomic completion count stays exact. *)
+     slot 1 is served alone. The racers go in lockstep rounds: a helper
+     domain arrives and spins; the main domain waits for it, checks for a
+     lost update while neither is serving (so the check reads settled
+     counts), and releases the round; then both serve [per_round] times.
+     Both are on a core whenever a round starts, so every round is a real
+     overlap of their plain read-modify-writes, and the rounds go on
+     until an update is lost ([max_rounds] only turns a hang into a
+     failure). The atomic completion count stays exact. *)
   Monitor.serve m ~slot:1;
-  let per_domain = 200_000 in
-  let rounds = ref 0 in
-  while Monitor.lost_update_slots m = 0 && !rounds < 20 do
-    incr rounds;
-    let go = Atomic.make 0 in
-    let racer () =
-      Atomic.incr go;
-      while Atomic.get go < 2 do
+  let per_round = 8 and max_rounds = 1_000_000 in
+  let arrived = Atomic.make 0 and stop = Atomic.make false in
+  let serve_round () =
+    for _ = 1 to per_round do
+      Monitor.serve m ~slot:0
+    done
+  in
+  let helper () =
+    let rounds = ref 0 in
+    while not (Atomic.get stop) do
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 * (!rounds + 1) && not (Atomic.get stop) do
         Domain.cpu_relax ()
       done;
-      for _ = 1 to per_domain do
-        Monitor.serve m ~slot:0
-      done
-    in
-    let d = Domain.spawn racer in
-    racer ();
-    Domain.join d
+      if not (Atomic.get stop) then begin
+        serve_round ();
+        incr rounds
+      end
+    done;
+    !rounds
+  in
+  let d = Domain.spawn helper in
+  let rounds = ref 0 in
+  while not (Atomic.get stop) do
+    while Atomic.get arrived < (2 * !rounds) + 1 do
+      Domain.cpu_relax ()
+    done;
+    if Monitor.lost_update_slots m > 0 || !rounds = max_rounds then
+      Atomic.set stop true
+    else begin
+      Atomic.incr arrived;
+      serve_round ();
+      incr rounds
+    end
   done;
+  let helper_rounds = Domain.join d in
   Alcotest.(check int) "one lost-update slot" 1 (Monitor.lost_update_slots m);
   Alcotest.(check int) "completions exact"
-    ((2 * per_domain * !rounds) + 1)
+    ((per_round * (!rounds + helper_rounds)) + 1)
     (Monitor.total_completions m)
 
 let monitor_abandon_releases_held_slot () =

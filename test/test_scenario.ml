@@ -507,6 +507,75 @@ let memory_reset_restores () =
     (Invalid_argument "Memory.on_reset: memory already sealed by reset")
     (fun () -> Memory.on_reset mem ignore)
 
+(* The reset contract at O(touched): a reset restores only the cells
+   changed since the last one, and the digests resync from the
+   allocation digests plus those cells. *)
+let reset_fixture () =
+  let mem = Memory.create ~model:Memory.Cc ~n:2 in
+  let a = Memory.global mem ~name:"a" 5 in
+  let b = Memory.cell mem ~name:"b" ~home:1 0 in
+  let c = Memory.cell mem ~name:"c" ~home:2 7 in
+  (mem, a, b, c)
+
+let reset_clears_read_only_readers () =
+  let mem, a, _, _ = reset_fixture () in
+  Memory.reset mem;
+  ignore (Memory.exec_read mem ~pid:1 a);
+  Memory.reset mem;
+  (* [a] was only read, so its value never changed; the reset must still
+     empty its reader set, or pid 1's next read is an in-cache hit. *)
+  ignore (Memory.exec_read mem ~pid:1 a);
+  Alcotest.(check int) "first read after the reset is an RMR" 1
+    (Memory.rmrs mem ~pid:1)
+
+let reset_back_to_back () =
+  let mem, a, b, c = reset_fixture () in
+  let restores = ref 0 in
+  Memory.on_reset mem (fun () -> incr restores);
+  let fresh, _, _, _ = reset_fixture () in
+  Memory.reset mem;
+  ignore (Memory.exec_write mem ~pid:1 b 3);
+  ignore (Memory.exec_read mem ~pid:2 a);
+  ignore (Memory.exec_fas mem ~pid:2 c 1);
+  ignore (Memory.fingerprint mem);
+  Memory.reset mem;
+  Memory.reset mem;
+  Alcotest.(check int) "restores ran at every reset" 3 !restores;
+  Alcotest.(check (array int)) "values" (Memory.snapshot fresh)
+    (Memory.snapshot mem);
+  Alcotest.(check int) "fingerprint" (Memory.fingerprint fresh)
+    (Memory.fingerprint mem);
+  for k = 0 to 2 do
+    Alcotest.(check int) (Printf.sprintf "sym slice %d" k)
+      (Memory.sym_part fresh k) (Memory.sym_part mem k)
+  done;
+  ignore (Memory.exec_read mem ~pid:2 a);
+  Alcotest.(check int) "reader sets cleared" 1 (Memory.rmrs mem ~pid:2)
+
+let reset_digests_resync () =
+  let mem, a, b, c = reset_fixture () in
+  let fresh, fa, fb, fc = reset_fixture () in
+  Memory.reset mem;
+  let writes mem a b c =
+    ignore (Memory.exec_write mem ~pid:1 b 4);
+    ignore (Memory.exec_faa mem ~pid:2 a 2);
+    ignore (Memory.exec_cas mem ~pid:1 c ~expect:7 ~repl:8);
+    (* back to its allocation value: touched, but contributes nothing *)
+    ignore (Memory.exec_write mem ~pid:2 b 0)
+  in
+  writes mem a b c;
+  writes fresh fa fb fc;
+  ignore (Memory.exec_write mem ~pid:1 b 6);
+  ignore (Memory.exec_write fresh ~pid:1 fb 6);
+  Alcotest.(check int) "fingerprint = fingerprint_slow"
+    (Memory.fingerprint_slow mem) (Memory.fingerprint mem);
+  Alcotest.(check int) "fingerprint = a fresh memory's"
+    (Memory.fingerprint fresh) (Memory.fingerprint mem);
+  for k = 0 to 2 do
+    Alcotest.(check int) (Printf.sprintf "sym slice %d" k)
+      (Memory.sym_part fresh k) (Memory.sym_part mem k)
+  done
+
 let runtime_reset_restores () =
   let build () =
     let mem = Memory.create ~model:Memory.Cc ~n:2 in
@@ -716,6 +785,9 @@ let () =
       ( "reuse",
         [
           case "memory-reset" memory_reset_restores;
+          case "read-only-readers" reset_clears_read_only_readers;
+          case "back-to-back" reset_back_to_back;
+          case "digests-resync" reset_digests_resync;
           case "runtime-reset" runtime_reset_restores;
           slow_case "matches-fresh" reuse_matches_fresh;
           case "unregistered-ref-flagged" unregistered_ref_flagged;
