@@ -18,9 +18,11 @@ test: build
 differential: build
 	dune exec test/test_differential.exe
 
-# E1 exercises the sweep fan-out, E9 the model checker (its rows fanned
-# out), E12 the reduction engine, E13 the incremental-fingerprint hot
-# path, all on a 2-worker pool. A safety violation (assert_ok) aborts the
+# E1 exercises the sweep fan-out, E3, E6 and E11 the simulated
+# driver's recovery-leader split, overtaking monitor and independent
+# crashes, E9 the model checker (its rows fanned out), E12 the
+# reduction engine, E13 the incremental-fingerprint hot path, all on a
+# 2-worker pool. A safety violation (assert_ok) aborts the
 # binary; a failed gate (a clean row reporting a violation, a
 # known-negative row failing to find one, or the reduction ratio
 # collapsing) is written into the JSON's gates member with its deciding
@@ -28,15 +30,16 @@ differential: build
 # The emitted BENCH_E*.json are then schema-checked (a failed verdict is
 # a FAIL) AND diffed against the committed
 # bench/baselines/ — safety columns byte-exact, other numeric cells
-# within a 10% band (all four tables are seeded/DFS-deterministic where
+# within a 10% band (all seven tables are seeded/DFS-deterministic where
 # printed, so any drift means behaviour actually changed; if it changed
 # on purpose, `make baselines` regenerates the expectation — say why in
 # the PR). The E14-E17 and scenario smokes run from here too, so CI
 # runs each of them once, as part of this target.
 bench-smoke: build
-	dune exec bench/main.exe -- e1 e9 e12 e13 --jobs 2
+	dune exec bench/main.exe -- e1 e3 e6 e9 e11 e12 e13 --jobs 2
 	dune exec bench/validate.exe -- --baseline bench/baselines \
-	  BENCH_E1.json BENCH_E9.json BENCH_E12.json BENCH_E13.json
+	  BENCH_E1.json BENCH_E3.json BENCH_E6.json BENCH_E9.json \
+	  BENCH_E11.json BENCH_E12.json BENCH_E13.json
 	$(MAKE) e14-smoke
 	$(MAKE) e15-smoke
 	$(MAKE) e16-smoke
@@ -87,12 +90,12 @@ metrics-smoke: build
 # would. A failed gate makes main.exe exit non-zero, so no failing
 # verdict can become a baseline.
 baselines: build
-	dune exec bench/main.exe -- e1 e9 e12 e13 e16 e17 --jobs 2
+	dune exec bench/main.exe -- e1 e3 e6 e9 e11 e12 e13 e16 e17 --jobs 2
 	dune exec bench/main.exe -- e14 --quick
 	dune exec bench/main.exe -- e15 --quick
-	cp BENCH_E1.json BENCH_E9.json BENCH_E12.json BENCH_E13.json \
-	  BENCH_E14.json BENCH_E15.json BENCH_E16.json BENCH_E17.json \
-	  bench/baselines/
+	cp BENCH_E1.json BENCH_E3.json BENCH_E6.json BENCH_E9.json \
+	  BENCH_E11.json BENCH_E12.json BENCH_E13.json BENCH_E14.json \
+	  BENCH_E15.json BENCH_E16.json BENCH_E17.json bench/baselines/
 
 # The nightly deep model-check: the E9/E12 roster's algorithm stacks at
 # larger bounds than CI's smoke run can afford, made tractable by

@@ -251,18 +251,7 @@ let barrier_worst_case ~model ~n enter =
     run_until_blocked pid
   done;
   run_until_blocked 1;
-  let sched = Schedule.round_robin () in
-  let rec finish () =
-    match Runtime.enabled rt with
-    | [] -> ()
-    | en -> (
-      match sched ~clock:(Runtime.clock rt) ~enabled:en with
-      | Some (Schedule.Step pid) ->
-        Runtime.step rt pid;
-        finish ()
-      | _ -> ())
-  in
-  finish ();
+  Runtime.run rt (Schedule.round_robin ());
   if not (Runtime.all_done rt) then failwith "barrier bench wedged";
   (cost.(1), Array.fold_left max 0 cost)
 
@@ -419,17 +408,8 @@ let ablations ~pool () =
     let rt = Runtime.create mem ~body in
     (* Everyone except p_n passes the barrier first; p_n arrives last. *)
     let sched = Schedule.round_robin () in
-    let rec run_all_but_last () =
-      match List.filter (fun p -> p <> n) (Runtime.enabled rt) with
-      | [] -> ()
-      | en -> (
-        match sched ~clock:(Runtime.clock rt) ~enabled:en with
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          run_all_but_last ()
-        | _ -> ())
-    in
-    run_all_but_last ();
+    Runtime.run rt (fun ~clock ~enabled ->
+        sched ~clock ~enabled:(List.filter (fun p -> p <> n) enabled));
     while Runtime.runnable rt n do
       Runtime.step rt n
     done;

@@ -305,6 +305,18 @@ let scenario_name_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* The registered scenario [name], built from the command-line knobs. *)
+let build_scenario name ~stack ~n ~model ~passages ~no_csr ~crash_bound =
+  Option.get (Harness.Scenario.find name)
+    {
+      Harness.Scenario.sp_stack = stack;
+      sp_n = n;
+      sp_model = model;
+      sp_passages = passages;
+      sp_check_csr = not no_csr;
+      sp_crash_bound = crash_bound;
+    }
+
 let pp_minimized n (m : Harness.Shrink.result) =
   Printf.printf
     "minimized schedule: %d decisions, %d interventions (%d probes)\n"
@@ -318,34 +330,6 @@ let pp_minimized n (m : Harness.Shrink.result) =
   List.iter
     (fun v -> Printf.printf "  reproduces: %s\n" v)
     m.Harness.Shrink.s_violations
-
-let minimized_json (m : Harness.Shrink.result option) ~n =
-  let open Sim.Json in
-  match m with
-  | None -> Null
-  | Some m ->
-    Obj
-      [
-        ( "trace",
-          List (Array.to_list (Array.map (fun d -> Int d) m.Harness.Shrink.s_trace))
-        );
-        ( "interventions",
-          List
-            (List.map
-               (fun (pos, d) ->
-                 Obj
-                   [
-                     ("pos", Int pos);
-                     ("decision", Int d);
-                     ( "meaning",
-                       Str (Harness.Model_check.describe_decision ~n d) );
-                   ])
-               m.Harness.Shrink.s_interventions) );
-        ( "violations",
-          List (List.map (fun v -> Str v) m.Harness.Shrink.s_violations) );
-        ("steps", Int m.Harness.Shrink.s_steps);
-        ("probes", Int m.Harness.Shrink.s_probes);
-      ]
 
 let model_check_cmd =
   let scenario =
@@ -493,44 +477,10 @@ let model_check_cmd =
       Printf.eprintf "rme: --vset-bits must be in 10..36 (got %d)\n" vset_bits;
       exit 2
     end;
-    let build = Option.get (Harness.Scenario.find scenario) in
     let sc =
-      build
-        {
-          Harness.Scenario.sp_stack = stack;
-          sp_n = n;
-          sp_model = model;
-          sp_passages = passages;
-          sp_check_csr = not no_csr;
-          sp_crash_bound = cbound;
-        }
-    in
-    let outcome_json (o : Harness.Model_check.outcome) =
-      let open Sim.Json in
-      Obj
-        ([
-           ("runs", Int o.runs);
-           ("steps", Int o.steps);
-           ("step_cap_hits", Int o.step_cap_hits);
-           ("deadlocks", Int o.deadlocks);
-           ("truncated", Bool o.truncated);
-           ("distinct_states", Int o.distinct_states);
-           ("pruned_runs", Int o.pruned_runs);
-           ("pruned_branches", Int o.pruned_branches);
-           ("sleep_pruned", Int o.sleep_pruned);
-         ]
-        @ (match (o.bitstate_occupancy, o.collision_bound) with
-          | Some occ, Some b ->
-            [ ("bitstate_occupancy", Float occ); ("collision_bound", Float b) ]
-          | _ -> [])
-        @ [
-            ("violations", List (List.map (fun v -> Str v) o.violations));
-            ( "witness",
-              match o.witness with
-              | None -> Null
-              | Some w -> List (Array.to_list (Array.map (fun d -> Int d) w))
-            );
-          ])
+      Harness.Scenario.to_scenario
+        (build_scenario scenario ~stack ~n ~model ~passages ~no_csr
+           ~crash_bound:cbound)
     in
     (* Swarm: S diversified partial searches — member i cycles through
        {base; d+1; c+1; co+1} bounds and salts its own bitstate, so
@@ -657,11 +607,11 @@ let model_check_cmd =
                   ("crash_bound", Sim.Json.Int c);
                   ("crash_one_bound", Sim.Json.Int co);
                   ("salt", Sim.Json.Int (i + 1));
-                  ("outcome", outcome_json o);
+                  ("outcome", Harness.Report.outcome_json o);
                 ])
             swarm_members outs
         in
-        (merged, Some (Sim.Json.List members_json))
+        (merged, Some members_json)
       end
     in
     Format.printf "%a@." Harness.Model_check.pp_outcome o;
@@ -676,40 +626,33 @@ let model_check_cmd =
     Option.iter
       (fun file ->
         let open Sim.Json in
+        let config =
+          [
+            ("scenario", Str scenario);
+            ("stack", Str stack);
+            ( "model",
+              Str (Format.asprintf "%a" Sim.Memory.pp_model model) );
+            ("n", Int n);
+            ("divergence_bound", Int dbound);
+            ("crash_bound", Int cbound);
+            ("crash_one_bound", Int cobound);
+            ("passages", Int passages);
+            ("max_runs", Int max_runs);
+            ( "reduce",
+              Str (Harness.Model_check.reduction_to_string reduction)
+            );
+            ( "vset",
+              Str
+                (if swarm > 0 || vset = `Bitstate then "bitstate"
+                 else "exact") );
+            ("vset_bits", Int vset_bits);
+            ("swarm", Int swarm);
+            ("check_csr", Bool (not no_csr));
+          ]
+        in
         let doc =
-          Obj
-            ([
-               ("schema", Str (Schema.name Harness.Report.mc_outcome));
-               ( "config",
-                 Obj
-                   [
-                     ("scenario", Str scenario);
-                     ("stack", Str stack);
-                     ( "model",
-                       Str (Format.asprintf "%a" Sim.Memory.pp_model model) );
-                     ("n", Int n);
-                     ("divergence_bound", Int dbound);
-                     ("crash_bound", Int cbound);
-                     ("crash_one_bound", Int cobound);
-                     ("passages", Int passages);
-                     ("max_runs", Int max_runs);
-                     ( "reduce",
-                       Str (Harness.Model_check.reduction_to_string reduction)
-                     );
-                     ( "vset",
-                       Str
-                         (if swarm > 0 || vset = `Bitstate then "bitstate"
-                          else "exact") );
-                     ("vset_bits", Int vset_bits);
-                     ("swarm", Int swarm);
-                     ("check_csr", Bool (not no_csr));
-                   ] );
-               ("outcome", outcome_json o);
-             ]
-            @ (match swarm_json with
-              | None -> []
-              | Some members -> [ ("swarm", members) ])
-            @ [ ("minimized_schedule", minimized_json minimized ~n) ])
+          Harness.Report.mc_outcome_json ~config ?swarm:swarm_json ~n
+            ~minimized o
         in
         write_file file (to_string ~pretty:true doc ^ "\n"))
       out;
@@ -838,17 +781,9 @@ let scenario_cmd =
     let run name stack model n passages seed crash_mean bursty lost_wakeup_mean
         delay_mean delay_window max_steps epochs no_csr no_shrink
         expect_violation out =
-      let build = Option.get (Harness.Scenario.find name) in
-      let sc =
-        build
-          {
-            Harness.Scenario.sp_stack = stack;
-            sp_n = n;
-            sp_model = model;
-            sp_passages = passages;
-            sp_check_csr = not no_csr;
-            sp_crash_bound = epochs - 1;
-          }
+      let t =
+        build_scenario name ~stack ~n ~model ~passages ~no_csr
+          ~crash_bound:(epochs - 1)
       in
       (* One seeded storm: the schedule supplies steps and crashes, the
          fault means supply lost wakeups / delayed writes; everything
@@ -860,38 +795,24 @@ let scenario_cmd =
           Sim.Schedule.with_random_crashes ~seed:(seed + 1) ~mean ~bursty base
         | None -> base
       in
-      let rng = Random.State.make [| 0x5702; seed |] in
-      let decide ~pos ~enabled ~default =
-        if lost_wakeup_mean > 0 && Random.State.int rng lost_wakeup_mean = 0
-        then -(n + 1 + Random.State.int rng n)
-        else if delay_mean > 0 && Random.State.int rng delay_mean = 0 then
-          -((2 * n) + 1 + Random.State.int rng n)
-        else
-          match schedule ~clock:pos ~enabled with
-          | Some (Sim.Schedule.Step pid) -> pid
-          | Some Sim.Schedule.Crash -> Harness.Model_check.crash_decision
-          | Some (Sim.Schedule.Crash_one pid) -> -pid
-          | None -> default
-      in
-      let rp =
-        Harness.Model_check.run_schedule ~max_steps ~delay_window ~decide sc
+      let r =
+        Harness.Scenario.storm ~max_steps ~delay_window ~lost_wakeup_mean
+          ~delay_mean ~seed ~schedule t
       in
       Printf.printf
         "storm: %d steps, %d crashes, %d independent crashes, %s\n"
-        rp.Harness.Model_check.rp_steps rp.Harness.Model_check.rp_crashes
-        rp.Harness.Model_check.rp_crash_ones
-        (if rp.Harness.Model_check.rp_deadlock then "deadlocked"
-         else if rp.Harness.Model_check.rp_capped then "step-capped"
+        r.st_steps r.st_crashes r.st_crash_ones
+        (if r.st_deadlock then "deadlocked"
+         else if r.st_capped then "step-capped"
          else "all done");
-      List.iter
-        (Printf.printf "violation: %s\n")
-        rp.Harness.Model_check.rp_violations;
-      let violated = rp.Harness.Model_check.rp_violations <> [] in
+      List.iter (Printf.printf "violation: %s\n") r.st_violations;
+      let violated = r.st_violations <> [] in
       let minimized =
         if violated && not no_shrink then begin
           let m =
-            Harness.Shrink.minimize ~max_steps ~delay_window sc
-              rp.Harness.Model_check.rp_trace
+            Harness.Shrink.minimize ~max_steps ~delay_window
+              (Harness.Scenario.to_scenario t)
+              r.st_trace
           in
           Option.iter (pp_minimized n) m;
           m
@@ -901,61 +822,44 @@ let scenario_cmd =
       Option.iter
         (fun file ->
           let open Sim.Json in
-          let doc =
-            Obj
-              [
-                ("schema", Str (Schema.name Harness.Report.mc_outcome));
-                ( "config",
-                  Obj
-                    [
-                      ("scenario", Str name);
-                      ("stack", Str stack);
-                      ( "model",
-                        Str (Format.asprintf "%a" Sim.Memory.pp_model model) );
-                      ("n", Int n);
-                      ("passages", Int passages);
-                      ("seed", Int seed);
-                      ( "crash_mean",
-                        match crash_mean with None -> Null | Some m -> Int m );
-                      ("lost_wakeup_mean", Int lost_wakeup_mean);
-                      ("delay_mean", Int delay_mean);
-                      ("delay_window", Int delay_window);
-                      ("max_steps", Int max_steps);
-                    ] );
-                ( "outcome",
-                  Obj
-                    [
-                      ("runs", Int 1);
-                      ("steps", Int rp.Harness.Model_check.rp_steps);
-                      ( "step_cap_hits",
-                        Int (if rp.Harness.Model_check.rp_capped then 1 else 0)
-                      );
-                      ( "deadlocks",
-                        Int
-                          (if rp.Harness.Model_check.rp_deadlock then 1 else 0)
-                      );
-                      ("truncated", Bool false);
-                      ("distinct_states", Int 0);
-                      ("pruned_runs", Int 0);
-                      ("pruned_branches", Int 0);
-                      ( "violations",
-                        List
-                          (List.map
-                             (fun v -> Str v)
-                             rp.Harness.Model_check.rp_violations) );
-                      ( "witness",
-                        if violated then
-                          List
-                            (Array.to_list
-                               (Array.map
-                                  (fun d -> Int d)
-                                  rp.Harness.Model_check.rp_trace))
-                        else Null );
-                    ] );
-                ("minimized_schedule", minimized_json minimized ~n);
-              ]
+          let config =
+            [
+              ("scenario", Str name);
+              ("stack", Str stack);
+              ("model", Str (Format.asprintf "%a" Sim.Memory.pp_model model));
+              ("n", Int n);
+              ("passages", Int passages);
+              ("seed", Int seed);
+              ( "crash_mean",
+                match crash_mean with None -> Null | Some m -> Int m );
+              ("lost_wakeup_mean", Int lost_wakeup_mean);
+              ("delay_mean", Int delay_mean);
+              ("delay_window", Int delay_window);
+              ("max_steps", Int max_steps);
+            ]
           in
-          write_file file (to_string ~pretty:true doc ^ "\n"))
+          (* A storm is one run: its outcome in the search's terms. *)
+          let outcome =
+            {
+              Harness.Model_check.runs = 1;
+              steps = r.st_steps;
+              violations = r.st_violations;
+              step_cap_hits = (if r.st_capped then 1 else 0);
+              deadlocks = (if r.st_deadlock then 1 else 0);
+              truncated = false;
+              distinct_states = 0;
+              pruned_runs = 0;
+              pruned_branches = 0;
+              sleep_pruned = 0;
+              bitstate_occupancy = None;
+              collision_bound = None;
+              witness = (if violated then Some r.st_trace else None);
+            }
+          in
+          write_file file
+            (to_string ~pretty:true
+               (Harness.Report.mc_outcome_json ~config ~n ~minimized outcome)
+            ^ "\n"))
         out;
       if violated <> expect_violation then 1 else 0
     in
@@ -1032,32 +936,14 @@ let trace_cmd =
     in
     let rt = Sim.Runtime.create mem ~body in
     Sim.Runtime.on_crash rt (fun ~epoch -> Sim.Trace.record_crash tr ~epoch);
+    Sim.Runtime.on_crash_one rt (fun ~pid -> Sim.Trace.record_crash_one tr ~pid);
     let base = Sim.Schedule.uniform ~seed in
     let schedule =
       match crash_every with
       | Some every -> Sim.Schedule.with_crashes ~every base
       | None -> base
     in
-    let rec loop () =
-      if Sim.Runtime.clock rt < steps then begin
-        match Sim.Runtime.enabled rt with
-        | [] -> ()
-        | en -> (
-          match schedule ~clock:(Sim.Runtime.clock rt) ~enabled:en with
-          | Some (Sim.Schedule.Step pid) ->
-            Sim.Runtime.step rt pid;
-            loop ()
-          | Some Sim.Schedule.Crash ->
-            Sim.Runtime.crash rt ();
-            loop ()
-          | Some (Sim.Schedule.Crash_one pid) ->
-            Sim.Runtime.crash_one rt pid;
-            Sim.Trace.record_crash_one tr ~pid;
-            loop ()
-          | None -> ())
-      end
-    in
-    loop ();
+    Sim.Runtime.run ~max_steps:steps rt schedule;
     let contents =
       match format with
       | `Text ->

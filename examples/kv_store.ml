@@ -77,28 +77,9 @@ let run_ledger ~stack ~seed =
     done
   in
   let rt = Runtime.create mem ~body in
-  let schedule =
-    Schedule.with_random_crashes ~seed ~mean:220 (Schedule.uniform ~seed:(seed * 3))
-  in
-  let rec loop () =
-    if Runtime.clock rt < 3_000_000 then begin
-      match Runtime.enabled rt with
-      | [] -> ()
-      | en -> (
-        match schedule ~clock:(Runtime.clock rt) ~enabled:en with
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          loop ()
-        | Some Schedule.Crash ->
-          Runtime.crash rt ();
-          loop ()
-        | Some (Schedule.Crash_one pid) ->
-          Runtime.crash_one rt pid;
-          loop ()
-        | None -> ())
-    end
-  in
-  loop ();
+  Runtime.run ~max_steps:3_000_000 rt
+    (Schedule.with_random_crashes ~seed ~mean:220
+       (Schedule.uniform ~seed:(seed * 3)));
   {
     transfers = Array.fold_left ( + ) 0 transfers;
     crashes = Runtime.crashes rt;

@@ -28,161 +28,64 @@ type report = {
   recovery_passage_steps : Stats.t;
 }
 
+(* The run is a {!Scenario} composition — the same workload and the same
+   mutual-exclusion, CSR and lost-update monitors the storms and the
+   model checker use, plus the overtaking and passage-statistics sets —
+   built through {!Model_check.world} and stepped by {!Runtime.run}: the
+   schedule's decisions only, with no per-step productive scan, trail or
+   intervention list. *)
 let run ?(max_steps = 2_000_000) ?(passages = 100) ~n ~model ~make ~schedule ()
     =
-  let mem = Memory.create ~model ~n in
-  let lock = make mem in
-  let counter = Memory.global mem ~name:"driver.protected" 0 in
-  (* Persistent environment state (survives crashes, like application
-     NVRAM). *)
-  let completed = Array.make (n + 1) 0 in
-  let last_epoch = Array.make (n + 1) min_int in
-  let in_wait = Array.make (n + 1) false in
-  let overtakes = Array.make (n + 1) 0 in
-  (* Monitor state. *)
-  let occupant = ref 0 in
-  let me_violations = ref 0 in
-  let csr_owner = ref 0 in
-  let csr_violations = ref 0 in
-  let csr_reentries = ref 0 in
-  let cs_completions = ref 0 in
-  let max_overtaking = ref 0 in
-  let steady_rmrs = Stats.create () in
-  let recovery_rmrs = Stats.create () in
-  let leader_recovery_rmrs = Stats.create () in
-  let follower_recovery_rmrs = Stats.create () in
-  let steady_sec = Stats.create () in
-  let recovery_sec = Stats.create () in
-  let exit_steps = Stats.create () in
-  let steady_recover_steps = Stats.create () in
-  let steady_passage_steps = Stats.create () in
-  let recovery_passage_steps = Stats.create () in
-  (* Recovery-leader proxy: the first process to begin a passage in each
-     epoch is the one that (in Transformation 1) typically wins the
-     leader CAS and pays the base-lock reset; everyone else recovers as a
-     non-leader. Plain monitor state, like everything else here. *)
-  let leader_epoch = ref Stdlib.min_int in
-  let body ~pid ~epoch =
-    while completed.(pid) < passages do
-      let rmr0 = Memory.rmrs mem ~pid in
-      let step0 = Memory.steps mem ~pid in
-      if not in_wait.(pid) then begin
-        in_wait.(pid) <- true;
-        overtakes.(pid) <- 0
-      end;
-      let recovery_passage = last_epoch.(pid) <> epoch in
-      let recovery_leader = recovery_passage && !leader_epoch <> epoch in
-      if recovery_leader then leader_epoch := epoch;
-      lock.Rme.Rme_intf.recover ~pid ~epoch;
-      let recover_rmrs = Memory.rmrs mem ~pid - rmr0 in
-      let recover_steps = Memory.steps mem ~pid - step0 in
-      lock.Rme.Rme_intf.enter ~pid ~epoch;
-      (* --- critical section --- *)
-      if !occupant <> 0 then incr me_violations;
-      occupant := pid;
-      if !csr_owner <> 0 then
-        if !csr_owner = pid then begin
-          incr csr_reentries;
-          csr_owner := 0
-        end
-        else incr csr_violations;
-      for q = 1 to n do
-        if q <> pid && in_wait.(q) then begin
-          overtakes.(q) <- overtakes.(q) + 1;
-          if overtakes.(q) > !max_overtaking then
-            max_overtaking := overtakes.(q)
-        end
-      done;
-      in_wait.(pid) <- false;
-      let v = Proc.read counter in
-      Proc.write counter (v + 1);
-      occupant := 0;
-      incr cs_completions;
-      (* --- end critical section --- *)
-      let exit0 = Memory.steps mem ~pid in
-      lock.Rme.Rme_intf.exit ~pid ~epoch;
-      Stats.add_int exit_steps (Memory.steps mem ~pid - exit0);
-      let passage_rmrs = Memory.rmrs mem ~pid - rmr0 in
-      let passage_steps = Memory.steps mem ~pid - step0 in
-      if recovery_passage then begin
-        Stats.add_int recovery_rmrs passage_rmrs;
-        Stats.add_int
-          (if recovery_leader then leader_recovery_rmrs
-           else follower_recovery_rmrs)
-          passage_rmrs;
-        Stats.add_int recovery_sec recover_rmrs;
-        Stats.add_int recovery_passage_steps passage_steps
-      end
-      else begin
-        Stats.add_int steady_rmrs passage_rmrs;
-        Stats.add_int steady_sec recover_rmrs;
-        Stats.add_int steady_recover_steps recover_steps;
-        Stats.add_int steady_passage_steps passage_steps
-      end;
-      last_epoch.(pid) <- epoch;
-      completed.(pid) <- completed.(pid) + 1
-    done
+  let lock_name = ref "" in
+  let make mem =
+    let lock = make mem in
+    lock_name := lock.Rme.Rme_intf.name;
+    lock
   in
-  let rt = Runtime.create mem ~body in
-  Runtime.on_crash rt (fun ~epoch:_ ->
-      (* The process in the CS at a crash must re-enter before anyone else
-         may (CSR). [in_wait] persists: its super-passage continues. *)
-      if !occupant <> 0 then csr_owner := !occupant;
-      occupant := 0);
-  let rec loop () =
-    if Runtime.clock rt < max_steps then begin
-      match Runtime.enabled rt with
-      | [] -> ()
-      | en -> (
-        match schedule ~clock:(Runtime.clock rt) ~enabled:en with
-        | None -> ()
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          loop ()
-        | Some Schedule.Crash ->
-          Runtime.crash rt ();
-          loop ()
-        | Some (Schedule.Crash_one pid) ->
-          (* Independent failure (outside the paper's model): the victim
-             abandons the CS if it held it; everything else keeps going. *)
-          if !occupant = pid then begin
-            csr_owner := pid;
-            occupant := 0
-          end;
-          Runtime.crash_one rt pid;
-          loop ())
-    end
+  let inst =
+    Scenario.instantiate
+      (Scenario.v ~n ~model
+         ~workload:(Scenario.rme_passages ~passages ~make)
+         ~monitors:
+           [
+             Scenario.mutex_monitors ();
+             Scenario.lost_update_monitor ();
+             Scenario.overtaking ();
+             Scenario.passage_stats ();
+           ])
   in
-  loop ();
-  let all_done =
-    Array.for_all (fun c -> c >= passages) (Array.sub completed 1 n)
-  in
+  let rt = Model_check.runtime inst.world in
+  Runtime.run ~max_steps rt schedule;
+  Model_check.finish inst.world;
+  let count k = List.assoc k (Scenario.counters inst) in
+  let hist k = List.assoc k (Scenario.histograms inst) in
+  let completed = List.hd inst.progress in
   {
     n;
     model;
-    lock_name = lock.Rme.Rme_intf.name;
+    lock_name = !lock_name;
     completed;
     target = passages;
-    all_done;
+    all_done = Array.for_all (fun c -> c >= passages) (Array.sub completed 1 n);
     total_steps = Runtime.clock rt;
-    total_rmrs = Memory.total_rmrs mem;
+    total_rmrs = Memory.total_rmrs (Model_check.memory inst.world);
     crashes = Runtime.crashes rt;
-    me_violations = !me_violations;
-    csr_violations = !csr_violations;
-    csr_reentries = !csr_reentries;
-    cs_completions = !cs_completions;
-    counter_value = Memory.peek counter;
-    max_overtaking = !max_overtaking;
-    steady_rmrs;
-    recovery_rmrs;
-    leader_recovery_rmrs;
-    follower_recovery_rmrs;
-    steady_recover_section_rmrs = steady_sec;
-    recovery_recover_section_rmrs = recovery_sec;
-    exit_steps;
-    steady_recover_steps;
-    steady_passage_steps;
-    recovery_passage_steps;
+    me_violations = count "me-violations";
+    csr_violations = count "csr-violations";
+    csr_reentries = count "csr-reentries";
+    cs_completions = count "cs-completions";
+    counter_value = count "protected-counter";
+    max_overtaking = count "max-overtaking";
+    steady_rmrs = hist "steady_rmrs";
+    recovery_rmrs = hist "recovery_rmrs";
+    leader_recovery_rmrs = hist "leader_recovery_rmrs";
+    follower_recovery_rmrs = hist "follower_recovery_rmrs";
+    steady_recover_section_rmrs = hist "steady_recover_section_rmrs";
+    recovery_recover_section_rmrs = hist "recovery_recover_section_rmrs";
+    exit_steps = hist "exit_steps";
+    steady_recover_steps = hist "steady_recover_steps";
+    steady_passage_steps = hist "steady_passage_steps";
+    recovery_passage_steps = hist "recovery_passage_steps";
   }
 
 let pp_report ppf r =

@@ -1,13 +1,18 @@
 (** The experiment driver: N client processes executing passages over a
     recoverable mutex inside the simulator, under a configurable schedule
-    with crash injection, while online monitors check the paper's
-    correctness properties and collect per-passage RMR statistics.
+    with crash injection, while monitors check the paper's correctness
+    properties and collect per-passage RMR statistics.
 
-    The driver plays the role of the {e environment}: its bookkeeping
-    (completed-passage counts, property monitors, statistics) lives in
-    plain OCaml state — conceptually the application's NVRAM plus an
-    omniscient observer — and never touches simulated shared memory, so it
-    cannot perturb RMR accounting.
+    The run is a {!Scenario} composition: the {!Scenario.rme_passages}
+    workload with {!Scenario.mutex_monitors},
+    {!Scenario.lost_update_monitor}, {!Scenario.overtaking} and
+    {!Scenario.passage_stats} — the same monitors the storms and the
+    model checker run — stepped by {!Sim.Runtime.run}. The driver plays
+    the role of the {e environment}: its bookkeeping (completed-passage
+    counts, property monitors, statistics) lives in plain OCaml state —
+    conceptually the application's NVRAM plus an omniscient observer —
+    and never touches simulated shared memory, so it cannot perturb RMR
+    accounting.
 
     Each client loops: leave the NCS, run [recover], [enter], execute a
     critical section that increments a {e protected} shared counter (a

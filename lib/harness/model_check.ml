@@ -216,7 +216,6 @@ type world = {
   mem : Memory.t;
   rt : Runtime.t;
   sink : (string -> unit) ref;
-  crash_one_hooks : (pid:int -> unit) list;
   finish_hooks : (unit -> unit) list;
   fp_hooks : (unit -> int) list;
   sym_hooks : (int -> int) list;
@@ -265,11 +264,11 @@ let world scenario =
   built := true;
   let rt = Runtime.create mem ~body in
   List.iter (Runtime.on_crash rt) !crash_hooks;
+  List.iter (Runtime.on_crash_one rt) !crash_one_hooks;
   {
     mem;
     rt;
     sink;
-    crash_one_hooks = !crash_one_hooks;
     finish_hooks = !finish_hooks;
     fp_hooks = !fp_hooks;
     sym_hooks = !sym_hooks;
@@ -287,6 +286,7 @@ let reset w ~violation =
 
 let memory w = w.mem
 let runtime w = w.rt
+let finish w = List.iter (fun h -> h ()) w.finish_hooks
 
 (* The [Dedup]/[Por] state key: memory and runtime digests, every
    monitor hash registered through [ctx.on_fingerprint], and the
@@ -638,11 +638,7 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
            history from before the mask existed. *)
         if sleep_on && p >= cut && !sleep <> 0 then wake decision;
         if decision = crash_decision then Runtime.crash rt ()
-        else if decision < 0 then begin
-          let victim = -decision in
-          Runtime.crash_one rt victim;
-          List.iter (fun h -> h ~pid:victim) w.crash_one_hooks
-        end
+        else if decision < 0 then Runtime.crash_one rt (-decision)
         else begin
           Runtime.step rt decision;
           cur := decision
@@ -653,7 +649,7 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
       end
     end
   done;
-  if (not !capped) && not !pruned then List.iter (fun h -> h ()) w.finish_hooks;
+  if (not !capped) && not !pruned then finish w;
   (* Branch: preempting to another productive process costs divergence
      budget; injecting a crash costs crash budget. Positions inside the
      forced prefix were branched when their ancestors ran. The taken-trace
@@ -879,8 +875,7 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
          let neg = -d in
          if neg <= n then begin
            incr crash_ones;
-           Runtime.crash_one rt neg;
-           List.iter (fun h -> h ~pid:neg) w.crash_one_hooks
+           Runtime.crash_one rt neg
          end
          else if neg <= 2 * n then ignore (Runtime.lose_wakeup rt (neg - n))
          else Runtime.delay_writes rt (neg - (2 * n)) ~window:delay_window);
@@ -890,7 +885,7 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
   done;
   (* Finish checks run on every non-capped end, deadlocks included —
      exactly [replay]'s policy (there is no pruning here). *)
-  if not !capped then List.iter (fun h -> h ()) w.finish_hooks;
+  if not !capped then finish w;
   {
     rp_steps = !pos;
     rp_trace = Array.sub trail.data 0 trail.len;

@@ -350,6 +350,12 @@ val reset : world -> violation:(string -> unit) -> unit
 val memory : world -> Sim.Memory.t
 val runtime : world -> Sim.Runtime.t
 
+val finish : world -> unit
+(** Runs every [ctx.on_finish] check. {!run_schedule_in} and {!explore}
+    call it at the end of every run that was not step-capped; a caller
+    that steps the world's runtime itself ({!Sim.Runtime.run}) calls it
+    once its run is over. *)
+
 val state_fingerprint : world -> cur:int -> int
 (** The state key {!Dedup} and {!Por} store: memory and runtime digests,
     every [ctx.on_fingerprint] hash, and [cur], the last-stepped

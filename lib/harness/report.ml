@@ -301,3 +301,64 @@ let mc_outcome =
                         ]));
               ]));
     ]
+
+let outcome_json (o : Model_check.outcome) =
+  let open Sim.Json in
+  Obj
+    ([
+       ("runs", Int o.runs);
+       ("steps", Int o.steps);
+       ("step_cap_hits", Int o.step_cap_hits);
+       ("deadlocks", Int o.deadlocks);
+       ("truncated", Bool o.truncated);
+       ("distinct_states", Int o.distinct_states);
+       ("pruned_runs", Int o.pruned_runs);
+       ("pruned_branches", Int o.pruned_branches);
+       ("sleep_pruned", Int o.sleep_pruned);
+     ]
+    @ (match (o.bitstate_occupancy, o.collision_bound) with
+      | Some occ, Some b ->
+        [ ("bitstate_occupancy", Float occ); ("collision_bound", Float b) ]
+      | _ -> [])
+    @ [
+        ("violations", List (List.map (fun v -> Str v) o.violations));
+        ( "witness",
+          match o.witness with
+          | None -> Null
+          | Some w -> List (Array.to_list (Array.map (fun d -> Int d) w)) );
+      ])
+
+let minimized_json ~n (m : Shrink.result option) =
+  let open Sim.Json in
+  match m with
+  | None -> Null
+  | Some m ->
+    Obj
+      [
+        ("trace", List (Array.to_list (Array.map (fun d -> Int d) m.s_trace)));
+        ( "interventions",
+          List
+            (List.map
+               (fun (pos, d) ->
+                 Obj
+                   [
+                     ("pos", Int pos);
+                     ("decision", Int d);
+                     ("meaning", Str (Model_check.describe_decision ~n d));
+                   ])
+               m.s_interventions) );
+        ("violations", List (List.map (fun v -> Str v) m.s_violations));
+        ("steps", Int m.s_steps);
+        ("probes", Int m.s_probes);
+      ]
+
+let mc_outcome_json ~config ?swarm ~n ~minimized o =
+  let open Sim.Json in
+  Obj
+    ([
+       ("schema", Str (Schema.name mc_outcome));
+       ("config", Obj config);
+       ("outcome", outcome_json o);
+     ]
+    @ (match swarm with None -> [] | Some members -> [ ("swarm", List members) ])
+    @ [ ("minimized_schedule", minimized_json ~n minimized) ])

@@ -115,3 +115,20 @@ val mc_outcome : Sim.Json.Schema.doc
     [sleep_pruned], finite [bitstate_occupancy]/[collision_bound], and a
     top-level [swarm] array whose members each carry their varied
     bounds, bitstate salt and a full outcome object. *)
+
+val outcome_json : Model_check.outcome -> Sim.Json.t
+(** One search outcome as the [outcome] object of {!mc_outcome} (also
+    the shape of each swarm member's). *)
+
+val mc_outcome_json :
+  config:(string * Sim.Json.t) list ->
+  ?swarm:Sim.Json.t list ->
+  n:int ->
+  minimized:Shrink.result option ->
+  Model_check.outcome ->
+  Sim.Json.t
+(** The one [rme-mc-outcome/1] emitter ({!mc_outcome}): the [config]
+    members, the outcome, the [swarm] member objects when given, and
+    the minimized schedule ([Null] when [None]; [n] names its
+    decisions). [model-check --out] and [scenario run --out] both write
+    it. *)

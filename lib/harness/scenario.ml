@@ -3,39 +3,47 @@ open Sim
 (* --- probes: the template points a workload exposes to monitors --- *)
 
 type probes = {
+  arriving : pid:int -> epoch:int -> unit;
   starting : pid:int -> epoch:int -> unit;
   entered : pid:int -> epoch:int -> unit;
   in_cs : pid:int -> epoch:int -> unit;
   exiting : pid:int -> epoch:int -> unit;
+  exited : pid:int -> epoch:int -> unit;
 }
 
 type monitor = {
   mon_name : string;
+  m_arriving : (pid:int -> epoch:int -> unit) option;
   m_starting : (pid:int -> epoch:int -> unit) option;
   m_entered : (pid:int -> epoch:int -> unit) option;
   m_in_cs : (pid:int -> epoch:int -> unit) option;
   m_exiting : (pid:int -> epoch:int -> unit) option;
+  m_exited : (pid:int -> epoch:int -> unit) option;
   m_crashed : (epoch:int -> unit) option;
   m_crashed_one : (pid:int -> unit) option;
   m_finished : (unit -> unit) option;
   m_fp_refs : int ref list;
   m_fp_arrays : int array list;
   m_counters : (string * int ref) list;
+  m_histograms : (string * Stats.t) list;
 }
 
 let blank ~name =
   {
     mon_name = name;
+    m_arriving = None;
     m_starting = None;
     m_entered = None;
     m_in_cs = None;
     m_exiting = None;
+    m_exited = None;
     m_crashed = None;
     m_crashed_one = None;
     m_finished = None;
     m_fp_refs = [];
     m_fp_arrays = [];
     m_counters = [];
+    m_histograms = [];
   }
 
 type monitor_set = Memory.t -> violation:(string -> unit) -> monitor list
@@ -74,7 +82,7 @@ let assemble t ~capture mem (ctx : Model_check.ctx) =
   let mons =
     List.concat_map (fun ms -> ms mem ~violation:ctx.violation) t.b_monitors
   in
-  (match capture with None -> () | Some c -> c := mons);
+  capture w mons;
   (match List.filter_map (fun m -> m.m_crashed) mons with
   | [] -> ()
   | hs -> ctx.on_crash (fun ~epoch -> List.iter (fun h -> h ~epoch) hs));
@@ -132,20 +140,42 @@ let assemble t ~capture mem (ctx : Model_check.ctx) =
   in
   let probes =
     {
+      arriving = chain (fun m -> m.m_arriving);
       starting = chain (fun m -> m.m_starting);
       entered = chain (fun m -> m.m_entered);
       in_cs = chain (fun m -> m.m_in_cs);
       exiting = chain (fun m -> m.m_exiting);
+      exited = chain (fun m -> m.m_exited);
     }
   in
   w.w_body probes
 
-let to_scenario t =
-  {
-    Model_check.n = t.b_n;
-    model = t.b_model;
-    make_body = assemble t ~capture:None;
-  }
+let scenario_of t ~capture =
+  { Model_check.n = t.b_n; model = t.b_model; make_body = assemble t ~capture }
+
+let to_scenario t = scenario_of t ~capture:(fun _ _ -> ())
+
+type instance = {
+  world : Model_check.world;
+  monitors : monitor list;
+  progress : int array list;
+}
+
+let instantiate t =
+  let captured = ref ([], []) in
+  let world =
+    Model_check.world
+      (scenario_of t ~capture:(fun w mons -> captured := (w.w_arrays, mons)))
+  in
+  let progress, monitors = !captured in
+  { world; monitors; progress }
+
+let counters inst =
+  List.concat_map
+    (fun m -> List.map (fun (k, r) -> (k, !r)) m.m_counters)
+    inst.monitors
+
+let histograms inst = List.concat_map (fun m -> m.m_histograms) inst.monitors
 
 (* --- reusable monitor sets --- *)
 
@@ -217,39 +247,182 @@ let lost_update_monitor () : monitor_set =
   let counter = Memory.global mem ~name:"mc.protected" 0 in
   let cs_done = ref 0 in
   let lost_updates = ref 0 in
+  let forgiven = ref 0 in
+  let final_value = ref 0 in
+  (* An increment a delayed-visibility fault (DESIGN.md §5.16) parked in
+     its writer's store buffer: the writer and the value it wrote, or
+     [held_by = 0]. A crash that hits before the buffer drains discards
+     the write legally (it never reached NVRAM) while the exiting probe
+     already counted the passage, which retries in the next epoch and
+     increments again — so exactly that increment is forgiven. Only a
+     fault parks a write, so a fault-free run forgives nothing and
+     [explore], which injects no faults, never sets these refs. The
+     writer's next operation drains its buffer, and under mutual
+     exclusion another process reaches the CS only after the writer's
+     exit, so the next increment's read settles the held one. *)
+  let held_by = ref 0 and held = ref 0 in
+  Memory.on_reset mem (fun () ->
+      held_by := 0;
+      held := 0);
+  let settle () =
+    if Memory.peek counter <> !held then incr forgiven;
+    held_by := 0
+  in
   [
     {
       (blank ~name:"lost-update") with
       m_in_cs =
         Some
-          (fun ~pid:_ ~epoch:_ ->
+          (fun ~pid ~epoch:_ ->
             let v = Proc.read counter in
-            Proc.write counter (v + 1));
+            held_by := 0;
+            Proc.write counter (v + 1);
+            if Memory.peek counter <> v + 1 then begin
+              held_by := pid;
+              held := v + 1
+            end);
       m_exiting = Some (fun ~pid:_ ~epoch:_ -> incr cs_done);
-      (* Crash resync: the increment and the [cs_done] count land in the
-         same scheduler step, so for any ME-correct run [counter =
-         cs_done] at every decision point and this assignment is a
-         no-op — fingerprints, parity pins and baselines are untouched.
-         Its purpose is the delayed-visibility fault (DESIGN.md §5.16):
-         an increment sitting in the store buffer when a crash hits is
-         legally discarded (it never reached NVRAM) while the exiting
-         probe already counted the passage — the passage retries in the
-         next epoch and re-increments, so without the resync the final
-         tally reports a phantom lost update (seen first on the jjj-cc
-         faulty gauntlet; t1-mcs/t3-mcs reproduce it on other seeds). *)
-      m_crashed = Some (fun ~epoch:_ -> cs_done := Memory.peek counter);
-      m_crashed_one = Some (fun ~pid:_ -> cs_done := Memory.peek counter);
+      m_crashed = Some (fun ~epoch:_ -> if !held_by <> 0 then settle ());
+      m_crashed_one = Some (fun ~pid -> if !held_by = pid then settle ());
       m_finished =
         Some
           (fun () ->
-            if Memory.peek counter <> !cs_done then begin
+            final_value := Memory.peek counter;
+            let expected = !cs_done - !forgiven in
+            if !final_value <> expected then begin
               incr lost_updates;
               violation
                 (Printf.sprintf "lost update: counter=%d, completions=%d"
-                   (Memory.peek counter) !cs_done)
+                   !final_value expected)
             end);
       m_fp_refs = [ cs_done ];
-      m_counters = [ ("lost-updates", lost_updates) ];
+      m_counters =
+        [
+          ("lost-updates", lost_updates);
+          ("cs-completions", cs_done);
+          ("forgiven-updates", forgiven);
+          ("protected-counter", final_value);
+        ];
+    };
+  ]
+
+let overtaking () : monitor_set =
+ fun mem ~violation:_ ->
+  let n = Memory.n mem in
+  (* Per process: whether it is waiting in a super-passage (1 from its
+     first arrival until it enters the CS; crashes do not end it), the
+     CS entries by others since it began waiting, and its worst such
+     count so far. *)
+  let in_wait = Array.make (n + 1) 0 in
+  let overtakes = Array.make (n + 1) 0 in
+  let worst = Array.make (n + 1) 0 in
+  let max_overtaking = ref 0 in
+  [
+    {
+      (blank ~name:"overtaking") with
+      m_arriving =
+        Some
+          (fun ~pid ~epoch:_ ->
+            if in_wait.(pid) = 0 then begin
+              in_wait.(pid) <- 1;
+              overtakes.(pid) <- 0
+            end);
+      m_entered =
+        Some
+          (fun ~pid ~epoch:_ ->
+            for q = 1 to n do
+              if q <> pid && in_wait.(q) = 1 then begin
+                let o = overtakes.(q) + 1 in
+                overtakes.(q) <- o;
+                if o > worst.(q) then begin
+                  worst.(q) <- o;
+                  if o > !max_overtaking then max_overtaking := o
+                end
+              end
+            done;
+            in_wait.(pid) <- 0);
+      m_fp_arrays = [ in_wait; overtakes; worst ];
+      m_counters = [ ("max-overtaking", max_overtaking) ];
+    };
+  ]
+
+let passage_stats () : monitor_set =
+ fun mem ~violation:_ ->
+  let n = Memory.n mem in
+  let per_pid v = Array.make (n + 1) v in
+  (* The current passage of each process: its RMR and step counts at
+     arrival, the recover section's cost, the step count before exit,
+     and its class. A crash abandons the passage; the next arrival
+     overwrites all of it. *)
+  let rmr0 = per_pid 0 and step0 = per_pid 0 in
+  let recover_rmrs = per_pid 0 and recover_steps = per_pid 0 in
+  let exit0 = per_pid 0 in
+  let recovery = per_pid false and leader = per_pid false in
+  (* The epoch of each process's last completed passage. A passage that
+     starts a new epoch for its process (first boot or post-crash) is a
+     recovery passage. Recovery-leader proxy: the first process to begin
+     a passage in each epoch is the one that (in Transformation 1)
+     typically wins the leader CAS and pays the base-lock reset;
+     everyone else recovers as a non-leader. *)
+  let last_epoch = per_pid min_int in
+  let leader_epoch = ref min_int in
+  Memory.on_reset mem (fun () ->
+      Array.fill last_epoch 0 (n + 1) min_int;
+      leader_epoch := min_int);
+  let histograms =
+    List.map
+      (fun k -> (k, Stats.create ()))
+      [
+        "steady_rmrs"; "recovery_rmrs"; "leader_recovery_rmrs";
+        "follower_recovery_rmrs"; "steady_recover_section_rmrs";
+        "recovery_recover_section_rmrs"; "exit_steps"; "steady_recover_steps";
+        "steady_passage_steps"; "recovery_passage_steps";
+      ]
+  in
+  let add k v = Stats.add_int (List.assoc k histograms) v in
+  [
+    {
+      (blank ~name:"passage-stats") with
+      m_arriving =
+        Some
+          (fun ~pid ~epoch ->
+            rmr0.(pid) <- Memory.rmrs mem ~pid;
+            step0.(pid) <- Memory.steps mem ~pid;
+            let r = last_epoch.(pid) <> epoch in
+            let l = r && !leader_epoch <> epoch in
+            recovery.(pid) <- r;
+            leader.(pid) <- l;
+            if l then leader_epoch := epoch);
+      m_starting =
+        Some
+          (fun ~pid ~epoch:_ ->
+            recover_rmrs.(pid) <- Memory.rmrs mem ~pid - rmr0.(pid);
+            recover_steps.(pid) <- Memory.steps mem ~pid - step0.(pid));
+      m_exiting = Some (fun ~pid ~epoch:_ -> exit0.(pid) <- Memory.steps mem ~pid);
+      m_exited =
+        Some
+          (fun ~pid ~epoch ->
+            let steps = Memory.steps mem ~pid in
+            add "exit_steps" (steps - exit0.(pid));
+            let passage_rmrs = Memory.rmrs mem ~pid - rmr0.(pid) in
+            let passage_steps = steps - step0.(pid) in
+            if recovery.(pid) then begin
+              add "recovery_rmrs" passage_rmrs;
+              add
+                (if leader.(pid) then "leader_recovery_rmrs"
+                 else "follower_recovery_rmrs")
+                passage_rmrs;
+              add "recovery_recover_section_rmrs" recover_rmrs.(pid);
+              add "recovery_passage_steps" passage_steps
+            end
+            else begin
+              add "steady_rmrs" passage_rmrs;
+              add "steady_recover_section_rmrs" recover_rmrs.(pid);
+              add "steady_recover_steps" recover_steps.(pid);
+              add "steady_passage_steps" passage_steps
+            end;
+            last_epoch.(pid) <- epoch);
+      m_histograms = histograms;
     };
   ]
 
@@ -287,6 +460,7 @@ let rme_passages ~passages ~make : workload =
     w_body =
       (fun probes ~pid ~epoch ->
         while completed.(pid) < passages do
+          probes.arriving ~pid ~epoch;
           lock.Rme.Rme_intf.recover ~pid ~epoch;
           probes.starting ~pid ~epoch;
           lock.Rme.Rme_intf.enter ~pid ~epoch;
@@ -294,6 +468,7 @@ let rme_passages ~passages ~make : workload =
           probes.in_cs ~pid ~epoch;
           probes.exiting ~pid ~epoch;
           lock.Rme.Rme_intf.exit ~pid ~epoch;
+          probes.exited ~pid ~epoch;
           completed.(pid) <- completed.(pid) + 1
         done);
   }
@@ -381,17 +556,10 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
     ?(delay_mean = 0) ~seed ~schedule t =
   let n = t.b_n in
   let rng = Random.State.make [| 0x5702; seed |] in
-  let captured = ref [] in
-  let sc =
-    {
-      Model_check.n = t.b_n;
-      model = t.b_model;
-      make_body = assemble t ~capture:(Some captured);
-    }
-  in
+  let inst = instantiate t in
   (* Faults fire first (seeded Bernoulli, random victim; an inapplicable
-     injection degrades to the default step inside [run_schedule]), then
-     the crash/step schedule, then the default policy. *)
+     injection degrades to the default step inside [run_schedule_in]),
+     then the crash/step schedule, then the default policy. *)
   let decide ~pos ~enabled ~default =
     if lost_wakeup_mean > 0 && Random.State.int rng lost_wakeup_mean = 0 then
       -(n + 1 + Random.State.int rng n)
@@ -404,7 +572,9 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
       | Some (Schedule.Crash_one pid) -> -pid
       | None -> default
   in
-  let rp = Model_check.run_schedule ~max_steps ~delay_window ~decide sc in
+  let rp =
+    Model_check.run_schedule_in ~max_steps ~delay_window ~decide inst.world
+  in
   {
     st_trace = rp.Model_check.rp_trace;
     st_steps = rp.rp_steps;
@@ -414,10 +584,7 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
     st_deadlock = rp.rp_deadlock;
     st_capped = rp.rp_capped;
     st_all_done = (not rp.rp_deadlock) && not rp.rp_capped;
-    st_counters =
-      List.concat_map
-        (fun m -> List.map (fun (k, r) -> (k, !r)) m.m_counters)
-        !captured;
+    st_counters = counters inst;
   }
 
 (* --- the scenario registry ---
@@ -448,7 +615,7 @@ let default_params =
 
 type info = { i_name : string; i_summary : string; i_needs_stack : bool }
 
-let registry : (string, info * (params -> Model_check.scenario)) Hashtbl.t =
+let registry : (string, info * (params -> t)) Hashtbl.t =
   Hashtbl.create 16
 
 let order : string list ref = ref []
@@ -473,25 +640,22 @@ let infos () =
 let () =
   register ~name:"rme" ~summary:"ME + CSR + lost-update over a recoverable lock"
     ~needs_stack:true (fun p ->
-      to_scenario
-        (rme_lock ~passages:p.sp_passages ~check_csr:p.sp_check_csr ~n:p.sp_n
-           ~model:p.sp_model
-           ~make:(fun mem -> Rme.Stack.recoverable mem p.sp_stack)
-           ()));
+      rme_lock ~passages:p.sp_passages ~check_csr:p.sp_check_csr ~n:p.sp_n
+        ~model:p.sp_model
+        ~make:(fun mem -> Rme.Stack.recoverable mem p.sp_stack)
+        ());
   register ~name:"mutex"
     ~summary:"ME + lost-update over a conventional lock (crash-free only)"
     ~needs_stack:true (fun p ->
-      to_scenario
-        (mutex_lock ~passages:p.sp_passages ~n:p.sp_n ~model:p.sp_model
-           ~make:(fun mem -> Rme.Stack.conventional mem p.sp_stack)
-           ()));
+      mutex_lock ~passages:p.sp_passages ~n:p.sp_n ~model:p.sp_model
+        ~make:(fun mem -> Rme.Stack.conventional mem p.sp_stack)
+        ());
   register ~name:"barrier"
     ~summary:"Definition 3.1(i) for the unknown-leader barrier, once per epoch"
     ~needs_stack:false (fun p ->
-      to_scenario
-        (barrier_rounds ~epochs:(p.sp_crash_bound + 1) ~n:p.sp_n
-           ~model:p.sp_model ()));
+      barrier_rounds ~epochs:(p.sp_crash_bound + 1) ~n:p.sp_n ~model:p.sp_model
+        ());
   register ~name:"barrier-sub"
     ~summary:"Definition 3.1(i) for the known-leader subroutine barrier"
     ~needs_stack:false (fun p ->
-      to_scenario (barrier_sub_rounds ~lid:1 ~n:p.sp_n ~model:p.sp_model ()))
+      barrier_sub_rounds ~lid:1 ~n:p.sp_n ~model:p.sp_model ())

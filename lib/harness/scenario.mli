@@ -28,36 +28,43 @@
 open Sim
 
 (** The template points a workload offers to monitors. For a lock
-    workload: [starting] before [enter], [entered] just after, [in_cs]
-    inside the critical section (this is where the lost-update monitor
-    increments the protected counter), [exiting] before [exit]. A
-    barrier workload uses [starting]/[entered] around its round. All
+    workload: [arriving] as a passage leaves the NCS (before [recover]),
+    [starting] before [enter], [entered] just after, [in_cs] inside the
+    critical section (this is where the lost-update monitor increments
+    the protected counter), [exiting] before [exit], [exited] after it.
+    A barrier workload uses [starting]/[entered] around its round. All
     calls are plain OCaml unless a monitor deliberately performs
     {!Sim.Proc} operations (only the lost-update monitor does). *)
 type probes = {
+  arriving : pid:int -> epoch:int -> unit;
   starting : pid:int -> epoch:int -> unit;
   entered : pid:int -> epoch:int -> unit;
   in_cs : pid:int -> epoch:int -> unit;
   exiting : pid:int -> epoch:int -> unit;
+  exited : pid:int -> epoch:int -> unit;
 }
 
 (** One checker. Every field is optional except the name; [m_fp_refs]
     and [m_fp_arrays] are the verdict-relevant state that must reach the
     state fingerprint, and are registered automatically. [m_counters]
-    are named statistics for {!storm} reports — deliberately {e not}
-    fingerprinted (they never influence behaviour or verdicts). *)
+    and [m_histograms] are named statistics for {!storm} reports and
+    [Driver] — deliberately {e not} fingerprinted (they never influence
+    behaviour or verdicts). *)
 type monitor = {
   mon_name : string;
+  m_arriving : (pid:int -> epoch:int -> unit) option;
   m_starting : (pid:int -> epoch:int -> unit) option;
   m_entered : (pid:int -> epoch:int -> unit) option;
   m_in_cs : (pid:int -> epoch:int -> unit) option;
   m_exiting : (pid:int -> epoch:int -> unit) option;
+  m_exited : (pid:int -> epoch:int -> unit) option;
   m_crashed : (epoch:int -> unit) option;
   m_crashed_one : (pid:int -> unit) option;
   m_finished : (unit -> unit) option;
   m_fp_refs : int ref list;
   m_fp_arrays : int array list;
   m_counters : (string * int ref) list;
+  m_histograms : (string * Stats.t) list;
 }
 
 val blank : name:string -> monitor
@@ -91,6 +98,26 @@ val v :
 
 val to_scenario : t -> Model_check.scenario
 
+(** One built instance of a builder scenario. *)
+type instance = {
+  world : Model_check.world;
+      (** built once; run it with {!Model_check.run_schedule_in}, or
+          step its runtime with {!Sim.Runtime.run} and then call
+          {!Model_check.finish} *)
+  monitors : monitor list;  (** the instantiated monitors, in order *)
+  progress : int array list;  (** the workload's progress arrays *)
+}
+
+val instantiate : t -> instance
+(** Builds the {!Model_check.world} of [to_scenario t] and keeps what
+    the workload and the monitor sets built over it. *)
+
+val counters : instance -> (string * int) list
+(** Every monitor's counters, with their current values. *)
+
+val histograms : instance -> (string * Stats.t) list
+(** Every monitor's named histograms. *)
+
 (** {2 Stock monitor sets and workloads} *)
 
 val mutex_monitors : ?check_csr:bool -> unit -> monitor_set
@@ -103,13 +130,30 @@ val mutex_monitors : ?check_csr:bool -> unit -> monitor_set
 val lost_update_monitor : unit -> monitor_set
 (** Allocates the shared ["mc.protected"] counter, increments it inside
     the CS ([in_cs] — the only monitor probe that performs {!Sim.Proc}
-    operations), and checks at the end of a run that no increment was
-    lost. On a crash the expected count resyncs to the persisted counter
-    — a no-op for ME-correct runs (so fingerprints and parity are
-    unchanged), but it forgives exactly the increment a
-    delayed-visibility fault leaves in the store buffer at the crash,
-    which never reached NVRAM and is legally discarded. Counter:
-    ["lost-updates"]. *)
+    operations), and checks at the end of a run that the counter equals
+    the CS completions. It forgives only an increment that a
+    delayed-visibility fault parked in a store buffer and a crash then
+    discarded (it never reached NVRAM); a fault-free run forgives
+    nothing, so every lost update counts, crashes or not. Counters:
+    ["lost-updates"], ["cs-completions"], ["forgiven-updates"] and
+    ["protected-counter"] (the counter's value, set by the end-of-run
+    check). *)
+
+val overtaking : unit -> monitor_set
+(** FRF overtaking (Definition 4.10): for each process, the CS entries
+    by others while it waits, from its first arrival in a super-passage
+    (crashes do not end one) until it enters the CS. The waiting flags,
+    the running counts and each process's worst count are pid-indexed
+    [m_fp_arrays]. Counter: ["max-overtaking"], the worst count over
+    every process. *)
+
+val passage_stats : unit -> monitor_set
+(** Per-passage RMR and step statistics: the ten histograms of
+    [Driver.report], under its field names (["steady_rmrs"] …
+    ["recovery_passage_steps"]), filled from plain [Memory.rmrs]/[steps]
+    reads at the [arriving], [starting], [exiting] and [exited] probes.
+    The per-process bookkeeping resets with the memory; the histograms
+    accumulate over every run of the world. *)
 
 val barrier_spec : leader_of:(epoch:int -> int) -> monitor_set
 (** Definition 3.1(i): no call may return before the leader's call has
@@ -118,8 +162,9 @@ val barrier_spec : leader_of:(epoch:int -> int) -> monitor_set
 val rme_passages :
   passages:int -> make:(Memory.t -> Rme.Rme_intf.rme) -> workload
 (** Each process performs [passages] recover/enter/CS/exit passages over
-    the lock [make] builds; the per-process completion array survives
-    crashes and feeds the fingerprint. *)
+    the lock [make] builds; its one progress array, the per-process
+    completed-passage count, survives crashes and feeds the
+    fingerprint. *)
 
 val rounds :
   epochs:int ->
@@ -217,14 +262,12 @@ val default_params : params
 type info = { i_name : string; i_summary : string; i_needs_stack : bool }
 
 val register :
-  name:string ->
-  summary:string ->
-  needs_stack:bool ->
-  (params -> Model_check.scenario) ->
-  unit
+  name:string -> summary:string -> needs_stack:bool -> (params -> t) -> unit
 (** @raise Invalid_argument on a duplicate name. *)
 
-val find : string -> (params -> Model_check.scenario) option
+val find : string -> (params -> t) option
+(** The builder: {!storm} it, or search it through {!to_scenario}. *)
+
 val info : string -> info option
 val names : unit -> string list
 (** Registration order. Stock entries: ["rme"], ["mutex"], ["barrier"],

@@ -68,6 +68,7 @@ type t = {
   mutable clock : int;
   mutable crashes : int;
   mutable crash_hooks : (epoch:int -> unit) list;
+  mutable crash_one_hooks : (pid:int -> unit) list;
   (* Per-process local-state signature: a hash of the sequence of values
      the fiber has consumed since it (re)started in the current epoch.
      The body is a deterministic function of (pid, epoch, consumed
@@ -155,6 +156,7 @@ let create ?(initial_epoch = 1) mem ~body =
     clock = 0;
     crashes = 0;
     crash_hooks = [];
+    crash_one_hooks = [];
     local_sig = Array.make (n + 1) 0;
     zp;
     fresh_fp = !fresh_fp;
@@ -432,7 +434,8 @@ let crash_one t pid =
   discontinue_status t.slots.(pid);
   t.slots.(pid) <- Fresh;
   t.local_sig.(pid) <- 0;
-  if t.fp_live then t.fp <- t.fp lxor contribution t pid
+  if t.fp_live then t.fp <- t.fp lxor contribution t pid;
+  List.iter (fun hook -> hook ~pid) t.crash_one_hooks
 
 let crash t ?(bump = 1) () =
   if bump < 1 then invalid_arg "Runtime.crash: bump must be >= 1";
@@ -458,6 +461,28 @@ let crash t ?(bump = 1) () =
   List.iter (fun hook -> hook ~epoch:t.epoch) t.crash_hooks
 
 let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
+let on_crash_one t hook = t.crash_one_hooks <- hook :: t.crash_one_hooks
+
+(* The one loop that lets a {!Schedule.t} drive a runtime. *)
+let run ?(max_steps = max_int) t (schedule : Schedule.t) =
+  let rec loop () =
+    if t.clock < max_steps then
+      match enabled t with
+      | [] -> ()
+      | en -> (
+        match schedule ~clock:t.clock ~enabled:en with
+        | None -> ()
+        | Some (Schedule.Step pid) ->
+          step t pid;
+          loop ()
+        | Some Schedule.Crash ->
+          crash t ();
+          loop ()
+        | Some (Schedule.Crash_one pid) ->
+          crash_one t pid;
+          loop ())
+  in
+  loop ()
 
 (* Suspended fibers are dropped, not discontinued: a fresh runtime
    would not run them either, and discontinuing would execute body code

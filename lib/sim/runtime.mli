@@ -78,19 +78,32 @@ val crash_one : t -> int -> unit
     separation (experiment E11): Transformation 1's recovery never fires
     (the epoch is unchanged, so [C = epoch] still holds) and the restarted
     process re-enters a base lock whose queue may still reference its dead
-    enlistment. No crash hooks run. *)
+    enlistment. The {!on_crash_one} hooks run, not the {!on_crash} ones. *)
 
 val on_crash : t -> (epoch:int -> unit) -> unit
 (** Register a callback invoked during each crash step, after the fibers
     are destroyed and the epoch advanced. Monitors use this to reset
     volatile bookkeeping. *)
 
+val on_crash_one : t -> (pid:int -> unit) -> unit
+(** Register a callback invoked at each {!crash_one}, after the victim's
+    fiber is destroyed. *)
+
+val run : ?max_steps:int -> t -> Schedule.t -> unit
+(** [run rt schedule] lets [schedule] drive [rt]: each decision is a
+    {!step}, a {!crash} or a {!crash_one}, so every registered hook
+    fires. It stops when every process has finished, when the schedule
+    returns [None], or once {!clock} reaches [max_steps] (default: no
+    limit). This is the one schedule loop; the model checker's search
+    and replay make their own decisions. *)
+
 val reset : t -> unit
 (** [reset t] returns [t] to its state at {!create} for in-place reuse
     (DESIGN.md §5.14): every process back in the NCS with an empty
     signature, the epoch at [initial_epoch], clock and crash count at 0,
     the digest off (to resync lazily at the next {!fingerprint}) and no
-    armed fault. Suspended fibers are dropped. Crash hooks are kept. The
+    armed fault. Suspended fibers are dropped. Crash and crash-one hooks
+    are kept. The
     memory is not touched: reset it with {!Memory.reset}. *)
 
 (** {2 Injectable faults}

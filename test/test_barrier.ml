@@ -11,25 +11,7 @@ let run_bodies ?(max_steps = 200_000) ~model ~n ~schedule make_body =
   let mem = Memory.create ~model ~n in
   let body = make_body mem in
   let rt = Runtime.create mem ~body in
-  let rec go () =
-    if Runtime.clock rt < max_steps then begin
-      match Runtime.enabled rt with
-      | [] -> ()
-      | en -> (
-        match schedule ~clock:(Runtime.clock rt) ~enabled:en with
-        | None -> ()
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          go ()
-        | Some Schedule.Crash ->
-          Runtime.crash rt ();
-          go ()
-        | Some (Schedule.Crash_one pid) ->
-          Runtime.crash_one rt pid;
-          go ())
-    end
-  in
-  go ();
+  Runtime.run ~max_steps rt schedule;
   Runtime.all_done rt
 
 (* --- Tag machinery --- *)
@@ -236,18 +218,7 @@ let worst_case_rmrs ~model ~n enter =
   done;
   run_until_blocked 1;
   (* Let the wake-up chain play out fairly. *)
-  let sched = Schedule.round_robin () in
-  let rec finish () =
-    match Runtime.enabled rt with
-    | [] -> ()
-    | en -> (
-      match sched ~clock:(Runtime.clock rt) ~enabled:en with
-      | Some (Schedule.Step pid) ->
-        Runtime.step rt pid;
-        finish ()
-      | _ -> ())
-  in
-  finish ();
+  Runtime.run rt (Schedule.round_robin ());
   Alcotest.(check bool) "barrier completed" true (Runtime.all_done rt);
   (cost.(1), Array.fold_left max 0 cost)
 

@@ -146,6 +146,72 @@ let crash_one_bookkeeping () =
   (* Individual crashes are not system-wide crash steps. *)
   Alcotest.(check int) "no epoch-advancing crashes" 0 r.Harness.Driver.crashes
 
+(* --- rme-metrics/1 parity ---
+
+   The full metrics file of a fixed set of seeded runs, compared byte for
+   byte with [driver_metrics.expected]: every counter, every histogram
+   bucket. The runs cover a FIFO stack, the FRF stack and a non-FIFO
+   base lock on both cost models, each failure-free, under random
+   system-wide crashes, and under a biased schedule with crashes (which
+   drives overtaking), plus one run under independent crashes. *)
+
+let parity_runs () =
+  let uniform () = Schedule.uniform ~seed:7 in
+  let schedules =
+    [
+      ("failure-free", uniform);
+      ( "random-crashes",
+        fun () -> Schedule.with_random_crashes ~seed:5 ~mean:120 (uniform ()) );
+      ( "biased-crashes",
+        fun () ->
+          Schedule.with_random_crashes ~seed:9 ~mean:150
+            (Schedule.geometric_bias ~seed:11 0.6) );
+    ]
+  in
+  let runs =
+    List.concat_map
+      (fun stack ->
+        List.concat_map
+          (fun model ->
+            List.map
+              (fun (what, sched) -> (stack, model, what, sched))
+              schedules)
+          models)
+      [ "t1-mcs"; "t3-mcs"; "t1-ya" ]
+    @ [
+        ( "t1-mcs",
+          Memory.Cc,
+          "individual-crashes",
+          fun () ->
+            Schedule.with_individual_crashes ~seed:13 ~mean:300 ~n:4
+              (uniform ()) );
+      ]
+  in
+  List.map
+    (fun (stack, model, what, sched) ->
+      let r =
+        run_stack ~model ~n:4 ~passages:15 ~max_steps:200_000
+          ~schedule:(sched ()) stack
+      in
+      Printf.sprintf "# %s %s %s\n%s" stack (model_tag model) what
+        (Harness.Driver.metrics_json r))
+    runs
+
+(* On a mismatch the rendered file is left in [driver_metrics.actual]
+   (in the test's build directory) for review with diff. *)
+let metrics_parity () =
+  let expected =
+    In_channel.with_open_text "driver_metrics.expected" In_channel.input_all
+  in
+  let actual = String.concat "" (parity_runs ()) in
+  if actual <> expected then begin
+    Out_channel.with_open_text "driver_metrics.actual" (fun oc ->
+        output_string oc actual);
+    Alcotest.fail
+      "rme-metrics/1 differs from driver_metrics.expected (see \
+       driver_metrics.actual)"
+  end
+
 let () =
   Alcotest.run "driver"
     [
@@ -169,4 +235,5 @@ let () =
         ] );
       ("determinism", [ case "reproducible" reports_are_reproducible ]);
       ("independent", [ case "crash-one" crash_one_bookkeeping ]);
+      ("parity", [ case "metrics-json" metrics_parity ]);
     ]

@@ -63,19 +63,7 @@ let run_trace () =
     lock.Rme.Rme_intf.enter ~pid ~epoch;
     lock.Rme.Rme_intf.exit ~pid ~epoch
   in
-  let rt = Runtime.create mem ~body in
-  let sched = Schedule.round_robin () in
-  let rec loop () =
-    match Runtime.enabled rt with
-    | [] -> ()
-    | en -> (
-      match sched ~clock:(Runtime.clock rt) ~enabled:en with
-      | Some (Schedule.Step pid) ->
-        Runtime.step rt pid;
-        loop ()
-      | _ -> ())
-  in
-  loop ();
+  Runtime.run (Runtime.create mem ~body) (Schedule.round_robin ());
   tr
 
 let golden_prefix () =

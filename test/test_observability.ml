@@ -84,28 +84,9 @@ let traced_run ?(steps = 400) ?(seed = 9) () =
   in
   let rt = Runtime.create mem ~body in
   Runtime.on_crash rt (fun ~epoch -> Trace.record_crash tr ~epoch);
-  let schedule =
-    Schedule.with_crashes ~every:97 (Schedule.uniform ~seed)
-  in
-  let rec loop () =
-    if Runtime.clock rt < steps then
-      match Runtime.enabled rt with
-      | [] -> ()
-      | en -> (
-        match schedule ~clock:(Runtime.clock rt) ~enabled:en with
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          loop ()
-        | Some Schedule.Crash ->
-          Runtime.crash rt ();
-          loop ()
-        | Some (Schedule.Crash_one pid) ->
-          Runtime.crash_one rt pid;
-          Trace.record_crash_one tr ~pid;
-          loop ()
-        | None -> ())
-  in
-  loop ();
+  Runtime.on_crash_one rt (fun ~pid -> Trace.record_crash_one tr ~pid);
+  Runtime.run ~max_steps:steps rt
+    (Schedule.with_crashes ~every:97 (Schedule.uniform ~seed));
   tr
 
 let exports_are_byte_stable () =

@@ -38,7 +38,9 @@ let registry_has_builtins () =
       | None -> Alcotest.failf "find %S returned None" name
       | Some build ->
         (* Every registered scenario must build with the defaults. *)
-        let sc = build Harness.Scenario.default_params in
+        let sc =
+          Harness.Scenario.to_scenario (build Harness.Scenario.default_params)
+        in
         Alcotest.(check bool)
           (name ^ " builds with positive n")
           true (sc.MC.n > 0))
@@ -701,7 +703,7 @@ let reuse_matches_fresh () =
                   sp_crash_bound = 1;
                 }
               in
-              let sc = build p in
+              let sc = Harness.Scenario.to_scenario (build p) in
               match MC.world sc with
               | exception Invalid_argument _ when info.i_needs_stack -> ()
               | _ ->
@@ -748,6 +750,64 @@ let unregistered_ref_flagged () =
   Alcotest.(check (list string)) "registered ref clean" []
     (reuse_mismatches (leaky ~register:true))
 
+(* --- the lost-update monitor --- *)
+
+(* A lock whose sections do nothing: every passage races every other. *)
+let no_lock _mem : Rme.Rme_intf.rme =
+  {
+    Rme.Rme_intf.name = "none";
+    recover = (fun ~pid:_ ~epoch:_ -> ());
+    enter = (fun ~pid:_ ~epoch:_ -> ());
+    exit = (fun ~pid:_ ~epoch:_ -> ());
+  }
+
+(* Racing increments are lost whether or not crashes follow them: a
+   crash forgives nothing that a store buffer did not hold. *)
+let lost_updates_survive_crashes () =
+  List.iter
+    (fun every ->
+      let r =
+        Harness.Scenario.storm ~seed:1
+          ~schedule:(Schedule.with_crashes ~every (Schedule.uniform ~seed:5))
+          (Harness.Scenario.rme_lock ~passages:20 ~n:3 ~model:Memory.Cc
+             ~make:no_lock ())
+      in
+      let c = Harness.Scenario.counter r in
+      let what = Printf.sprintf "crash every %d" every in
+      Alcotest.(check bool) (what ^ ": crashes happened") true
+        (r.Harness.Scenario.st_crashes > 0);
+      Alcotest.(check int) (what ^ ": lost update flagged") 1
+        (c "lost-updates");
+      Alcotest.(check int) (what ^ ": nothing forgiven") 0
+        (c "forgiven-updates");
+      Alcotest.(check bool) (what ^ ": increments were lost") true
+        (c "protected-counter" < c "cs-completions"))
+    [ 40; 20; 10 ]
+
+(* The one increment a crash may take back: it sat in a store buffer. A
+   lone process (so mutual exclusion holds) parks its first increment
+   in its buffer and a crash discards the buffer before its next
+   operation; the counter then trails the completions by exactly the
+   forgiven increment. *)
+let discarded_increment_forgiven () =
+  let inst =
+    Harness.Scenario.instantiate
+      (Harness.Scenario.rme_lock ~passages:2 ~n:1 ~model:Memory.Cc
+         ~make:no_lock ())
+  in
+  (* Delay p1's next write; its first step reads the counter, its second
+     parks the increment and runs on to passage 2's read; then crash. *)
+  let forced = [| MC.int_of_decision ~n:1 (MC.Delay_writes 1); 1; 1; 0 |] in
+  let rp =
+    MC.run_schedule_in inst.world ~decide:(fun ~pos ~enabled:_ ~default ->
+        if pos < Array.length forced then forced.(pos) else default)
+  in
+  let c name = List.assoc name (Harness.Scenario.counters inst) in
+  Alcotest.(check int) "the crash was taken" 1 rp.MC.rp_crashes;
+  Alcotest.(check (list string)) "no lost update" [] rp.MC.rp_violations;
+  Alcotest.(check (list int)) "completions, counter, forgiven" [ 2; 1; 1 ]
+    [ c "cs-completions"; c "protected-counter"; c "forgiven-updates" ]
+
 let () =
   Alcotest.run "scenario"
     [
@@ -774,6 +834,11 @@ let () =
           case "delayed-write" delayed_write_semantics;
           case "delayed-write-crash" delayed_write_crash_discards;
           case "delayed-write-guards" delay_writes_rejects_bad_window;
+        ] );
+      ( "lost-update",
+        [
+          case "survives-crashes" lost_updates_survive_crashes;
+          case "discarded-forgiven" discarded_increment_forgiven;
         ] );
       ( "shrink",
         [

@@ -322,24 +322,7 @@ let crash_while_blocked () =
 
 (* --- Schedules --- *)
 
-let drive schedule rt =
-  let rec go () =
-    match Runtime.enabled rt with
-    | [] -> ()
-    | en -> (
-      match schedule ~clock:(Runtime.clock rt) ~enabled:en with
-      | None -> ()
-      | Some (Schedule.Step pid) ->
-        Runtime.step rt pid;
-        go ()
-      | Some Schedule.Crash ->
-        Runtime.crash rt ();
-        go ()
-      | Some (Schedule.Crash_one pid) ->
-        Runtime.crash_one rt pid;
-        go ())
-  in
-  go ()
+let drive schedule rt = Runtime.run rt schedule
 
 let round_robin_is_fair () =
   let mem = Memory.create ~model:Memory.Cc ~n:3 in

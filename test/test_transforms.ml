@@ -358,29 +358,8 @@ let weak_starvation_freedom () =
         lock.Rme.Rme_intf.exit ~pid ~epoch
       done
   in
-  let rt = Runtime.create mem ~body in
-  let sched =
-    Schedule.with_crashes ~every:300 (Schedule.uniform ~seed:9)
-  in
-  let rec go () =
-    if Runtime.clock rt < 1_000_000 then begin
-      match Runtime.enabled rt with
-      | [] -> ()
-      | en -> (
-        match sched ~clock:(Runtime.clock rt) ~enabled:en with
-        | Some (Schedule.Step pid) ->
-          Runtime.step rt pid;
-          go ()
-        | Some Schedule.Crash ->
-          Runtime.crash rt ();
-          go ()
-        | Some (Schedule.Crash_one pid) ->
-          Runtime.crash_one rt pid;
-          go ()
-        | None -> ())
-    end
-  in
-  go ();
+  Runtime.run ~max_steps:1_000_000 (Runtime.create mem ~body)
+    (Schedule.with_crashes ~every:300 (Schedule.uniform ~seed:9));
   for pid = 2 to n do
     Alcotest.(check int)
       (Printf.sprintf "p%d finished despite p1 dropping out" pid)

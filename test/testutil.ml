@@ -56,9 +56,10 @@ let storm_stack ?(n = 4) ?(passages = 50) ?(seed = 11) ?(max_steps = 4_000_000)
        ~make:(fun mem -> Rme.Stack.recoverable mem name)
        ())
 
-(* Mirror of {!Harness.Driver.check_clean}: mutual exclusion, lost
-   updates and completion — NOT CSR, which T1 lacks by design (the CSR
-   suites assert on the ["csr-violations"] counter explicitly). *)
+(* The storm-report form of {!Harness.Driver.check_clean} (both read
+   the same Scenario monitors): mutual exclusion, lost updates and
+   completion — NOT CSR, which T1 lacks by design (the CSR suites assert
+   on the ["csr-violations"] counter explicitly). *)
 let assert_storm_clean what (r : Harness.Scenario.storm_report) =
   let c = Harness.Scenario.counter r in
   if c "me-violations" > 0 then
