@@ -248,14 +248,15 @@ perf-smoke: build
 	done
 
 # Paired parent/change timing (bench/perf_pair.py): REF checked out in one
-# temporary git worktree, then for each workload in W (one or several,
-# W="mc-replay mc-sym") PAIRS alternating perfbench runs against the
+# temporary git worktree, then for each workload in W (one or several;
+# the default covers both simulator workloads, pure replay and the
+# visited-set path) PAIRS alternating perfbench runs against the
 # working tree at the benchmark's run length, each side's median and IQR
 # per end-to-end metric, the ratio, the win count and a gain / no gain /
 # unresolved / regression verdict per metric; a last line names every
 # regression.
 REF ?= HEAD~1
-W ?= mc-replay
+W ?= mc-replay mc-sym
 PAIRS ?= 10
 
 perf-pair: build

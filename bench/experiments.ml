@@ -407,9 +407,13 @@ let ablations ~pool () =
     in
     let rt = Runtime.create mem ~body in
     (* Everyone except p_n passes the barrier first; p_n arrives last. *)
-    let sched = Schedule.round_robin () in
+    let sched = Schedule.round_robin () and others = Bitset.create n in
     Runtime.run rt (fun ~clock ~enabled ->
-        sched ~clock ~enabled:(List.filter (fun p -> p <> n) enabled));
+        Bitset.clear others;
+        for p = 1 to n - 1 do
+          if Bitset.mem enabled p then Bitset.add others p
+        done;
+        sched ~clock ~enabled:others);
     while Runtime.runnable rt n do
       Runtime.step rt n
     done;
@@ -838,6 +842,7 @@ let throughput_sweep () =
     done;
     let wall = Unix.gettimeofday () -. t0 in
     ignore !digest;
+    Runtime.reset rt;
     (!steps, !crashes, !violations, wall)
   in
   let budget = if !quick then 20_000 else 200_000 in

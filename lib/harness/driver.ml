@@ -60,6 +60,8 @@ let run ?(max_steps = 2_000_000) ?(passages = 100) ~n ~model ~make ~schedule ()
   let count k = List.assoc k (Scenario.counters inst) in
   let hist k = List.assoc k (Scenario.histograms inst) in
   let completed = List.hd inst.progress in
+  let total_steps = Runtime.clock rt and crashes = Runtime.crashes rt in
+  Runtime.reset rt;
   {
     n;
     model;
@@ -67,9 +69,9 @@ let run ?(max_steps = 2_000_000) ?(passages = 100) ~n ~model ~make ~schedule ()
     completed;
     target = passages;
     all_done = Array.for_all (fun c -> c >= passages) (Array.sub completed 1 n);
-    total_steps = Runtime.clock rt;
+    total_steps;
     total_rmrs = Memory.total_rmrs (Model_check.memory inst.world);
-    crashes = Runtime.crashes rt;
+    crashes;
     me_violations = count "me-violations";
     csr_violations = count "csr-violations";
     csr_reentries = count "csr-reentries";

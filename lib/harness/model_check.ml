@@ -844,7 +844,8 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
     end
     else begin
       let want =
-        decide ~pos:!pos ~enabled:(Runtime.enabled rt) ~default:default_pid
+        decide ~pos:!pos ~enabled:(Runtime.runnable_set rt)
+          ~default:default_pid
       in
       let d =
         if want = crash_decision then want
@@ -884,8 +885,14 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
     end
   done;
   (* Finish checks run on every non-capped end, deadlocks included —
-     exactly [replay]'s policy (there is no pruning here). *)
-  if not !capped then finish w;
+     exactly [replay]'s policy (there is no pruning here) — and see
+     memory with every store buffer published: a write still parked
+     when the last process finished reached memory as far as the
+     algorithm is concerned. *)
+  if not !capped then begin
+    ignore (Runtime.drain_faults rt);
+    finish w
+  end;
   {
     rp_steps = !pos;
     rp_trace = Array.sub trail.data 0 trail.len;
@@ -899,7 +906,10 @@ let run_schedule_in ?(max_steps = 20_000) ?(delay_window = 8) ~decide w =
   }
 
 let run_schedule ?max_steps ?delay_window ~decide scenario =
-  run_schedule_in ?max_steps ?delay_window ~decide (world scenario)
+  let w = world scenario in
+  let r = run_schedule_in ?max_steps ?delay_window ~decide w in
+  Runtime.reset w.rt;
+  r
 
 (* Pre-sizing hint for the next exploration's visited set: the previous
    reduced search's [distinct_states]. Repeated searches (E12's roster,
@@ -934,8 +944,9 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
       if Parallel.Vset.is_bitstate vs then Key_mix
       else budget_coding ~divergence_bound ~crash_bound ~crash_one_bound
   in
+  let w = world scenario in
   let replay =
-    replay ~world:(world scenario) ~divergence_bound ~crash_bound
+    replay ~world:w ~divergence_bound ~crash_bound
       ~crash_one_bound ~max_steps ~reduction ~vset ~coding
       ~eager:eager_fingerprints
   in
@@ -997,6 +1008,7 @@ let explore ?(divergence_bound = 1) ?(crash_bound = 0) ?(crash_one_bound = 0)
     | pending -> pending
   in
   let pending = search [ root ] in
+  Runtime.reset w.rt;
   let bitstate_occupancy, collision_bound =
     match Option.bind vset Parallel.Vset.stats with
     | None -> (None, None)

@@ -295,13 +295,15 @@ type replay_report = {
 val run_schedule :
   ?max_steps:int ->
   ?delay_window:int ->
-  decide:(pos:int -> enabled:int list -> default:int -> int) ->
+  decide:(pos:int -> enabled:Sim.Bitset.t -> default:int -> int) ->
   scenario ->
   replay_report
 (** [run_schedule ~decide scenario] executes one run of [scenario] where
     every decision comes from [decide ~pos ~enabled ~default] —
     [enabled] being the runnable processes (spin-blocked included, as
-    {!Sim.Schedule} schedulers expect) and [default] the same
+    {!Sim.Schedule} schedulers expect; the runtime's read-only
+    {!Sim.Runtime.runnable_set}, valid only during the call) and
+    [default] the same
     run-until-blocked policy {!explore} uses, so
     [decide = fun ~pos:_ ~enabled:_ ~default -> default] is exactly the
     default schedule. Decisions the current state cannot honour (stepping a
@@ -314,13 +316,16 @@ val run_schedule :
 
     Deadlock detection first drains any held store buffers
     ({!Sim.Runtime.drain_faults}): a system wedged only behind a
-    delayed write is a visibility stall, not a deadlock.
+    delayed write is a visibility stall, not a deadlock. The finish
+    checks likewise run after a drain, so they never read memory
+    behind a write still parked when the last process finished.
 
     [max_steps] defaults to [20_000] (same cap and same "step cap
     exceeded" violation as {!explore}); [delay_window] (default [8]) is
     the visibility window, in clock ticks, that a [Delay_writes]
-    decision arms. Each call builds a fresh {!world}; it is
-    [run_schedule_in ~decide (world scenario)]. *)
+    decision arms. Each call builds a fresh {!world}, runs
+    [run_schedule_in ~decide] on it and resets the world's runtime,
+    discontinuing its suspended fibers. *)
 
 (** {2 The simulated world}
 
@@ -367,9 +372,10 @@ val sym_fingerprint : world -> cur:int -> int
 val run_schedule_in :
   ?max_steps:int ->
   ?delay_window:int ->
-  decide:(pos:int -> enabled:int list -> default:int -> int) ->
+  decide:(pos:int -> enabled:Sim.Bitset.t -> default:int -> int) ->
   world ->
   replay_report
 (** {!run_schedule} on an existing world, reset first. The world's
     memory and runtime then hold the run's final state until the next
-    reset. *)
+    reset. A caller done with the world resets its runtime
+    ({!Sim.Runtime.reset}) so that no suspended fiber is dropped. *)

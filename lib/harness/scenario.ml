@@ -575,6 +575,7 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
   let rp =
     Model_check.run_schedule_in ~max_steps ~delay_window ~decide inst.world
   in
+  Runtime.reset (Model_check.runtime inst.world);
   {
     st_trace = rp.Model_check.rp_trace;
     st_steps = rp.rp_steps;

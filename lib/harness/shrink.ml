@@ -26,8 +26,12 @@ let decide_of_interventions interventions =
     match Hashtbl.find_opt tbl pos with Some d -> d | None -> default
 
 let minimize ?(max_steps = 20_000) ?(delay_window = 8) scenario trace =
-  (* One world for every probe: each replay resets it in place. *)
+  (* One world for every probe: each replay resets it in place, and the
+     last one's fibers are released on the way out. *)
   let world = Model_check.world scenario in
+  Fun.protect
+    ~finally:(fun () -> Sim.Runtime.reset (Model_check.runtime world))
+  @@ fun () ->
   let probes = ref 0 in
   let probe interventions =
     incr probes;

@@ -1,7 +1,8 @@
 (** Small mutable bitsets over process IDs [1..n] — the same word layout
     as {!Memory}'s per-cell reader set, packaged for the model checker's
-    per-step productive-process scan and POR conflict set. No operation
-    allocates. *)
+    per-step productive-process scan and POR conflict set, and for the
+    runtime's runnable set that schedules read ({!Schedule.t}). No
+    operation allocates. *)
 
 type t
 
@@ -10,9 +11,23 @@ val create : int -> t
 
 val clear : t -> unit
 val add : t -> int -> unit
+val remove : t -> int -> unit
 val mem : t -> int -> bool
 (** False (rather than an error) for values outside [1..n], so callers can
     probe with sentinels like "no current process". *)
+
+(** {2 Members in ascending order} *)
+
+val is_empty : t -> bool
+val cardinal : t -> int
+
+val next : t -> int -> int
+(** [next t p] is the smallest member greater than [p], or [0] if there
+    is none; [next t 0] is the smallest member. *)
+
+val nth : t -> int -> int
+(** [nth t k] is the [k]-th smallest member, counting from 0.
+    @raise Invalid_argument unless [0 <= k < cardinal t]. *)
 
 (** {2 Sets stored inline in an int buffer}
 

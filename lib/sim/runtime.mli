@@ -52,8 +52,15 @@ val blocked_on : t -> int -> string option
 (** Name(s) of the cell(s) a blocked process is spinning on, for deadlock
     diagnostics. *)
 
+val runnable_set : t -> Bitset.t
+(** The processes that can take a step, as the runtime's own set: the
+    read-only view a {!Schedule.t} receives. The runtime updates it in
+    place as processes finish and restart; callers must not modify it. *)
+
 val enabled : t -> int list
-(** Process IDs that can take a step, in increasing order. *)
+(** Process IDs that can take a step, in increasing order, as a fresh
+    list (for diagnostics such as deadlock reports; schedules read
+    {!runnable_set}). *)
 
 val all_done : t -> bool
 
@@ -102,9 +109,12 @@ val reset : t -> unit
     (DESIGN.md §5.14): every process back in the NCS with an empty
     signature, the epoch at [initial_epoch], clock and crash count at 0,
     the digest off (to resync lazily at the next {!fingerprint}) and no
-    armed fault. Suspended fibers are dropped. Crash and crash-one hooks
-    are kept. The
-    memory is not touched: reset it with {!Memory.reset}. *)
+    armed fault. Suspended fibers are discontinued with {!Proc.Crashed},
+    as {!crash} does, never dropped: on OCaml 5.1 a dropped continuation
+    keeps its fiber stack for the life of the process. No hook runs;
+    crash and crash-one hooks are kept. The memory is not touched: reset
+    it with {!Memory.reset}. Call it on a runtime that is done with, too,
+    to give its suspended fibers' stacks back. *)
 
 (** {2 Injectable faults}
 

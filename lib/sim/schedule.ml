@@ -1,43 +1,38 @@
 type decision = Step of int | Crash | Crash_one of int
 
-type t = clock:int -> enabled:int list -> decision option
+type t = clock:int -> enabled:Bitset.t -> decision option
 
 let round_robin () : t =
   let last = ref 0 in
   fun ~clock:_ ~enabled ->
-    match enabled with
-    | [] -> None
-    | pids ->
-      let next =
-        match List.find_opt (fun pid -> pid > !last) pids with
-        | Some pid -> pid
-        | None -> List.hd pids
-      in
+    let next = Bitset.next enabled !last in
+    let next = if next = 0 then Bitset.next enabled 0 else next in
+    if next = 0 then None
+    else begin
       last := next;
       Some (Step next)
+    end
 
 let uniform ~seed : t =
   let rng = Random.State.make [| seed |] in
   fun ~clock:_ ~enabled ->
-    match enabled with
-    | [] -> None
-    | pids -> Some (Step (List.nth pids (Random.State.int rng (List.length pids))))
+    let k = Bitset.cardinal enabled in
+    if k = 0 then None
+    else Some (Step (Bitset.nth enabled (Random.State.int rng k)))
 
 let geometric_bias ~seed p : t =
   if not (p > 0. && p <= 1.) then
     invalid_arg "Schedule.geometric_bias: p must be in (0, 1]";
   let rng = Random.State.make [| seed |] in
+  (* One draw per member but the last, in ascending order. *)
+  let rec pick enabled pid =
+    let rest = Bitset.next enabled pid in
+    if rest = 0 || Random.State.float rng 1.0 < p then pid
+    else pick enabled rest
+  in
   fun ~clock:_ ~enabled ->
-    match enabled with
-    | [] -> None
-    | pids ->
-      let rec pick = function
-        | [ pid ] -> pid
-        | pid :: rest ->
-          if Random.State.float rng 1.0 < p then pid else pick rest
-        | [] -> assert false
-      in
-      Some (Step (pick pids))
+    let first = Bitset.next enabled 0 in
+    if first = 0 then None else Some (Step (pick enabled first))
 
 let of_list decisions : t =
   let remaining = ref decisions in
@@ -50,7 +45,8 @@ let of_list decisions : t =
         match d with
         | Crash -> Some Crash
         | Crash_one pid -> Some (Crash_one pid)
-        | Step pid -> if List.mem pid enabled then Some (Step pid) else next ())
+        | Step pid ->
+          if Bitset.mem enabled pid then Some (Step pid) else next ())
     in
     next ()
 

@@ -3,7 +3,16 @@
     A schedule is a stateful function consulted once per step with the set
     of runnable processes. It returns [Step pid] to advance one process,
     [Crash] to perform a system-wide crash step, or [None] to stop the run.
-    Deterministic given its seed, so every execution is replayable. *)
+    Deterministic given its seed, so every execution is replayable.
+
+    The runnable set is a {e view}: the runtime's own set
+    ({!Runtime.runnable_set}), passed without a copy so that learning who
+    is runnable allocates nothing per step. It is read-only — a schedule
+    must not [add], [remove] or [clear] it — and valid only during the
+    call: the runtime changes it as processes finish and restart, so a
+    schedule that needs the set later copies what it needs. Read it with
+    {!Bitset.mem}, {!Bitset.cardinal}, {!Bitset.nth} and {!Bitset.next};
+    members come in ascending pid order. *)
 
 type decision =
   | Step of int
@@ -12,7 +21,7 @@ type decision =
       (** independent failure of one process (Golab-Ramaraju 2016's model;
           outside this paper's guarantees — see {!Sim.Runtime.crash_one}) *)
 
-type t = clock:int -> enabled:int list -> decision option
+type t = clock:int -> enabled:Bitset.t -> decision option
 
 val round_robin : unit -> t
 (** Fair rotation over the runnable processes. *)

@@ -212,6 +212,24 @@ let metrics_parity () =
        driver_metrics.actual)"
   end
 
+(* Minor words per step of a Driver run of t3-mcs at n=48 on CC (five
+   passages each, 127,410 steps, the world's set-up included).
+   Schedules read the runtime's runnable set in place, so a step
+   allocates about what the effect suspension and the decision cost:
+   8.5 words per step on OCaml 5.1.1. Building the list of runnable
+   pids on every step cost ~144 more (152.4 words per step), which the
+   bound fails. *)
+let driver_words_per_step_bound = 20.
+
+let driver_words_per_step () =
+  let before = Gc.minor_words () in
+  let r = run_stack ~model:Memory.Cc ~n:48 ~passages:5 ~seed:42 "t3-mcs" in
+  let words = Gc.minor_words () -. before in
+  let per_step = words /. float r.Harness.Driver.total_steps in
+  if per_step > driver_words_per_step_bound then
+    Alcotest.failf "%d steps allocated %.0f minor words (%.1f/step), bound %.0f"
+      r.Harness.Driver.total_steps words per_step driver_words_per_step_bound
+
 let () =
   Alcotest.run "driver"
     [
@@ -236,4 +254,5 @@ let () =
       ("determinism", [ case "reproducible" reports_are_reproducible ]);
       ("independent", [ case "crash-one" crash_one_bookkeeping ]);
       ("parity", [ case "metrics-json" metrics_parity ]);
+      ("allocation", [ case "words-per-step" driver_words_per_step ]);
     ]

@@ -452,6 +452,55 @@ let replay_words_per_step () =
     Alcotest.failf "%d steps allocated %.0f minor words (%.1f/step), bound %.0f"
       o.Harness.Model_check.steps words per_step words_per_step_bound
 
+(* Resident set size in kB, or [None] where /proc/self/status is
+   unreadable. *)
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec find () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line -> (
+        match Scanf.sscanf line "VmRSS: %d" Fun.id with
+        | kb -> Some kb
+        | exception _ -> find ())
+    in
+    let kb = find () in
+    close_in ic;
+    kb
+
+(* Repeated searches do not grow the process: every run's suspended
+   fibers are discontinued at reset and at the end of the search, so
+   their stacks go back to the domain's stack cache. Four searches of
+   t2-mcs n=3 d2 c1 under sym (13,908 runs each) grew VmRSS by ~28 MB
+   from the first to the fourth while pruned runs dropped their fibers;
+   the bound is 6 MB. *)
+let rss_growth_bound_kb = 6 * 1024
+
+let repeated_searches_keep_rss () =
+  let sc =
+    Harness.Scenarios.rme ~n:3 ~model:Memory.Cc
+      ~make:(fun mem -> Rme.Stack.recoverable mem "t2-mcs")
+      ()
+  in
+  let search () =
+    ignore
+      (Harness.Model_check.explore ~divergence_bound:2 ~crash_bound:1
+         ~reduction:Harness.Model_check.Sym sc);
+    vm_rss_kb ()
+  in
+  match search () with
+  | None -> Alcotest.skip ()
+  | Some first ->
+    ignore (search ());
+    ignore (search ());
+    (match search () with
+    | Some fourth when fourth - first >= rss_growth_bound_kb ->
+      Alcotest.failf "VmRSS grew %d kB over three more searches (bound %d kB)"
+        (fourth - first) rss_growth_bound_kb
+    | Some _ | None -> ())
+
 let () =
   Alcotest.run "model_check"
     [
@@ -486,5 +535,9 @@ let () =
           case "sym-crash-violations" sym_preserves_crash_violations;
           case "bitstate-underreports" bitstate_underreports_never_fabricates;
         ] );
-      ("allocation", [ case "words-per-step" replay_words_per_step ]);
+      ( "allocation",
+        [
+          case "words-per-step" replay_words_per_step;
+          case "rss-growth" repeated_searches_keep_rss;
+        ] );
     ]

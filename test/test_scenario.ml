@@ -624,7 +624,7 @@ let storm_decide ~n ~seed =
     | 2 | 3 -> -(n + 1 + Random.State.int rng n)
     | 4 | 5 -> -((2 * n) + 1 + Random.State.int rng n)
     | k when k < 30 ->
-      List.nth enabled (Random.State.int rng (List.length enabled))
+      Bitset.nth enabled (Random.State.int rng (Bitset.cardinal enabled))
     | _ -> default
 
 type observed = {
@@ -808,6 +808,25 @@ let discarded_increment_forgiven () =
   Alcotest.(check (list int)) "completions, counter, forgiven" [ 2; 1; 1 ]
     [ c "cs-completions"; c "protected-counter"; c "forgiven-updates" ]
 
+(* A write still parked in a store buffer when the last process finishes
+   is published before the finish checks read memory: a lone process
+   whose increment is delayed completes its passage cleanly. *)
+let parked_write_drained_before_finish () =
+  let inst =
+    Harness.Scenario.instantiate
+      (Harness.Scenario.rme_lock ~passages:1 ~n:1 ~model:Memory.Cc
+         ~make:no_lock ())
+  in
+  let delay = MC.int_of_decision ~n:1 (MC.Delay_writes 1) in
+  let rp =
+    MC.run_schedule_in inst.world ~decide:(fun ~pos ~enabled:_ ~default ->
+        if pos = 0 then delay else default)
+  in
+  let c name = List.assoc name (Harness.Scenario.counters inst) in
+  Alcotest.(check (list string)) "no lost update" [] rp.MC.rp_violations;
+  Alcotest.(check (list int)) "completions, counter" [ 1; 1 ]
+    [ c "cs-completions"; c "protected-counter" ]
+
 let () =
   Alcotest.run "scenario"
     [
@@ -839,6 +858,7 @@ let () =
         [
           case "survives-crashes" lost_updates_survive_crashes;
           case "discarded-forgiven" discarded_increment_forgiven;
+          case "drained-before-finish" parked_write_drained_before_finish;
         ] );
       ( "shrink",
         [

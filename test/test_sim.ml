@@ -150,6 +150,29 @@ let bitset_beyond_word () =
     check_bool "second read cached" false rmr
   done
 
+(* The member queries against a list model, on random subsets of sets
+   that span one, two and three words. *)
+let bitset_members () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 20 do
+        let s = Bitset.create n in
+        let model = List.filter (fun _ -> Random.State.bool rng) (List.init n succ) in
+        List.iter (Bitset.add s) model;
+        let what = Printf.sprintf "n=%d" n in
+        check (what ^ " cardinal") (List.length model) (Bitset.cardinal s);
+        check_bool (what ^ " is_empty") (model = []) (Bitset.is_empty s);
+        List.iteri (fun k pid -> check (what ^ " nth") pid (Bitset.nth s k)) model;
+        for p = 0 to n do
+          let expect = Option.value ~default:0 (List.find_opt (fun q -> q > p) model) in
+          check (what ^ " next") expect (Bitset.next s p)
+        done;
+        List.iter (Bitset.remove s) model;
+        check_bool (what ^ " emptied") true (Bitset.is_empty s)
+      done)
+    [ 1; 5; 61; 62; 63; 124; 130 ]
+
 (* --- Runtime --- *)
 
 let runtime_runs_to_completion () =
@@ -320,6 +343,30 @@ let crash_while_blocked () =
   done;
   check "epoch-2 body ran" 1 !completions
 
+(* Reset discontinues suspended fibers rather than dropping them: each
+   body's own unwinding runs, once per suspended process. *)
+let reset_discontinues_fibers () =
+  let n = 3 in
+  let mem = Memory.create ~model:Memory.Cc ~n in
+  let c = Memory.global mem ~name:"x" 0 in
+  let unwound = ref 0 in
+  let rt =
+    Runtime.create mem ~body:(fun ~pid:_ ~epoch:_ ->
+        Fun.protect
+          ~finally:(fun () -> incr unwound)
+          (fun () ->
+            ignore (Proc.read c);
+            ignore (Proc.read c)))
+  in
+  for pid = 1 to n do
+    Runtime.step rt pid
+  done;
+  check "suspended, not unwound" 0 !unwound;
+  Runtime.reset rt;
+  check "every suspended fiber unwound" n !unwound;
+  check_bool "all back in the NCS" true
+    (List.for_all (Runtime.runnable rt) [ 1; 2; 3 ])
+
 (* --- Schedules --- *)
 
 let drive schedule rt = Runtime.run rt schedule
@@ -382,6 +429,54 @@ let uniform_is_deterministic_per_seed () =
   Alcotest.(check bool)
     "different seeds eventually differ" true
     (List.exists (fun s -> run s <> run 7) [ 8; 9; 10; 11 ])
+
+(* The runnable-set view makes the decisions and RNG draws the list
+   interface made: the list versions, kept here as the reference, and
+   the library's schedules pick the same pid from the same seed over a
+   sequence of random runnable sets. *)
+let view_decisions_match_lists () =
+  let list_uniform rng pids = List.nth pids (Random.State.int rng (List.length pids)) in
+  let list_geometric rng p pids =
+    let rec pick = function
+      | [ pid ] -> pid
+      | pid :: rest -> if Random.State.float rng 1.0 < p then pid else pick rest
+      | [] -> assert false
+    in
+    pick pids
+  in
+  let list_round_robin last pids =
+    let next =
+      match List.find_opt (fun pid -> pid > !last) pids with
+      | Some pid -> pid
+      | None -> List.hd pids
+    in
+    last := next;
+    next
+  in
+  let n = 70 and seed = 3 in
+  let sets = Random.State.make [| 99 |] in
+  let view = Bitset.create n in
+  let compare name sched reference =
+    for clock = 0 to 499 do
+      Bitset.clear view;
+      let pids = List.filter (fun _ -> Random.State.int sets 4 = 0) (List.init n succ) in
+      let pids = if pids = [] then [ 1 + Random.State.int sets n ] else pids in
+      List.iter (Bitset.add view) pids;
+      match sched ~clock ~enabled:view with
+      | Some (Schedule.Step pid) -> check name (reference pids) pid
+      | _ -> Alcotest.failf "%s: no step" name
+    done
+  in
+  let rng = Random.State.make [| seed |] in
+  compare "uniform" (Schedule.uniform ~seed) (list_uniform rng);
+  let rng = Random.State.make [| seed |] in
+  compare "geometric" (Schedule.geometric_bias ~seed 0.3) (list_geometric rng 0.3);
+  compare "round-robin" (Schedule.round_robin ()) (list_round_robin (ref 0));
+  Bitset.clear view;
+  check_bool "empty set: no decision" true
+    (Schedule.uniform ~seed ~clock:0 ~enabled:view = None
+    && Schedule.geometric_bias ~seed 0.5 ~clock:0 ~enabled:view = None
+    && Schedule.round_robin () ~clock:0 ~enabled:view = None)
 
 (* --- Trace --- *)
 
@@ -522,6 +617,7 @@ let () =
           case "locality" dsm_locality;
           case "counters" dsm_counters;
           case "bitset-beyond-word" bitset_beyond_word;
+          case "bitset-members" bitset_members;
         ] );
       ( "runtime",
         [
@@ -535,6 +631,7 @@ let () =
           case "await-blocks" await_blocks_and_wakes;
           case "await-cheap-cc" await_spin_is_cheap_in_cc;
           case "crash-while-blocked" crash_while_blocked;
+          case "reset-discontinues" reset_discontinues_fibers;
         ] );
       ( "schedule",
         [
@@ -542,6 +639,7 @@ let () =
           case "of-list-skips" of_list_skips_finished;
           case "crash-cadence" with_crashes_cadence;
           case "uniform-deterministic" uniform_is_deterministic_per_seed;
+          case "view-matches-lists" view_decisions_match_lists;
         ] );
       ( "trace",
         [
