@@ -249,14 +249,15 @@ perf-smoke: build
 
 # Paired parent/change timing (bench/perf_pair.py): REF checked out in one
 # temporary git worktree, then for each workload in W (one or several;
-# the default covers both simulator workloads, pure replay and the
-# visited-set path) PAIRS alternating perfbench runs against the
+# the default, all, is every workload BENCHMARK.json declares, so a
+# change to the service or the native substrate is paired on svc-* too)
+# PAIRS alternating perfbench runs against the
 # working tree at the benchmark's run length, each side's median and IQR
 # per end-to-end metric, the ratio, the win count and a gain / no gain /
 # unresolved / regression verdict per metric; a last line names every
 # regression.
 REF ?= HEAD~1
-W ?= mc-replay mc-sym
+W ?= all
 PAIRS ?= 10
 
 perf-pair: build

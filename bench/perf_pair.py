@@ -5,7 +5,9 @@ Run from the repository root:
 
     python3 bench/perf_pair.py --ref HEAD~1 --workload mc-replay mc-sym --pairs 10
 
-(or `make perf-pair REF=HEAD~1 W="mc-replay mc-sym" PAIRS=10`). It checks
+(or `make perf-pair REF=HEAD~1 W="mc-replay mc-sym" PAIRS=10`). The
+workload `all` stands for every workload BENCHMARK.json declares, in its
+order (the Makefile's default). It checks
 out REF in one temporary git worktree (under $TMPDIR, /tmp by default;
 removed afterwards) and, for each workload in turn, runs perfbench/run.py
 alternately in the two trees at BENCHMARK.json's run_seconds, swapping
@@ -128,9 +130,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ref", required=True, help="reference revision")
     ap.add_argument("--workload", required=True, nargs="+",
-                    help="one or more workloads, measured in turn")
+                    help="one or more workloads, measured in turn;"
+                    " all = every workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
+    declared = [w["name"] for w in bench["workloads"]]
+    workloads = []
+    for w in args.workload:
+        workloads.extend(declared if w == "all" else [w])
     metrics = bench["end_to_end"]
     seconds = bench["run_seconds"]
 
@@ -140,7 +147,7 @@ def main():
                    check=True, stdout=subprocess.DEVNULL)
     regressions = []
     try:
-        for workload in args.workload:
+        for workload in workloads:
             runs = pairs(ref_tree, workload, metrics, seconds, args.pairs)
             print("%s vs working tree on %s, %d pairs of %gs runs"
                   % (args.ref, workload, args.pairs, seconds))

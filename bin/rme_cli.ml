@@ -64,7 +64,7 @@ let nonneg_float =
   Arg.conv (parse, Format.pp_print_float)
 
 (* Probabilities and Zipf skew live in half-open unit ranges; checking
-   here turns Zipf.create's Invalid_argument into a usage error. *)
+   here turns Zipf.dist's Invalid_argument into a usage error. *)
 let unit_float ~lo_open ~hi_closed =
   let ok v =
     Float.is_finite v

@@ -27,17 +27,12 @@ type mem = {
   n : int;
   model : Sim.Memory.model;
   padded : bool;
-  (* Keep-alive anchors for the portable padding scheme: each padded cell
-     may return a spacer block that must stay reachable exactly as long
-     as the cell does. Cells are allocated single-threadedly at lock
-     construction, so a plain mutable list is fine. *)
-  mutable spacers : Obj.t list;
 }
 
 type cell = int Atomic.t
 
 let create ?(model = Sim.Memory.Cc) ?(padded = true) crash ~n =
-  { crash; n; model; padded; spacers = [] }
+  { crash; n; model; padded }
 
 let crash_of m = m.crash
 
@@ -48,14 +43,7 @@ let model m = m.model
 let padded m = m.padded
 
 let alloc m init =
-  if m.padded then begin
-    let a, spacer = Natomic.make_padded init in
-    (match spacer with
-    | Some s -> m.spacers <- s :: m.spacers
-    | None -> ());
-    a
-  end
-  else Atomic.make init
+  if m.padded then Natomic.make_padded init else Atomic.make init
 
 let cell m ~name:_ ?i:_ ?j:_ ~home:_ init = alloc m init
 

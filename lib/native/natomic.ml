@@ -18,14 +18,6 @@ let faa a d = Atomic.fetch_and_add a d
    blocks are two words (16 B on 64-bit): a lock's cells allocated
    back-to-back share 64 B lines, and every CAS/FAA then invalidates its
    neighbours' lines too — classic false sharing, measured by E14's
-   ablation. The snd of the pair is a keep-alive spacer the caller must
-   retain for the cell's lifetime (None when the runtime pads for us);
-   [Backend.mem] stores it. The implementation is version-switched by a
-   dune rule: [Atomic.make_contended] on OCaml >= 5.2, best-effort
-   allocation-order spacing below (see padding_contended.ml /
-   padding_portable.ml). *)
-let make_padded : int -> int Atomic.t * Obj.t option = Padding.make
-
-(* Whether the padding is runtime-guaranteed (5.2's make_contended) or
-   the best-effort allocation-order scheme. *)
-let padding_guaranteed = Padding.guaranteed
+   ablation. The C stub (rme_stubs.c) allocates a one-line block in the
+   major heap, as OCaml 5.2's [Atomic.make_contended] does. *)
+external make_padded : int -> int Atomic.t = "rme_make_padded"

@@ -17,16 +17,11 @@ val fas : int Atomic.t -> int -> int
 val faa : int Atomic.t -> int -> int
 (** Fetch-and-add. *)
 
-val make_padded : int -> int Atomic.t * Obj.t option
+val make_padded : int -> int Atomic.t
 (** Allocate an atomic alone on its cache line, so neighbouring cells
     stop false-sharing (bare [Atomic.make] blocks are 16 B; four share a
     64 B line, and every RMW then invalidates the neighbours too). The
-    snd is a keep-alive spacer the caller must retain exactly as long as
-    the cell ([Backend.mem] does); [None] when the runtime pads for us.
-    Version-switched by a dune rule: [Atomic.make_contended] on
-    OCaml >= 5.2, best-effort allocation-order spacing below
-    (DESIGN.md §5.15). *)
-
-val padding_guaranteed : bool
-(** Whether {!make_padded} is runtime-guaranteed padding (5.2's
-    [make_contended]) or the best-effort allocation-order scheme. *)
+    cell is one 64-byte block (the atomic's field and six unit fields)
+    allocated straight into the major heap, whose size-class pools keep
+    any two such blocks at least a line apart (DESIGN.md §5.15). The
+    same on every OCaml 5.x. *)

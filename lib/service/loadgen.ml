@@ -90,6 +90,56 @@ type result = {
           armed with [~alloc_probe:true] (arm it on drill-free runs) *)
 }
 
+(* Fold the raw per-request int latencies into histograms — off the
+   measured path entirely, one pass over every stream prefix that
+   computes each request's shard once and fills [issued] on the way.
+   Per-shard histograms only for the hottest [top_k] shards (a Stats.t is
+   ~4 KB of buckets; 1024 of them is real memory for mostly-empty
+   tails); [slot] maps a shard to its histogram's index in [hists], -1
+   when the shard is not among them. *)
+let top_k = 8
+
+let fold_served ~shard_of ~budget streams ~served ~lat ~wshard_served =
+  let shards = Array.length wshard_served.(0) in
+  let shard_served = Array.make shards 0 in
+  Array.iter
+    (fun ws ->
+      Array.iteri (fun s c -> shard_served.(s) <- shard_served.(s) + c) ws)
+    wshard_served;
+  let top =
+    let idx = Array.init shards (fun s -> s) in
+    Array.sort
+      (fun a b ->
+        match compare shard_served.(b) shard_served.(a) with
+        | 0 -> compare a b
+        | c -> c)
+      idx;
+    Array.to_list (Array.sub idx 0 (min top_k shards))
+    |> List.filter (fun s -> shard_served.(s) > 0)
+  in
+  let hists = Array.of_list (List.map (fun _ -> Sim.Stats.create ()) top) in
+  let slot = Array.make shards (-1) in
+  List.iteri (fun i s -> slot.(s) <- i) top;
+  let agg = Sim.Stats.create () in
+  let issued = Array.make shards 0 in
+  Array.iteri
+    (fun w st ->
+      let keys = st.Traffic.s_keys and flags = served.(w) and wl = lat.(w) in
+      for i = 0 to budget - 1 do
+        let s = shard_of keys.(i) in
+        issued.(s) <- issued.(s) + 1;
+        if Bytes.get flags i = '\001' then begin
+          Sim.Stats.add_int agg wl.(i);
+          let h = slot.(s) in
+          if h >= 0 then Sim.Stats.add_int hists.(h) wl.(i)
+        end
+      done)
+    streams;
+  ( shard_served,
+    issued,
+    agg,
+    List.mapi (fun i s -> (s, shard_served.(s), hists.(i))) top )
+
 let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
     ?(theta = 0.99) ?(rate_rps = 0.) ?(think_ns = 0) ?(batch = 16)
     ?(spin = Backoff.Exponential) ?(pin = false) ?(alloc_probe = false)
@@ -224,50 +274,10 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
       (fun d -> { d with d_sweeps = Array.fold_left ( + ) 0 sweeps })
       !drill
   in
-  (* Fold the raw per-request int latencies into histograms — off the
-     measured path entirely. Per-shard histograms only for the hottest
-     [top_k] shards (a Stats.t is ~4 KB of buckets; 1024 of them is real
-     memory for mostly-empty tails). *)
-  let shard_served = Array.make shards 0 in
-  Array.iter
-    (fun ws ->
-      Array.iteri (fun s c -> shard_served.(s) <- shard_served.(s) + c) ws)
-    wshard_served;
-  let top_k = 8 in
-  let top =
-    let idx = Array.init shards (fun s -> s) in
-    Array.sort
-      (fun a b ->
-        match compare shard_served.(b) shard_served.(a) with
-        | 0 -> compare a b
-        | c -> c)
-      idx;
-    Array.to_list (Array.sub idx 0 (min top_k shards))
-    |> List.filter (fun s -> shard_served.(s) > 0)
+  let shard_served, issued, latency_ns, shard_latency =
+    fold_served ~shard_of:(fun key -> Table.shard_of table key) ~budget
+      traffic.Traffic.streams ~served:served_flags ~lat ~wshard_served
   in
-  let agg = Sim.Stats.create () in
-  let top_hists = List.map (fun s -> (s, Sim.Stats.create ())) top in
-  for w = 0 to n - 1 do
-    let st = traffic.Traffic.streams.(w) in
-    let flags = served_flags.(w) in
-    let wl = lat.(w) in
-    for i = 0 to budget - 1 do
-      if Bytes.get flags i = '\001' then begin
-        Sim.Stats.add_int agg wl.(i);
-        match List.assoc_opt (Table.shard_of table st.Traffic.s_keys.(i)) top_hists with
-        | Some h -> Sim.Stats.add_int h wl.(i)
-        | None -> ()
-      end
-    done
-  done;
-  let issued = Array.make shards 0 in
-  Array.iter
-    (fun st ->
-      for i = 0 to budget - 1 do
-        let s = Table.shard_of table st.Traffic.s_keys.(i) in
-        issued.(s) <- issued.(s) + 1
-      done)
-    traffic.Traffic.streams;
   let served =
     Array.map
       (fun flags ->
@@ -301,9 +311,8 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
     pinned = outcome.Run.pinned;
     traffic_fingerprint = Traffic.fingerprint traffic;
     open_loop;
-    latency_ns = agg;
-    shard_latency =
-      List.map (fun (s, h) -> (s, shard_served.(s), h)) top_hists;
+    latency_ns;
+    shard_latency;
     drill;
     alloc_words_per_req = outcome.Run.alloc_words_per_op;
   }

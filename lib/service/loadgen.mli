@@ -81,6 +81,21 @@ val run :
     ["t3-mcs"], 1024 [shards], [theta] 0.99, saturating arrivals,
     [batch] 16, exponential [spin], padded cells, seed 1. *)
 
+val fold_served :
+  shard_of:(int -> int) ->
+  budget:int ->
+  Traffic.stream array ->
+  served:Bytes.t array ->
+  lat:int array array ->
+  wshard_served:int array array ->
+  int array * int array * Sim.Stats.t * (int * int * Sim.Stats.t) list
+(** The post-join fold behind [run]'s result, exposed for its test. Per
+    worker [w]: the first [budget] requests of stream [w], their served
+    flags ([served.(w)], byte [\001] = served), their latencies in ns
+    ([lat.(w)]) and the worker's per-shard served counts
+    ([wshard_served.(w)], one slot per shard). Returns [(shard_served,
+    issued, latency_ns, shard_latency)] as in {!result}. *)
+
 val schema : Sim.Json.Schema.doc
 (** ["rme-service-metrics/1"], the shape {!metrics} emits ([service
     --metrics]). *)

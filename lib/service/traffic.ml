@@ -52,12 +52,13 @@ let make ?(theta = 0.99) ?(rate_rps = 0.) ?(think_ns = 0) ~seed ~workers
   if key_space < 1 then invalid_arg "Traffic.make: key_space must be >= 1";
   if rate_rps < 0. then invalid_arg "Traffic.make: rate_rps must be >= 0";
   if think_ns < 0 then invalid_arg "Traffic.make: think_ns must be >= 0";
+  let dist = Zipf.dist ~theta ~keys:key_space () in
   let streams =
     Array.init workers (fun w ->
         (* Decorrelate workers by folding the worker index into the seed
            with the fingerprint mix — adjacent seeds stay uncorrelated. *)
         let wseed = Sim.Encode.mix seed (w + 1) land max_int in
-        let zipf = Zipf.create ~theta ~seed:wseed ~keys:key_space () in
+        let zipf = Zipf.sampler dist ~seed:wseed in
         let arrival_rng = Random.State.make [| 0x7472; wseed |] in
         let s_keys = Array.init per_worker (fun _ -> Zipf.sample zipf) in
         let s_arrival_ns = Array.make per_worker 0 in

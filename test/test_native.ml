@@ -107,15 +107,70 @@ let backoff_degenerate_modes () =
 (* --- Padding --- *)
 
 let padded_cell_basic_ops () =
-  let a, _spacer = Rme_native.Natomic.make_padded 5 in
+  let a = Rme_native.Natomic.make_padded 5 in
   Alcotest.(check int) "get" 5 (Atomic.get a);
   Alcotest.(check int) "cas" 5 (Rme_native.Natomic.cas a ~expect:5 ~repl:9);
   Alcotest.(check int) "fas" 9 (Rme_native.Natomic.fas a 11);
   Alcotest.(check int) "faa" 11 (Rme_native.Natomic.faa a 4);
-  Alcotest.(check int) "value" 15 (Atomic.get a);
-  (* Whichever padding implementation dune selected, the flag must be a
-     definite answer (5.2+: make_contended; earlier: spacer objects). *)
-  ignore (Rme_native.Natomic.padding_guaranteed : bool)
+  Alcotest.(check int) "value" 15 (Atomic.get a)
+
+(* [k] padded cells from one backend, with a small allocation between
+   consecutive cells the way a lock's constructor interleaves them with
+   its records and arrays. *)
+let backend_cells k =
+  let crash = Rme_native.Crash.create ~n:1 () in
+  let mem = Rme_native.Backend.create crash ~n:1 in
+  let junk = ref [] in
+  Array.init k (fun i ->
+      junk := i :: !junk;
+      Rme_native.Backend.cell mem ~name:"c" ~home:0 i)
+
+(* The smallest distance in bytes between any two of [cells]. A block's
+   pointer read as an int is its address halved (up to a constant), and
+   no collection runs between the reads that could move a block. *)
+let min_stride cells =
+  let addr = Array.map (fun c -> 2 * (Obj.magic (Obj.repr c) : int)) cells in
+  Array.sort compare addr;
+  let gap = ref max_int in
+  for i = 1 to Array.length addr - 1 do
+    gap := min !gap (addr.(i) - addr.(i - 1))
+  done;
+  !gap
+
+let padded_cell_stride () =
+  let cells = backend_cells 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh cells >= 64 B apart (min %d B)" (min_stride cells))
+    true
+    (min_stride cells >= 64);
+  (* A layout made by allocation order alone does not survive promotion:
+     OCaml 5's major heap sorts blocks into pools by size. *)
+  Gc.full_major ();
+  Alcotest.(check bool)
+    (Printf.sprintf "cells >= 64 B apart after a full major (min %d B)"
+       (min_stride cells))
+    true
+    (min_stride cells >= 64);
+  for i = 0 to Array.length cells - 1 do
+    Alcotest.(check int) "value survives" i (Atomic.get cells.(i))
+  done
+
+let padded_cell_footprint () =
+  (* Everything a padded cell keeps alive, through the cell or through
+     the backend that made it: one 8-word block at most. *)
+  let crash = Rme_native.Crash.create ~n:1 () in
+  let mem = Rme_native.Backend.create crash ~n:1 in
+  let before = Obj.reachable_words (Obj.repr mem) in
+  let k = 64 in
+  let cells =
+    Array.init k (fun i -> Rme_native.Backend.cell mem ~name:"c" ~home:0 i)
+  in
+  let grown = Obj.reachable_words (Obj.repr mem) - before in
+  let held = Obj.reachable_words (Obj.repr cells) - (k + 1) in
+  let per_cell = (grown + held) / k in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per padded cell <= 8 (%d)" per_cell)
+    true (per_cell <= 8)
 
 (* --- Pinning --- *)
 
@@ -610,6 +665,8 @@ let () =
           case "backoff-window-cap" backoff_window_cap_and_reset;
           case "backoff-degenerate-modes" backoff_degenerate_modes;
           case "padded-cell-ops" padded_cell_basic_ops;
+          case "padded-cell-stride" padded_cell_stride;
+          case "padded-cell-footprint" padded_cell_footprint;
           case "pin-noop-when-unsupported" pin_noop_when_unsupported;
           case "pinned-run-clean" native_pinned_run_clean;
           case "instrumentation-smoke" native_instrumentation_smoke;

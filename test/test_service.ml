@@ -130,6 +130,22 @@ let traffic_saturating_think () =
   Alcotest.(check bool) "think paces exactly" true
     (arr = Array.init 10 (fun i -> (i + 1) * 100))
 
+let traffic_fingerprint_pinned () =
+  (* Committed digests of two fixed workloads: a change to any generated
+     key or arrival changes them. *)
+  let skewed =
+    Traffic.make ~theta:0.99 ~rate_rps:50_000. ~think_ns:250 ~seed:11
+      ~workers:3 ~per_worker:2000 ~key_space:100_000 ()
+  in
+  let uniform =
+    Traffic.make ~theta:0. ~seed:12 ~workers:2 ~per_worker:1000
+      ~key_space:4096 ()
+  in
+  Alcotest.(check int) "skewed fingerprint" (-3329569046233705608)
+    (Traffic.fingerprint skewed);
+  Alcotest.(check int) "uniform fingerprint" 3859902358084995749
+    (Traffic.fingerprint uniform)
+
 (* --- Table --- *)
 
 let table_lazy_materialization () =
@@ -228,6 +244,104 @@ let assert_service_clean what r =
   | Error e -> Alcotest.failf "%s: %s" what e);
   Alcotest.(check bool) (what ^ ": served exactly once") true
     (Loadgen.served_exactly r)
+
+(* The post-join fold as it was first written: two passes, the hottest
+   shards' histograms in an association list. [Loadgen.fold_served] must
+   give the same result. *)
+let reference_fold ~shard_of ~budget streams ~served ~lat ~wshard_served =
+  let shards = Array.length wshard_served.(0) in
+  let shard_served = Array.make shards 0 in
+  Array.iter
+    (fun ws ->
+      Array.iteri (fun s c -> shard_served.(s) <- shard_served.(s) + c) ws)
+    wshard_served;
+  let top =
+    let idx = Array.init shards (fun s -> s) in
+    Array.sort
+      (fun a b ->
+        match compare shard_served.(b) shard_served.(a) with
+        | 0 -> compare a b
+        | c -> c)
+      idx;
+    Array.to_list (Array.sub idx 0 (min 8 shards))
+    |> List.filter (fun s -> shard_served.(s) > 0)
+  in
+  let agg = Sim.Stats.create () in
+  let top_hists = List.map (fun s -> (s, Sim.Stats.create ())) top in
+  Array.iteri
+    (fun w st ->
+      for i = 0 to budget - 1 do
+        if Bytes.get served.(w) i = '\001' then begin
+          Sim.Stats.add_int agg lat.(w).(i);
+          match List.assoc_opt (shard_of st.Traffic.s_keys.(i)) top_hists with
+          | Some h -> Sim.Stats.add_int h lat.(w).(i)
+          | None -> ()
+        end
+      done)
+    streams;
+  let issued = Array.make shards 0 in
+  Array.iter
+    (fun st ->
+      for i = 0 to budget - 1 do
+        let s = shard_of st.Traffic.s_keys.(i) in
+        issued.(s) <- issued.(s) + 1
+      done)
+    streams;
+  ( shard_served,
+    issued,
+    agg,
+    List.map (fun (s, h) -> (s, shard_served.(s), h)) top_hists )
+
+let loadgen_fold_matches_reference () =
+  let hist h = Sim.Json.to_string (Sim.Stats.to_json h) in
+  List.iter
+    (fun (workers, gen, budget, shards) ->
+      let traffic =
+        Traffic.make ~theta:0.9 ~seed:5 ~workers ~per_worker:gen
+          ~key_space:2000 ()
+      in
+      let shard_of = Table.shard_of_key ~shards in
+      (* Seeded stand-ins for a run's outputs: about one request in five
+         left unserved (a run_for window's tail), arbitrary latencies,
+         and per-worker shard counts consistent with the flags. *)
+      let rng = Random.State.make [| workers; budget; shards |] in
+      let served =
+        Array.init workers (fun _ ->
+            Bytes.init (max 1 budget) (fun _ ->
+                if Random.State.int rng 5 = 0 then '\000' else '\001'))
+      in
+      let lat =
+        Array.init workers (fun _ ->
+            Array.init (max 1 budget) (fun _ -> Random.State.int rng 1_000_000))
+      in
+      let wshard_served =
+        Array.init workers (fun w ->
+            let c = Array.make shards 0 in
+            for i = 0 to budget - 1 do
+              if Bytes.get served.(w) i = '\001' then begin
+                let s = shard_of traffic.Traffic.streams.(w).Traffic.s_keys.(i) in
+                c.(s) <- c.(s) + 1
+              end
+            done;
+            c)
+      in
+      let ss, iss, agg, top =
+        Loadgen.fold_served ~shard_of ~budget traffic.Traffic.streams ~served
+          ~lat ~wshard_served
+      in
+      let ss', iss', agg', top' =
+        reference_fold ~shard_of ~budget traffic.Traffic.streams ~served ~lat
+          ~wshard_served
+      in
+      let what = Printf.sprintf "%d workers, budget %d, %d shards" workers budget shards in
+      Alcotest.(check (array int)) (what ^ ": shard_served") ss' ss;
+      Alcotest.(check (array int)) (what ^ ": issued") iss' iss;
+      Alcotest.(check string) (what ^ ": latency_ns") (hist agg') (hist agg);
+      Alcotest.(check (list (triple int int string)))
+        (what ^ ": shard_latency")
+        (List.map (fun (s, c, h) -> (s, c, hist h)) top')
+        (List.map (fun (s, c, h) -> (s, c, hist h)) top))
+    [ (3, 700, 600, 64); (2, 50, 6, 16); (1, 10, 0, 4) ]
 
 let loadgen_deterministic_histograms () =
   let a = run_small () and b = run_small () in
@@ -337,6 +451,7 @@ let () =
           case "replay" traffic_replay_and_arrivals;
           case "prefix" traffic_prefix_property;
           case "think-pacing" traffic_saturating_think;
+          case "fingerprint-pinned" traffic_fingerprint_pinned;
         ] );
       ( "table",
         [
@@ -352,5 +467,6 @@ let () =
           case "open-loop-latency" loadgen_open_loop_latency;
           case "metrics-validate" loadgen_metrics_validate;
           case "alloc-free-passages" loadgen_alloc_free_passages;
+          case "fold-matches-reference" loadgen_fold_matches_reference;
         ] );
     ]
