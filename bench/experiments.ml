@@ -1644,7 +1644,7 @@ let symmetry_sweep ~pool () =
   Report.table
     ~title:
       "E17: verdict parity across reduce none/dedup/por/sym on the E12 \
-       roster (any verdict flip aborts the bench)"
+       roster (any verdict flip fails the parity gate)"
     ~header:[ "scenario"; "reduce"; "runs"; "states"; "verdict" ]
     (List.map snd parity);
   (* --- Table C: one bound deeper than E12, exact vs bitstate --- *)

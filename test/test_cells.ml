@@ -3,9 +3,11 @@
    [Memory.name] formats them. Two guards keep that honest:
 
    - name parity: the ordered name list of every registered stack at n=3,
-     under both cost models, must match [cell_names.expected] exactly
-     (recorded when names were still formatted eagerly at allocation),
-     and names must be unique within each stack;
+     under both cost models, must match [cell_names.expected] exactly,
+     and names must be unique within each stack. The DSM half was
+     recorded when names were still formatted eagerly at allocation; the
+     CC half was re-recorded when Barrier stopped allocating its DSM
+     election under CC, each list a strict subsequence of the eager one;
    - construction allocation: building a stack must stay within a fixed
      number of minor-heap words per cell. With eager [Printf.sprintf]
      naming the T1/T2/T3(MCS) stacks cost ~97 words per cell, and with

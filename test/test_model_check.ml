@@ -321,6 +321,30 @@ let sym_quotients_symmetric_states () =
     "sym runs < por runs" true
     (sym.Harness.Model_check.runs < por.Harness.Model_check.runs)
 
+(* Sym keys a pid's cells by their per-owner allocation slot, so a cell
+   no passage touches but that is allocated for pid 1 alone (an index-0
+   cell homed at 1) keeps pid 1 out of every orbit. A CC Barrier
+   allocates no such cell, so on T1(MCS) without the CSR monitor the
+   quotient must merge states. *)
+let sym_quotients_t1_cc () =
+  let explore reduction =
+    Harness.Model_check.explore ~divergence_bound:2 ~crash_bound:1 ~reduction
+      (Harness.Scenarios.rme ~check_csr:false ~n:2 ~model:Memory.Cc
+         ~make:(fun mem -> Rme.Stack.recoverable mem "t1-mcs")
+         ())
+  in
+  let por = explore Harness.Model_check.Por in
+  let sym = explore Harness.Model_check.Sym in
+  Alcotest.(check (list string)) "por clean" [] por.Harness.Model_check.violations;
+  Alcotest.(check (list string)) "sym clean" [] sym.Harness.Model_check.violations;
+  Alcotest.(check bool)
+    (Printf.sprintf "sym states (%d) < por states (%d)"
+       sym.Harness.Model_check.distinct_states
+       por.Harness.Model_check.distinct_states)
+    true
+    (sym.Harness.Model_check.distinct_states
+    < por.Harness.Model_check.distinct_states)
+
 (* Crash state must stay inside the orbit computation: the T1(MCS) CSR
    violation (which needs a crash inside the CS and a pid-asymmetric
    follow-up) must survive the quotient, with and without the sleep-set
@@ -532,6 +556,7 @@ let () =
           case "actually-prunes" reduction_actually_prunes;
           case "key-mix-fallback" key_mix_fallback_still_sound;
           case "sym-quotients" sym_quotients_symmetric_states;
+          case "sym-quotients-t1-cc" sym_quotients_t1_cc;
           case "sym-crash-violations" sym_preserves_crash_violations;
           case "bitstate-underreports" bitstate_underreports_never_fabricates;
         ] );

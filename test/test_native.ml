@@ -172,6 +172,32 @@ let padded_cell_footprint () =
     (Printf.sprintf "live words per padded cell <= 8 (%d)" per_cell)
     true (per_cell <= 8)
 
+(* Words a t3-mcs stack keeps alive, not counting the crash handle its
+   backend shares with every other stack of the run. *)
+let stack_words model ~n =
+  let crash = Rme_native.Crash.create ~n () in
+  let l = Rme_native.Stack.recoverable ~model crash ~n "t3-mcs" in
+  Obj.reachable_words (Obj.repr l) - Obj.reachable_words (Obj.repr crash)
+
+let stack_footprint () =
+  (* A CC Barrier is its one register R: the DSM election and
+     BarrierSub's (n+1)x(n+1) matrices exist only under DSM, so a CC
+     stack stays small and grows linearly in n. *)
+  let cc2 = stack_words Sim.Memory.Cc ~n:2 in
+  let cc4 = stack_words Sim.Memory.Cc ~n:4 in
+  let dsm2 = stack_words Sim.Memory.Dsm ~n:2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "CC t3-mcs n=2 <= 700 words (%d)" cc2)
+    true (cc2 <= 700);
+  Alcotest.(check bool)
+    (Printf.sprintf "CC t3-mcs n=2 -> n=4 adds <= 100 words (%d)" (cc4 - cc2))
+    true
+    (cc4 - cc2 <= 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "DSM t3-mcs n=2 >= CC + 1000 words (%d vs %d)" dsm2 cc2)
+    true
+    (dsm2 >= cc2 + 1000)
+
 (* --- Pinning --- *)
 
 let pin_noop_when_unsupported () =
@@ -667,6 +693,7 @@ let () =
           case "padded-cell-ops" padded_cell_basic_ops;
           case "padded-cell-stride" padded_cell_stride;
           case "padded-cell-footprint" padded_cell_footprint;
+          case "stack-footprint" stack_footprint;
           case "pin-noop-when-unsupported" pin_noop_when_unsupported;
           case "pinned-run-clean" native_pinned_run_clean;
           case "instrumentation-smoke" native_instrumentation_smoke;
