@@ -47,11 +47,13 @@ bench-smoke: build
 	$(MAKE) scenario-smoke
 
 # The Scenario-builder gate (DESIGN.md §5.16): a quick storm over every
-# registered scenario, then one forced-violation search — the known T1
+# registered scenario, then the forced-violation search — the known T1
 # CSR counterexample must be found, shrunk, and emitted as a schema-valid
 # rme-mc-outcome/1 JSON whose minimized schedule replays the violation
 # (--expect-violation inverts the exit code, so a T1 stack that stopped
-# violating — or a shrinker that broke — fails this target).
+# violating — or a shrinker that broke — fails this target). The search
+# runs twice: exhaustively and under --reduce sym, whose state key is
+# the per-pid split of the scenario's declared monitor state.
 scenario-smoke: build
 	dune exec bin/rme_cli.exe -- scenario run rme --stack t3-mcs -n 3 \
 	  --passages 5 --seed 7 --crash-mean 300 --out scenario_rme.json
@@ -63,8 +65,12 @@ scenario-smoke: build
 	  --out scenario_barrier_sub.json
 	dune exec bin/rme_cli.exe -- model-check --scenario rme --stack t1-mcs \
 	  -n 2 -d 2 -c 1 --expect-violation --out scenario_t1_csr.json
+	dune exec bin/rme_cli.exe -- model-check --scenario rme --stack t1-mcs \
+	  -n 2 -d 2 -c 1 --reduce sym --expect-violation \
+	  --out scenario_t1_csr_sym.json
 	dune exec bench/validate.exe -- scenario_rme.json scenario_mutex.json \
-	  scenario_barrier.json scenario_barrier_sub.json scenario_t1_csr.json
+	  scenario_barrier.json scenario_barrier_sub.json scenario_t1_csr.json \
+	  scenario_t1_csr_sym.json
 
 # The CLI's metrics files (DESIGN.md §5.12): a tiny `run`, `native` and
 # `service` run each write their --metrics JSON (rme-metrics/1,

@@ -802,8 +802,8 @@ let reduction_sweep ~pool () =
    drives a deterministic round-robin scheduler over larger-n scenarios
    and measures raw steps/s with per-step fingerprinting off and on —
    the "on" variant is exactly the dedup/por per-step cost (memory +
-   runtime digests + monitor hooks), so it isolates what the incremental
-   Zobrist digests buy. Table B times full [explore] calls across
+   runtime digests + declared monitor state), so it isolates what the
+   incremental Zobrist digests buy. Table B times full [explore] calls across
    scenarios x reduce none|por; every count is deterministic. All
    wall-clocks and steps/s are machine-dependent and go to the
    metrics. *)

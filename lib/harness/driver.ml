@@ -42,24 +42,24 @@ let run ?(max_steps = 2_000_000) ?(passages = 100) ~n ~model ~make ~schedule ()
     lock_name := lock.Rme.Rme_intf.name;
     lock
   in
-  let inst =
-    Scenario.instantiate
-      (Scenario.v ~n ~model
-         ~workload:(Scenario.rme_passages ~passages ~make)
-         ~monitors:
-           [
-             Scenario.mutex_monitors ();
-             Scenario.lost_update_monitor ();
-             Scenario.overtaking ();
-             Scenario.passage_stats ();
-           ])
+  let w =
+    Model_check.world
+      (Scenario.to_scenario
+         (Scenario.v ~n ~model
+            ~workload:(Scenario.rme_passages ~passages ~make)
+            ~monitors:
+              [
+                Scenario.mutex_monitors ();
+                Scenario.lost_update_monitor ();
+                Scenario.overtaking ();
+                Scenario.passage_stats ();
+              ]))
   in
-  let rt = Model_check.runtime inst.world in
+  let rt = Model_check.runtime w in
   Runtime.run ~max_steps rt schedule;
-  Model_check.finish inst.world;
-  let count k = List.assoc k (Scenario.counters inst) in
-  let hist k = List.assoc k (Scenario.histograms inst) in
-  let completed = List.hd inst.progress in
+  Model_check.finish w;
+  let count = Model_check.counter w and hist = Model_check.histogram w in
+  let completed = Model_check.array w "completed" in
   let total_steps = Runtime.clock rt and crashes = Runtime.crashes rt in
   Runtime.reset rt;
   {
@@ -70,7 +70,7 @@ let run ?(max_steps = 2_000_000) ?(passages = 100) ~n ~model ~make ~schedule ()
     target = passages;
     all_done = Array.for_all (fun c -> c >= passages) (Array.sub completed 1 n);
     total_steps;
-    total_rmrs = Memory.total_rmrs (Model_check.memory inst.world);
+    total_rmrs = Memory.total_rmrs (Model_check.memory w);
     crashes;
     me_violations = count "me-violations";
     csr_violations = count "csr-violations";

@@ -41,19 +41,38 @@ type outcome = {
   witness : int array option;
 }
 
-type ctx = {
-  violation : string -> unit;
-  on_crash : (epoch:int -> unit) -> unit;
-  on_crash_one : (pid:int -> unit) -> unit;
-  on_finish : (unit -> unit) -> unit;
-  on_fingerprint : (unit -> int) -> unit;
-  on_sym_fingerprint : (int -> int) -> unit;
+type declared = {
+  d_refs : (string * int ref) list;
+  d_arrays : (string * int array) list;
+  d_counters : (string * int ref) list;
+  d_histograms : (string * Stats.t) list;
+  d_restore_refs : (string * int ref) list;
+  d_restore_arrays : (string * int array) list;
+  d_crash : (epoch:int -> unit) option;
+  d_crash_one : (pid:int -> unit) option;
+  d_finish : (unit -> unit) option;
 }
+
+let nothing =
+  {
+    d_refs = [];
+    d_arrays = [];
+    d_counters = [];
+    d_histograms = [];
+    d_restore_refs = [];
+    d_restore_arrays = [];
+    d_crash = None;
+    d_crash_one = None;
+    d_finish = None;
+  }
 
 type scenario = {
   n : int;
   model : Memory.model;
-  make_body : Memory.t -> ctx -> pid:int -> epoch:int -> unit;
+  build :
+    Memory.t ->
+    violation:(string -> unit) ->
+    (pid:int -> epoch:int -> unit) * declared list;
 }
 
 (* Decisions are encoded as ints: pid > 0 is a step, 0 is a system-wide
@@ -203,22 +222,24 @@ let append b v = b.data.(reserve b 1) <- v
 (* --- the simulated world ---
 
    One instance of a scenario: its memory, the stack and monitors
-   [make_body] built over it, the runtime and the hooks registered
-   through [ctx]. [explore] builds one per call and {!reset}s it in place
-   before every run (DESIGN.md §5.14): effect continuations are
-   one-shot, so each run still replays from the root, but it no longer
-   rebuilds the stack, the runtime or the monitors. [sink] is where
-   [ctx.violation] delivers; each run points it at its own list. Hook
-   lists are in reverse registration order, as they were consed. The
-   scratch fields are reused by every run of the world; none of them
-   carries state from one run to the next. *)
+   [build] made over it, the runtime, and what the world derives from
+   the declared monitor state. [explore] builds one per call and
+   {!reset}s it in place before every run (DESIGN.md §5.14): effect
+   continuations are one-shot, so each run still replays from the root,
+   but it no longer rebuilds the stack, the runtime or the monitors.
+   [sink] is where the builder's [violation] delivers; each run points
+   it at its own list. [refs] and [arrays] are the declared verdict
+   state, flattened in declaration order. The scratch fields are reused
+   by every run of the world; none of them carries state from one run
+   to the next. *)
 type world = {
   mem : Memory.t;
   rt : Runtime.t;
   sink : (string -> unit) ref;
-  finish_hooks : (unit -> unit) list;
-  fp_hooks : (unit -> int) list;
-  sym_hooks : (int -> int) list;
+  declared : declared list;
+  finish_hooks : (unit -> unit) list; (* in declaration order *)
+  refs : int ref list;
+  arrays : int array list;
   pmask : Bitset.t; (* productive processes of the current step *)
   dep : Bitset.t; (* POR conflict set of the current choice point *)
   bundles : int array; (* per-pid digests of the current sym state *)
@@ -235,43 +256,50 @@ let cp_sleep = 2 (* the sleep set there *)
 let cp_opaque = 3 (* productive processes whose next step is opaque *)
 let cp_sets = 4
 
+let values sel ds = List.concat_map (fun d -> List.map snd (sel d)) ds
+
+(* The monitor part of the [Dedup]/[Por] key: every verdict ref, then
+   every verdict array, in declaration order. *)
+let monitor_fold refs arrays =
+  List.fold_left Encode.mix_array
+    (Encode.mix_refs Encode.fingerprint_seed refs)
+    arrays
+
+let monitor_fingerprint ds =
+  monitor_fold (values (fun d -> d.d_refs) ds) (values (fun d -> d.d_arrays) ds)
+
 let world scenario =
   let n = scenario.n in
   let mem = Memory.create ~model:scenario.model ~n in
   let sink = ref ignore in
-  let built = ref false in
-  let register hooks h =
-    if !built then
-      invalid_arg "Model_check: hook registered after the scenario was built";
-    hooks := h :: !hooks
-  in
-  let crash_hooks = ref [] in
-  let crash_one_hooks = ref [] in
-  let finish_hooks = ref [] in
-  let fp_hooks = ref [] in
-  let sym_hooks = ref [] in
-  let ctx =
-    {
-      violation = (fun msg -> !sink msg);
-      on_crash = register crash_hooks;
-      on_crash_one = register crash_one_hooks;
-      on_finish = register finish_hooks;
-      on_fingerprint = register fp_hooks;
-      on_sym_fingerprint = register sym_hooks;
-    }
-  in
-  let body = scenario.make_body mem ctx in
-  built := true;
+  let body, declared = scenario.build mem ~violation:(fun msg -> !sink msg) in
+  (* The one restore: every declared ref, counter and array back to its
+     value now; histograms accumulate across runs. *)
+  let kept_refs =
+    values (fun d -> d.d_refs @ d.d_counters @ d.d_restore_refs) declared
+  and kept_arrays = values (fun d -> d.d_arrays @ d.d_restore_arrays) declared in
+  let ref_inits = List.map ( ! ) kept_refs in
+  let array_inits = List.map Array.copy kept_arrays in
+  Memory.on_reset mem (fun () ->
+      List.iter2 ( := ) kept_refs ref_inits;
+      List.iter2
+        (fun a a0 -> Array.blit a0 0 a 0 (Array.length a0))
+        kept_arrays array_inits);
   let rt = Runtime.create mem ~body in
-  List.iter (Runtime.on_crash rt) !crash_hooks;
-  List.iter (Runtime.on_crash_one rt) !crash_one_hooks;
+  let hooks sel = List.filter_map sel declared in
+  (* The runtime runs its hooks newest first: register in reverse so
+     they run in declaration order. *)
+  List.iter (Runtime.on_crash rt) (List.rev (hooks (fun d -> d.d_crash)));
+  List.iter (Runtime.on_crash_one rt)
+    (List.rev (hooks (fun d -> d.d_crash_one)));
   {
     mem;
     rt;
     sink;
-    finish_hooks = !finish_hooks;
-    fp_hooks = !fp_hooks;
-    sym_hooks = !sym_hooks;
+    declared;
+    finish_hooks = hooks (fun d -> d.d_finish);
+    refs = values (fun d -> d.d_refs) declared;
+    arrays = values (fun d -> d.d_arrays) declared;
     pmask = Bitset.create n;
     dep = Bitset.create n;
     bundles = Array.make (max 1 n) 0;
@@ -288,49 +316,55 @@ let memory w = w.mem
 let runtime w = w.rt
 let finish w = List.iter (fun h -> h ()) w.finish_hooks
 
-(* The [Dedup]/[Por] state key: memory and runtime digests, every
-   monitor hash registered through [ctx.on_fingerprint], and the
-   scheduler's last-stepped process. *)
+let find what sel w name =
+  match List.find_map (fun d -> List.assoc_opt name (sel d)) w.declared with
+  | Some x -> x
+  | None -> invalid_arg (Printf.sprintf "Model_check.%s: none named %S" what name)
+
+let counter w name = !(find "counter" (fun d -> d.d_counters) w name)
+let histogram w name = find "histogram" (fun d -> d.d_histograms) w name
+let array w name = find "array" (fun d -> d.d_arrays) w name
+
+let counters w =
+  List.concat_map
+    (fun d -> List.map (fun (k, r) -> (k, !r)) d.d_counters)
+    w.declared
+
+(* The [Dedup]/[Por] state key: memory and runtime digests, the declared
+   monitor state, and the scheduler's last-stepped process. *)
 let state_fingerprint w ~cur =
   let h = Encode.mix (Memory.fingerprint w.mem) (Runtime.fingerprint w.rt) in
-  let h = List.fold_left (fun h hook -> Encode.mix h (hook ())) h w.fp_hooks in
-  Encode.mix h cur
+  Encode.mix (Encode.mix h (monitor_fold w.refs w.arrays)) cur
 
-(* [h] mixed with every hook's slice of [pid], without the closure a
-   [List.fold_left] over [pid] would allocate per process and state. *)
-let rec mix_slices h hooks pid =
-  match hooks with
+(* [h] mixed with element [k] of every verdict array. *)
+let rec mix_slot h arrays k =
+  match arrays with
   | [] -> h
-  | hook :: rest -> mix_slices (Encode.mix h (hook pid)) rest pid
+  | (a : int array) :: rest -> mix_slot (Encode.mix h a.(k)) rest k
 
 (* Symmetry-canonical fingerprint (DESIGN.md §5.19): the residue
-   (globals, cell count, epoch, permutation-invariant monitor parts)
-   mixed with the SORTED per-pid bundle digests — each bundle a
-   pid-independent hash of one process's control point, consumed-value
-   signature, memory slice and monitor slice — plus the canonical rank
-   of the last-stepped process. Two states related by a pid permutation
-   hash equal; sorting quotients the orbit. Monitors that registered
-   only the legacy [on_fingerprint] hook fold it into the residue raw:
-   their pid-valued refs then pin the permutation (fewer merges, still
-   sound — a monitor-distinct state never merges away, the §5.13
-   footgun). The bundles live in the world's scratch array; no
-   allocation per state. *)
+   (globals, cell count, epoch, the verdict refs and element 0 of every
+   verdict array) mixed with the SORTED per-pid bundle digests — each
+   bundle a pid-independent hash of one process's control point,
+   consumed-value signature, memory slice and element [pid] of every
+   verdict array — plus the canonical rank of the last-stepped process.
+   Two states related by a pid permutation hash equal; sorting quotients
+   the orbit. Pid-valued refs (the occupant) sit in the residue and pin
+   the permutation: fewer merges, never a lost violation. The bundles
+   live in the world's scratch array; no allocation per state. *)
 let sym_fingerprint w ~cur =
   let mem = w.mem and rt = w.rt and bundles = w.bundles in
   let h0 = Encode.mix (Memory.sym_part mem 0) (Memory.cell_count mem) in
   let h0 = Encode.mix h0 (Runtime.epoch rt) in
   let h0 =
-    if w.sym_hooks = [] then
-      List.fold_left (fun h hook -> Encode.mix h (hook ())) h0 w.fp_hooks
-    else List.fold_left (fun h hook -> Encode.mix h (hook 0)) h0 w.sym_hooks
+    Encode.mix h0 (mix_slot (Encode.mix_refs Encode.sym_seed w.refs) w.arrays 0)
   in
   let n = Memory.n mem in
   for pid = 1 to n do
     let b =
       Encode.mix (Runtime.sym_contribution rt pid) (Memory.sym_part mem pid)
     in
-    let b = mix_slices b w.sym_hooks pid in
-    bundles.(pid - 1) <- b
+    bundles.(pid - 1) <- Encode.mix b (mix_slot Encode.sym_seed w.arrays pid)
   done;
   let cur_bundle = if cur = 0 then 0 else bundles.(cur - 1) in
   (* Insertion sort: n is single-digit on every model-checked scenario. *)

@@ -30,8 +30,8 @@
 
     - {!Dedup}: after each decision the run's state is fingerprinted
       ({!Sim.Memory.fingerprint} over cell values, {!Sim.Runtime.fingerprint}
-      over epoch + per-process consumed-value signatures, plus every
-      scenario hash registered through [ctx.on_fingerprint] and the
+      over epoch + per-process consumed-value signatures, plus the
+      scenario's declared monitor state ({!declared}) and the
       scheduler's current-process id) and looked up in a visited set
       shared across the whole exploration ({!Parallel.Vset}). A run that
       re-reaches a state already explored with component-wise
@@ -72,14 +72,12 @@
     runs truncated by [max_steps] lose the deferred branches beyond the
     cap (capped runs already report a violation, so the signal survives).
     Scenario monitors that keep verdict-relevant state outside shared
-    memory {e must} register it via [ctx.on_fingerprint]; otherwise two
-    states the monitor distinguishes could be merged. Under {!Sym},
-    monitors that registered only the legacy [on_fingerprint] hook have
-    their hash folded into the permutation-invariant residue {e raw} —
-    pid-valued monitor state then pins the permutation (fewer merges,
-    never a lost violation); monitors register the per-pid split via
-    [on_sym_fingerprint] (or {!Scenario}'s builder, which derives both
-    hooks) to recover full merging. {!Sym} composes with the preemption
+    memory {e must} declare it ({!declared}); otherwise two states the
+    monitor distinguishes could be merged. Under {!Sym} declared verdict
+    refs fold into the permutation-invariant residue — a pid-valued ref
+    then pins the permutation (fewer merges, never a lost violation) —
+    and element [pid] of each declared verdict array into that process's
+    bundle. {!Sym} composes with the preemption
     budget: a state's orbit representative may first be reached down a
     schedule whose remaining budget differs, so [sym] may {e explore
     less} of the quotient than [por] explores of the full space — it is
@@ -153,44 +151,56 @@ type outcome = {
           {!Shrink.minimize}) *)
 }
 
-(** A checkable scenario: [make_body] builds the per-process program and
-    wires its monitors through [ctx]. The run is terminal when every
-    process body has returned and no crash re-enables work. *)
-type ctx = {
-  violation : string -> unit;
-  on_crash : (epoch:int -> unit) -> unit;
-      (** register a hook called at each system-wide crash step *)
-  on_crash_one : (pid:int -> unit) -> unit;
-      (** register a hook called when an independent crash destroys one
-          process (see [crash_one_bound]) *)
-  on_finish : (unit -> unit) -> unit;
-      (** register a final check executed when a run ends cleanly *)
-  on_fingerprint : (unit -> int) -> unit;
-      (** register a hash of the monitor's verdict-relevant private state
-          (fold it with {!Sim.Encode.mix}/{!Sim.Encode.mix_array}). The
-          reduction engine mixes it into every state fingerprint; monitor
-          state lives outside shared memory, so without this hook two
-          monitor-distinct states would be merged and a violation could be
-          pruned away. No-op when [reduction = No_reduction]. *)
-  on_sym_fingerprint : (int -> int) -> unit;
-      (** register the {e permutation-aware} split of the monitor hash,
-          used by [reduction = Sym] in place of [on_fingerprint]: the
-          hook is called with [0] for the permutation-invariant residue
-          (seed pid-independent folds with {!Sim.Encode.sym_seed}) and
-          with each [pid >= 1] for that process's monitor slice, mixed
-          into the process's orbit bundle. A monitor registering this
-          {e must} still register the legacy [on_fingerprint] (other
-          levels use only that); {!Scenario}'s builder derives both from
-          one declaration. When no scenario registers a sym hook, [Sym]
-          folds the legacy hashes into the residue raw — sound, just
-          pid-pinned. No-op below [Sym]. *)
+(** Monitor state declared as data: plain OCaml state outside shared
+    memory, named for the readers ({!counter}, {!histogram}, {!array};
+    names never reach a fingerprint). The {!world} derives from it the
+    monitor part of both state keys, one restore at every reset (each
+    ref, counter and array goes back to its value when [build]
+    returned), the crash hooks and the finish checks. *)
+type declared = {
+  d_refs : (string * int ref) list;
+      (** verdict refs: in every state key, and {!Sym}'s residue —
+          undeclared, [--reduce] could merge two monitor-distinct states
+          and prune a violation away (DESIGN.md §5.13) *)
+  d_arrays : (string * int array) list;
+      (** pid-indexed verdict arrays of length [n+1]: in every state
+          key; under {!Sym} element [0] in the residue, element [pid]
+          in that process's bundle *)
+  d_counters : (string * int ref) list;  (** never fingerprinted *)
+  d_histograms : (string * Sim.Stats.t) list;
+      (** never fingerprinted nor restored: they accumulate over runs *)
+  d_restore_refs : (string * int ref) list;
+      (** restore-only: no verdict, but every run starts from its built
+          value (DESIGN.md §5.14) *)
+  d_restore_arrays : (string * int array) list;
+  d_crash : (epoch:int -> unit) option;  (** at each system-wide crash *)
+  d_crash_one : (pid:int -> unit) option;  (** at each independent crash *)
+  d_finish : (unit -> unit) option;  (** see {!finish} *)
 }
 
+val nothing : declared
+(** Declares nothing: the base for [{ nothing with ... }] literals. *)
+
+(** A checkable scenario: [build] makes the per-process program over a
+    fresh memory, reporting violations through [violation], and returns
+    it with the declarations of its monitor state, in order. The run is
+    terminal when every process body has returned and no crash
+    re-enables work. *)
 type scenario = {
   n : int;
   model : Sim.Memory.model;
-  make_body : Sim.Memory.t -> ctx -> pid:int -> epoch:int -> unit;
+  build :
+    Sim.Memory.t ->
+    violation:(string -> unit) ->
+    (pid:int -> epoch:int -> unit) * declared list;
 }
+
+val monitor_fingerprint : declared list -> int
+(** The monitor part of the {!Dedup}/{!Por} key, over the declarations'
+    current values: {!Sim.Encode.mix_refs} from
+    {!Sim.Encode.fingerprint_seed} over every verdict ref, then
+    {!Sim.Encode.mix_array} over every verdict array, each in
+    declaration order. *)
 
 val explore :
   ?divergence_bound:int ->
@@ -311,8 +321,8 @@ val run_schedule :
     code out of range) degrade to the default step, keeping replays
     total and deterministic — the property counterexample shrinking
     relies on when removing an early intervention invalidates a later
-    one. Unlike {!explore} there are no budgets and no visited set:
-    [ctx.on_fingerprint] registrations are accepted and ignored.
+    one. Unlike {!explore} there are no budgets and no visited set, so
+    nothing is fingerprinted.
 
     Deadlock detection first drains any held store buffers
     ({!Sim.Runtime.drain_faults}): a system wedged only behind a
@@ -330,41 +340,52 @@ val run_schedule :
 (** {2 The simulated world}
 
     A {!world} is one built instance of a scenario: its memory, the
-    stack and monitors [make_body] built over it, the runtime and the
-    registered hooks. {!explore} builds one per call and resets it in
-    place before every run instead of rebuilding it (DESIGN.md §5.14);
-    {!Shrink} holds one across its probe replays. Reuse is sound only if
-    every piece of OCaml state built over the memory registers its
-    restore with {!Sim.Memory.on_reset} ({!Scenario}'s builder does so
-    for every monitor ref and array it knows of). A world is mutable
+    stack and monitors [build] made over it, the runtime, and what it
+    derives from the declarations. {!explore} builds one per call and
+    resets it in place before every run instead of rebuilding it
+    (DESIGN.md §5.14); {!Shrink} holds one across its probe replays.
+    Reuse is sound only if every piece of OCaml state built over the
+    memory is put back at a reset: the world restores everything
+    declared, and state outside the declarations (a lock's private
+    arrays) registers its own {!Sim.Memory.on_reset}. A world is mutable
     and belongs to one domain: build one per search, never share one. *)
 
 type world
 
 val world : scenario -> world
-(** Builds the memory, calls [make_body] once and creates the runtime.
-    A [ctx] registration after [make_body] has returned raises
-    [Invalid_argument]. *)
+(** Builds the memory, calls [build] once, registers the one restore of
+    the declared state and creates the runtime with the declared crash
+    hooks, which run in declaration order. *)
 
 val reset : world -> violation:(string -> unit) -> unit
 (** Resets the runtime ({!Sim.Runtime.reset}) and the memory
-    ({!Sim.Memory.reset}, which runs the registered restores), then
-    points [ctx.violation] at [violation] for the coming run. Runs
+    ({!Sim.Memory.reset}, which runs the restores), then points the
+    builder's [violation] at [violation] for the coming run. Runs
     through {!run_schedule_in} and {!explore} call it themselves. *)
 
 val memory : world -> Sim.Memory.t
 val runtime : world -> Sim.Runtime.t
 
 val finish : world -> unit
-(** Runs every [ctx.on_finish] check. {!run_schedule_in} and {!explore}
-    call it at the end of every run that was not step-capped; a caller
-    that steps the world's runtime itself ({!Sim.Runtime.run}) calls it
-    once its run is over. *)
+(** Runs every declared [d_finish] check, in declaration order.
+    {!run_schedule_in} and {!explore} call it at the end of every run
+    that was not step-capped; a caller that steps the world's runtime
+    itself ({!Sim.Runtime.run}) calls it once its run is over. *)
+
+(** Name-based readers: the first declaration of that name (a verdict
+    array live, not a copy). @raise Invalid_argument if there is none. *)
+
+val counter : world -> string -> int
+val histogram : world -> string -> Sim.Stats.t
+val array : world -> string -> int array
+
+val counters : world -> (string * int) list
+(** Every declared counter with its value, in declaration order. *)
 
 val state_fingerprint : world -> cur:int -> int
 (** The state key {!Dedup} and {!Por} store: memory and runtime digests,
-    every [ctx.on_fingerprint] hash, and [cur], the last-stepped
-    process. *)
+    the {!monitor_fingerprint} of the declared state, and [cur], the
+    last-stepped process. *)
 
 val sym_fingerprint : world -> cur:int -> int
 (** The canonical-orbit key {!Sym} stores (DESIGN.md §5.19). *)

@@ -19,13 +19,7 @@ type monitor = {
   m_in_cs : (pid:int -> epoch:int -> unit) option;
   m_exiting : (pid:int -> epoch:int -> unit) option;
   m_exited : (pid:int -> epoch:int -> unit) option;
-  m_crashed : (epoch:int -> unit) option;
-  m_crashed_one : (pid:int -> unit) option;
-  m_finished : (unit -> unit) option;
-  m_fp_refs : int ref list;
-  m_fp_arrays : int array list;
-  m_counters : (string * int ref) list;
-  m_histograms : (string * Stats.t) list;
+  m_state : Model_check.declared;
 }
 
 let blank ~name =
@@ -37,19 +31,13 @@ let blank ~name =
     m_in_cs = None;
     m_exiting = None;
     m_exited = None;
-    m_crashed = None;
-    m_crashed_one = None;
-    m_finished = None;
-    m_fp_refs = [];
-    m_fp_arrays = [];
-    m_counters = [];
-    m_histograms = [];
+    m_state = Model_check.nothing;
   }
 
 type monitor_set = Memory.t -> violation:(string -> unit) -> monitor list
 
 type workload_inst = {
-  w_arrays : int array list;
+  w_arrays : (string * int array) list;
   w_body : probes -> pid:int -> epoch:int -> unit;
 }
 
@@ -67,71 +55,17 @@ let v ~n ~model ~workload ~monitors =
 
 (* --- assembly ---
 
-   Instantiation order is load-bearing for byte-identical fingerprints
-   with the legacy hand-rolled scenarios: the workload allocates its
-   shared cells first (the lock), monitors second (e.g. the protected
-   counter) — the same Memory cell ids the legacy bodies produced — and
-   the single fingerprint hook folds monitor refs (in monitor order)
-   before workload/monitor arrays, reproducing the legacy
-   [mix (mix ...)] chains via {!Encode.mix_refs}. *)
+   Instantiation order is load-bearing for the committed fingerprints:
+   the workload allocates its shared cells first (the lock), monitors
+   second (e.g. the protected counter), and the declarations list the
+   monitors' state in monitor order before the workload's progress
+   arrays — the order the checker folds them in. *)
 
 let nop ~pid:_ ~epoch:_ = ()
 
-let assemble t ~capture mem (ctx : Model_check.ctx) =
+let assemble t mem ~violation =
   let w = t.b_workload mem in
-  let mons =
-    List.concat_map (fun ms -> ms mem ~violation:ctx.violation) t.b_monitors
-  in
-  capture w mons;
-  (match List.filter_map (fun m -> m.m_crashed) mons with
-  | [] -> ()
-  | hs -> ctx.on_crash (fun ~epoch -> List.iter (fun h -> h ~epoch) hs));
-  (match List.filter_map (fun m -> m.m_crashed_one) mons with
-  | [] -> ()
-  | hs -> ctx.on_crash_one (fun ~pid -> List.iter (fun h -> h ~pid) hs));
-  (match List.filter_map (fun m -> m.m_finished) mons with
-  | [] -> ()
-  | hs -> ctx.on_finish (fun () -> List.iter (fun h -> h ()) hs));
-  (* Every monitor verdict ref registers automatically — the DESIGN.md
-     §5.13 footgun (a forgotten registration lets --reduce merge two
-     monitor-distinct states and prune a violation) cannot happen here. *)
-  let refs = List.concat_map (fun m -> m.m_fp_refs) mons in
-  let arrays = List.concat_map (fun m -> m.m_fp_arrays) mons @ w.w_arrays in
-  (* The same registration makes the scenario reusable in place: a reset
-     memory puts every fingerprinted ref and array, and every counter,
-     back to its value at assembly (DESIGN.md §5.14). *)
-  let all_refs =
-    refs @ List.concat_map (fun m -> List.map snd m.m_counters) mons
-  in
-  let ref_inits = List.map ( ! ) all_refs in
-  let array_inits = List.map Array.copy arrays in
-  Memory.on_reset mem (fun () ->
-      List.iter2 ( := ) all_refs ref_inits;
-      List.iter2 (fun a a0 -> Array.blit a0 0 a 0 (Array.length a0)) arrays
-        array_inits);
-  ctx.on_fingerprint (fun () ->
-      List.fold_left Encode.mix_array
-        (Encode.mix_refs Encode.fingerprint_seed refs)
-        arrays);
-  (* Permutation-aware split for --reduce sym (DESIGN.md §5.19): monitor
-     refs fold into the residue (k = 0) — pid-valued refs like the
-     occupant then pin the permutation, which only costs merges, never
-     soundness — while the pid-indexed arrays contribute element [pid]
-     to that process's orbit bundle (k >= 1), so per-process progress
-     counters permute with the process. Arrays here are pid-indexed of
-     length n+1 by contract (index 0 is folded into the residue with the
-     refs). The legacy fold above is untouched: every level below [Sym]
-     still sees the exact historical hash. *)
-  ctx.on_sym_fingerprint (fun k ->
-      if k = 0 then
-        List.fold_left
-          (fun h (a : int array) -> Encode.mix h a.(0))
-          (Encode.mix_refs Encode.sym_seed refs)
-          arrays
-      else
-        List.fold_left
-          (fun h (a : int array) -> Encode.mix h a.(k))
-          Encode.sym_seed arrays);
+  let mons = List.concat_map (fun ms -> ms mem ~violation) t.b_monitors in
   let chain sel =
     match List.filter_map sel mons with
     | [] -> nop
@@ -148,34 +82,12 @@ let assemble t ~capture mem (ctx : Model_check.ctx) =
       exited = chain (fun m -> m.m_exited);
     }
   in
-  w.w_body probes
+  ( w.w_body probes,
+    List.map (fun m -> m.m_state) mons
+    @ [ { Model_check.nothing with d_arrays = w.w_arrays } ] )
 
-let scenario_of t ~capture =
-  { Model_check.n = t.b_n; model = t.b_model; make_body = assemble t ~capture }
-
-let to_scenario t = scenario_of t ~capture:(fun _ _ -> ())
-
-type instance = {
-  world : Model_check.world;
-  monitors : monitor list;
-  progress : int array list;
-}
-
-let instantiate t =
-  let captured = ref ([], []) in
-  let world =
-    Model_check.world
-      (scenario_of t ~capture:(fun w mons -> captured := (w.w_arrays, mons)))
-  in
-  let progress, monitors = !captured in
-  { world; monitors; progress }
-
-let counters inst =
-  List.concat_map
-    (fun m -> List.map (fun (k, r) -> (k, !r)) m.m_counters)
-    inst.monitors
-
-let histograms inst = List.concat_map (fun m -> m.m_histograms) inst.monitors
+let to_scenario t =
+  { Model_check.n = t.b_n; model = t.b_model; build = assemble t }
 
 (* --- reusable monitor sets --- *)
 
@@ -202,20 +114,24 @@ let mutex_monitors ?(check_csr = true) () : monitor_set =
             end;
             occupant := pid);
       m_exiting = Some (fun ~pid:_ ~epoch:_ -> occupant := 0);
-      m_crashed =
-        Some
-          (fun ~epoch:_ ->
-            if !occupant <> 0 then owner_died !occupant;
-            occupant := 0);
-      m_crashed_one =
-        Some
-          (fun ~pid ->
-            if !occupant = pid then begin
-              owner_died pid;
-              occupant := 0
-            end);
-      m_fp_refs = [ occupant ];
-      m_counters = [ ("me-violations", me_violations) ];
+      m_state =
+        {
+          Model_check.nothing with
+          d_refs = [ ("occupant", occupant) ];
+          d_counters = [ ("me-violations", me_violations) ];
+          d_crash =
+            Some
+              (fun ~epoch:_ ->
+                if !occupant <> 0 then owner_died !occupant;
+                occupant := 0);
+          d_crash_one =
+            Some
+              (fun ~pid ->
+                if !occupant = pid then begin
+                  owner_died pid;
+                  occupant := 0
+                end);
+        };
     }
   in
   let csr =
@@ -235,9 +151,16 @@ let mutex_monitors ?(check_csr = true) () : monitor_set =
                   (Printf.sprintf "CSR: p%d entered before crashed owner p%d"
                      pid !csr_owner)
               end);
-      m_fp_refs = [ csr_owner ];
-      m_counters =
-        [ ("csr-violations", csr_violations); ("csr-reentries", csr_reentries) ];
+      m_state =
+        {
+          Model_check.nothing with
+          d_refs = [ ("csr-owner", csr_owner) ];
+          d_counters =
+            [
+              ("csr-violations", csr_violations);
+              ("csr-reentries", csr_reentries);
+            ];
+        };
     }
   in
   [ mutex; csr ]
@@ -261,9 +184,6 @@ let lost_update_monitor () : monitor_set =
      exclusion another process reaches the CS only after the writer's
      exit, so the next increment's read settles the held one. *)
   let held_by = ref 0 and held = ref 0 in
-  Memory.on_reset mem (fun () ->
-      held_by := 0;
-      held := 0);
   let settle () =
     if Memory.peek counter <> !held then incr forgiven;
     held_by := 0
@@ -282,27 +202,32 @@ let lost_update_monitor () : monitor_set =
               held := v + 1
             end);
       m_exiting = Some (fun ~pid:_ ~epoch:_ -> incr cs_done);
-      m_crashed = Some (fun ~epoch:_ -> if !held_by <> 0 then settle ());
-      m_crashed_one = Some (fun ~pid -> if !held_by = pid then settle ());
-      m_finished =
-        Some
-          (fun () ->
-            final_value := Memory.peek counter;
-            let expected = !cs_done - !forgiven in
-            if !final_value <> expected then begin
-              incr lost_updates;
-              violation
-                (Printf.sprintf "lost update: counter=%d, completions=%d"
-                   !final_value expected)
-            end);
-      m_fp_refs = [ cs_done ];
-      m_counters =
-        [
-          ("lost-updates", lost_updates);
-          ("cs-completions", cs_done);
-          ("forgiven-updates", forgiven);
-          ("protected-counter", final_value);
-        ];
+      m_state =
+        {
+          Model_check.nothing with
+          d_refs = [ ("cs-done", cs_done) ];
+          d_counters =
+            [
+              ("lost-updates", lost_updates);
+              ("cs-completions", cs_done);
+              ("forgiven-updates", forgiven);
+              ("protected-counter", final_value);
+            ];
+          d_restore_refs = [ ("held-by", held_by); ("held", held) ];
+          d_crash = Some (fun ~epoch:_ -> if !held_by <> 0 then settle ());
+          d_crash_one = Some (fun ~pid -> if !held_by = pid then settle ());
+          d_finish =
+            Some
+              (fun () ->
+                final_value := Memory.peek counter;
+                let expected = !cs_done - !forgiven in
+                if !final_value <> expected then begin
+                  incr lost_updates;
+                  violation
+                    (Printf.sprintf "lost update: counter=%d, completions=%d"
+                       !final_value expected)
+                end);
+        };
     };
   ]
 
@@ -341,8 +266,13 @@ let overtaking () : monitor_set =
               end
             done;
             in_wait.(pid) <- 0);
-      m_fp_arrays = [ in_wait; overtakes; worst ];
-      m_counters = [ ("max-overtaking", max_overtaking) ];
+      m_state =
+        {
+          Model_check.nothing with
+          d_arrays =
+            [ ("in-wait", in_wait); ("overtakes", overtakes); ("worst", worst) ];
+          d_counters = [ ("max-overtaking", max_overtaking) ];
+        };
     };
   ]
 
@@ -366,9 +296,6 @@ let passage_stats () : monitor_set =
      everyone else recovers as a non-leader. *)
   let last_epoch = per_pid min_int in
   let leader_epoch = ref min_int in
-  Memory.on_reset mem (fun () ->
-      Array.fill last_epoch 0 (n + 1) min_int;
-      leader_epoch := min_int);
   let histograms =
     List.map
       (fun k -> (k, Stats.create ()))
@@ -422,7 +349,13 @@ let passage_stats () : monitor_set =
               add "steady_passage_steps" passage_steps
             end;
             last_epoch.(pid) <- epoch);
-      m_histograms = histograms;
+      m_state =
+        {
+          Model_check.nothing with
+          d_histograms = histograms;
+          d_restore_refs = [ ("leader-epoch", leader_epoch) ];
+          d_restore_arrays = [ ("last-epoch", last_epoch) ];
+        };
     };
   ]
 
@@ -445,7 +378,8 @@ let barrier_spec ~leader_of : monitor_set =
                    "barrier spec (i): p%d's call returned in epoch %d before \
                     the leader began"
                    pid epoch));
-      m_fp_refs = [ leader_begun ];
+      m_state =
+        { Model_check.nothing with d_refs = [ ("leader-begun", leader_begun) ] };
     };
   ]
 
@@ -456,7 +390,7 @@ let rme_passages ~passages ~make : workload =
   let lock = make mem in
   let completed = Array.make (Memory.n mem + 1) 0 in
   {
-    w_arrays = [ completed ];
+    w_arrays = [ ("completed", completed) ];
     w_body =
       (fun probes ~pid ~epoch ->
         while completed.(pid) < passages do
@@ -480,7 +414,7 @@ let rounds ~epochs ~leader_of ~make_enter : workload =
      epoch, so processes whose round was interrupted retry it there. *)
   let completed = Array.make (Memory.n mem + 1) 0 in
   {
-    w_arrays = [ completed ];
+    w_arrays = [ ("completed", completed) ];
     w_body =
       (fun probes ~pid ~epoch ->
         while
@@ -497,11 +431,11 @@ let rounds ~epochs ~leader_of ~make_enter : workload =
 
 (* --- the four stock compositions ---
 
-   Builder forms of the legacy hand-rolled scenarios; {!Scenarios}
-   re-exports them as [Model_check.scenario]s. Monitor order is
-   [mutex; csr; lost-update] so the probe chains replay the legacy
-   bodies' exact statement order (ME check, CSR check, counter
-   increment, occupant clear, cs_done bump). *)
+   {!Scenarios} re-exports them as [Model_check.scenario]s. Monitor
+   order is [mutex; csr; lost-update]: the probe chains then run the ME
+   check, the CSR check, the counter increment, the occupant clear and
+   the cs_done bump in that order, which test/test_scenario.ml's pinned
+   outcomes depend on. *)
 
 let rme_lock ?(passages = 1) ?(check_csr = true) ~n ~model ~make () =
   v ~n ~model
@@ -556,7 +490,7 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
     ?(delay_mean = 0) ~seed ~schedule t =
   let n = t.b_n in
   let rng = Random.State.make [| 0x5702; seed |] in
-  let inst = instantiate t in
+  let world = Model_check.world (to_scenario t) in
   (* Faults fire first (seeded Bernoulli, random victim; an inapplicable
      injection degrades to the default step inside [run_schedule_in]),
      then the crash/step schedule, then the default policy. *)
@@ -573,9 +507,9 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
       | None -> default
   in
   let rp =
-    Model_check.run_schedule_in ~max_steps ~delay_window ~decide inst.world
+    Model_check.run_schedule_in ~max_steps ~delay_window ~decide world
   in
-  Runtime.reset (Model_check.runtime inst.world);
+  Runtime.reset (Model_check.runtime world);
   {
     st_trace = rp.Model_check.rp_trace;
     st_steps = rp.rp_steps;
@@ -585,7 +519,7 @@ let storm ?(max_steps = 2_000_000) ?(delay_window = 8) ?(lost_wakeup_mean = 0)
     st_deadlock = rp.rp_deadlock;
     st_capped = rp.rp_capped;
     st_all_done = (not rp.rp_deadlock) && not rp.rp_capped;
-    st_counters = counters inst;
+    st_counters = Model_check.counters world;
   }
 
 (* --- the scenario registry ---

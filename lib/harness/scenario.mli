@@ -4,19 +4,18 @@
     exposing template points as {!probes}) and a list of {e monitor sets}
     (reusable checkers: mutual exclusion, CSR, lost-update, barrier
     spec). {!to_scenario} wires them into a {!Model_check.scenario}:
-    monitor crash / independent-crash / finish hooks are combined and
-    registered only when some monitor defines them, and — the point of
-    the exercise — every monitor's verdict refs and arrays are folded
-    into a single automatically registered [ctx.on_fingerprint] hook
-    ({!Sim.Encode.mix_refs} over refs in monitor order, then
-    {!Sim.Encode.mix_array} over arrays), eliminating the DESIGN.md
-    §5.13 footgun where a forgotten registration lets [--reduce
-    dedup|por] merge two monitor-distinct states and prune a violation.
+    the monitors' probes are chained in monitor order, and each monitor
+    hands the checker its state as data — a {!Model_check.declared} —
+    followed by the workload's progress arrays. From that one list the
+    checker derives both state keys, the restore at every reset, the
+    crash and finish hooks and the name-based readers, so no monitor
+    registers anything by hand (the DESIGN.md §5.13 footgun, where a
+    forgotten fingerprint registration lets [--reduce] merge two
+    monitor-distinct states and prune a violation, cannot happen).
 
     Instantiation order is part of the contract: the workload allocates
-    its shared cells first, monitor sets second, in list order — which
-    is how the stock compositions reproduce the legacy scenarios'
-    Memory cell ids and fingerprints byte-identically.
+    its shared cells first, monitor sets second, in list order; the
+    committed cell names and fingerprints depend on it.
 
     Failure schedules: beyond {!Model_check.explore}'s systematic
     crashes, {!storm} drives a single seeded run combining a
@@ -44,12 +43,10 @@ type probes = {
   exited : pid:int -> epoch:int -> unit;
 }
 
-(** One checker. Every field is optional except the name; [m_fp_refs]
-    and [m_fp_arrays] are the verdict-relevant state that must reach the
-    state fingerprint, and are registered automatically. [m_counters]
-    and [m_histograms] are named statistics for {!storm} reports and
-    [Driver] — deliberately {e not} fingerprinted (they never influence
-    behaviour or verdicts). *)
+(** One checker: the probes it listens on (each optional) and its
+    declared state — verdict refs and arrays, counters, histograms,
+    restore-only state and crash/finish hooks (see
+    {!Model_check.declared}). *)
 type monitor = {
   mon_name : string;
   m_arriving : (pid:int -> epoch:int -> unit) option;
@@ -58,18 +55,12 @@ type monitor = {
   m_in_cs : (pid:int -> epoch:int -> unit) option;
   m_exiting : (pid:int -> epoch:int -> unit) option;
   m_exited : (pid:int -> epoch:int -> unit) option;
-  m_crashed : (epoch:int -> unit) option;
-  m_crashed_one : (pid:int -> unit) option;
-  m_finished : (unit -> unit) option;
-  m_fp_refs : int ref list;
-  m_fp_arrays : int array list;
-  m_counters : (string * int ref) list;
-  m_histograms : (string * Stats.t) list;
+  m_state : Model_check.declared;
 }
 
 val blank : name:string -> monitor
-(** A monitor with every hook unset — the base for [{ (blank ~name) with
-    ... }] literals. *)
+(** A monitor with every probe unset that declares nothing — the base
+    for [{ (blank ~name) with ... }] literals. *)
 
 type monitor_set = Memory.t -> violation:(string -> unit) -> monitor list
 (** Monitors are instantiated per run. A set may return several wired
@@ -78,9 +69,9 @@ type monitor_set = Memory.t -> violation:(string -> unit) -> monitor list
     counter). *)
 
 type workload_inst = {
-  w_arrays : int array list;
-      (** progress arrays mixed into the fingerprint after all monitor
-          refs/arrays *)
+  w_arrays : (string * int array) list;
+      (** named pid-indexed progress arrays, declared as verdict arrays
+          after all the monitors' state *)
   w_body : probes -> pid:int -> epoch:int -> unit;
 }
 
@@ -97,26 +88,10 @@ val v :
   t
 
 val to_scenario : t -> Model_check.scenario
-
-(** One built instance of a builder scenario. *)
-type instance = {
-  world : Model_check.world;
-      (** built once; run it with {!Model_check.run_schedule_in}, or
-          step its runtime with {!Sim.Runtime.run} and then call
-          {!Model_check.finish} *)
-  monitors : monitor list;  (** the instantiated monitors, in order *)
-  progress : int array list;  (** the workload's progress arrays *)
-}
-
-val instantiate : t -> instance
-(** Builds the {!Model_check.world} of [to_scenario t] and keeps what
-    the workload and the monitor sets built over it. *)
-
-val counters : instance -> (string * int) list
-(** Every monitor's counters, with their current values. *)
-
-val histograms : instance -> (string * Stats.t) list
-(** Every monitor's named histograms. *)
+(** The checkable scenario. {!Model_check.world} builds one instance of
+    it; {!Model_check.counter}, {!Model_check.histogram} and
+    {!Model_check.array} read its monitors' statistics and progress by
+    name. *)
 
 (** {2 Stock monitor sets and workloads} *)
 
@@ -143,8 +118,8 @@ val overtaking : unit -> monitor_set
 (** FRF overtaking (Definition 4.10): for each process, the CS entries
     by others while it waits, from its first arrival in a super-passage
     (crashes do not end one) until it enters the CS. The waiting flags,
-    the running counts and each process's worst count are pid-indexed
-    [m_fp_arrays]. Counter: ["max-overtaking"], the worst count over
+    the running counts and each process's worst count are declared
+    pid-indexed verdict arrays. Counter: ["max-overtaking"], the worst count over
     every process. *)
 
 val passage_stats : unit -> monitor_set
@@ -152,8 +127,8 @@ val passage_stats : unit -> monitor_set
     [Driver.report], under its field names (["steady_rmrs"] …
     ["recovery_passage_steps"]), filled from plain [Memory.rmrs]/[steps]
     reads at the [arriving], [starting], [exiting] and [exited] probes.
-    The per-process bookkeeping resets with the memory; the histograms
-    accumulate over every run of the world. *)
+    The per-process epochs are declared restore-only state and reset
+    with the world; the histograms accumulate over every run of it. *)
 
 val barrier_spec : leader_of:(epoch:int -> int) -> monitor_set
 (** Definition 3.1(i): no call may return before the leader's call has
@@ -162,8 +137,8 @@ val barrier_spec : leader_of:(epoch:int -> int) -> monitor_set
 val rme_passages :
   passages:int -> make:(Memory.t -> Rme.Rme_intf.rme) -> workload
 (** Each process performs [passages] recover/enter/CS/exit passages over
-    the lock [make] builds; its one progress array, the per-process
-    completed-passage count, survives crashes and feeds the
+    the lock [make] builds; its one progress array, ["completed"], the
+    per-process completed-passage count, survives crashes and feeds the
     fingerprint. *)
 
 val rounds :
@@ -173,9 +148,10 @@ val rounds :
     (Memory.t -> pid:int -> epoch:int -> lid:int -> leader:bool -> unit) ->
   workload
 (** Barrier-style workload: at most one [make_enter] call per process
-    per epoch, [epochs] rounds total. *)
+    per epoch, [epochs] rounds total; its progress array is
+    ["completed"]. *)
 
-(** {2 Stock compositions} (the four legacy scenarios, as builders) *)
+(** {2 Stock compositions} (what {!Scenarios} re-exports) *)
 
 val rme_lock :
   ?passages:int ->

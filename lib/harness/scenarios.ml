@@ -1,8 +1,6 @@
-(* Thin facade over {!Scenario}'s builder compositions. The hand-rolled
-   bodies that used to live here are now assembled from reusable
-   monitors and workloads; test/test_scenario.ml pins that the builder
-   forms produce byte-identical verdicts and distinct_states against
-   in-test copies of the legacy code, across every reduction level. *)
+(* Thin facade over {!Scenario}'s builder compositions;
+   test/test_scenario.ml pins their search outcomes — verdicts, counts,
+   distinct states and witnesses — at every reduction level. *)
 
 let rme ?passages ?check_csr ~n ~model ~make () =
   Scenario.to_scenario (Scenario.rme_lock ?passages ?check_csr ~n ~model ~make ())

@@ -50,9 +50,9 @@ val mix_array : int -> int array -> int
 val mix_refs : int -> int ref list -> int
 (** [mix_refs h refs] folds the current value of every ref into [h], in
     list order: [mix_refs h [a; b]] = [mix (mix h !a) !b]. The combinator
-    behind {!Harness.Scenario}'s automatic [on_fingerprint] registration
-    of monitor verdict refs, replacing per-scenario hand-rolled
-    [mix (mix ...)] chains. *)
+    behind the model checker's fold of declared monitor verdict refs
+    ({!Harness.Model_check.declared}), replacing per-scenario
+    hand-rolled [mix (mix ...)] chains. *)
 
 val fingerprint_seed : int
 (** Canonical initial accumulator for a fingerprint fold. *)

@@ -134,11 +134,22 @@ let parse s =
       Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* Exactly four hex digits: no sign, no underscore, no space. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      let d =
+        match s.[!pos + i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -161,14 +172,19 @@ let parse s =
         | Some 'u' ->
           advance ();
           let cp = hex4 () in
+          let is_low c = c >= 0xDC00 && c <= 0xDFFF in
           let cp =
-            (* surrogate pair *)
-            if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n
-               && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+            (* A high surrogate must be followed by an escaped low one; a
+               lone surrogate has no UTF-8 encoding. *)
+            if cp >= 0xD800 && cp <= 0xDBFF then begin
+              if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u')
+              then fail "unpaired surrogate";
               pos := !pos + 2;
               let lo = hex4 () in
+              if not (is_low lo) then fail "unpaired surrogate";
               0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
             end
+            else if is_low cp then fail "unpaired surrogate"
             else cp
           in
           add_utf8 b cp
@@ -182,17 +198,34 @@ let parse s =
     go ();
     Buffer.contents b
   in
+  (* RFC 8259's grammar, checked by hand: OCaml's converters also take
+     [01], [+1], [1.], [.5] and [1.e3]. *)
   let parse_number () =
     let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      let d0 = !pos in
+      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
+        advance ()
+      done;
+      !pos > d0
     in
-    while (match peek () with Some c -> num_char c | None -> false) do
+    let skip c = peek () = Some c && (advance (); true) in
+    let integer () = ignore (skip '-'); skip '0' || digits () in
+    let fraction () = (not (skip '.')) || digits () in
+    let exponent () =
+      (not (skip 'e' || skip 'E')) || (ignore (skip '+' || skip '-'); digits ())
+    in
+    let ok = integer () && fraction () && exponent () in
+    let stop = !pos in
+    while
+      match peek () with
+      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> true
+      | _ -> false
+    do
       advance ()
     done;
     let lit = String.sub s start (!pos - start) in
+    if not ok || !pos <> stop then fail ("bad number " ^ lit);
     match int_of_string_opt lit with
     | Some i -> Int i
     | None -> (

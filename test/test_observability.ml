@@ -50,6 +50,19 @@ let json_parse_escapes () =
     [
       "{"; "[1,]"; "nul"; "\"a"; "1 2"; "{\"a\":}"; "{\"jobs\":1,\"jobs\":2}";
       "[{\"a\":{\"b\":1,\"b\":1}}]";
+      (* \u takes exactly four hex digits and a paired surrogate *)
+      "\"\\uZZZZ\""; "\"\\u+123\""; "\"\\u 123\""; "\"\\u1_2_\"";
+      "\"\\uD800A\""; "\"\\uD800\""; "\"\\uDC00\""; "\"\\uD800\\u0041\"";
+      (* RFC 8259 numbers *)
+      "01"; "-01"; "1."; "-.5"; "1.e3"; "+1"; ".5"; "1e"; "-"; "[1.5.3]";
+    ];
+  List.iter
+    (fun (lit, v) ->
+      Alcotest.(check bool) ("parses " ^ lit) true (Json.parse lit = v))
+    [
+      ("0", Json.Int 0); ("-0", Json.Int 0); ("10", Json.Int 10);
+      ("0.25", Json.Float 0.25); ("-1.5e-3", Json.Float (-0.0015));
+      ("2E+2", Json.Float 200.);
     ]
 
 let json_rejects_non_finite () =

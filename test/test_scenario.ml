@@ -1,8 +1,9 @@
-(* Tests for the Scenario builder (DESIGN.md §5.16): builder-vs-legacy
-   parity for the four ported scenarios across every reduction level,
-   the scenario registry, the injectable faults (lost wakeups and
-   delayed-visibility windows), and the counterexample shrinker —
-   replayability and local minimality. *)
+(* Tests for the Scenario builder (DESIGN.md §5.16): the checker's fold
+   of declared monitor state against hand-written chains, pinned search
+   outcomes for the four stock scenarios at every reduction level, the
+   scenario registry, the injectable faults (lost wakeups and
+   delayed-visibility windows), the counterexample shrinker —
+   replayability and local minimality — and in-place world reuse. *)
 
 open Sim
 open Testutil
@@ -22,6 +23,40 @@ let mix_refs_matches_manual_chain () =
   Alcotest.(check int)
     "empty list is the seed" Encode.fingerprint_seed
     (Encode.mix_refs Encode.fingerprint_seed [])
+
+(* The monitor part of the state key the checker derives from declared
+   state equals the chains the stock scenarios were first written with:
+   refs in declaration order, then arrays. *)
+let derived_fold_matches_manual_chain () =
+  let occupant = ref 2 and csr_owner = ref 1 and cs_done = ref 7 in
+  let completed = [| 0; 3; 4 |] in
+  let refs rs = { MC.nothing with d_refs = List.map (fun r -> ("r", r)) rs } in
+  let progress = { MC.nothing with d_arrays = [ ("completed", completed) ] } in
+  Alcotest.(check int) "rme: mutex, csr, lost-update, completed"
+    (Encode.mix_array
+       (Encode.mix
+          (Encode.mix (Encode.mix Encode.fingerprint_seed !occupant) !csr_owner)
+          !cs_done)
+       completed)
+    (MC.monitor_fingerprint
+       [ refs [ occupant ]; refs [ csr_owner ]; refs [ cs_done ]; progress ]);
+  let leader_begun = ref 1 in
+  Alcotest.(check int) "barrier: leader_begun, completed"
+    (Encode.mix_array
+       (Encode.mix Encode.fingerprint_seed !leader_begun)
+       completed)
+    (MC.monitor_fingerprint [ refs [ leader_begun ]; progress ]);
+  Alcotest.(check int) "counters and restore-only state stay out"
+    (MC.monitor_fingerprint [ refs [ leader_begun ] ])
+    (MC.monitor_fingerprint
+       [
+         {
+           (refs [ leader_begun ]) with
+           d_counters = [ ("c", ref 5) ];
+           d_restore_refs = [ ("h", ref 9) ];
+           d_restore_arrays = [ ("e", [| 1; 2 |]) ];
+         };
+       ])
 
 (* --- the registry --- *)
 
@@ -53,179 +88,110 @@ let registry_rejects_duplicates () =
       Harness.Scenario.register ~name:"rme" ~summary:"dup" ~needs_stack:true
         (fun _ -> assert false))
 
-(* --- builder vs legacy parity ---
+(* --- pinned outcomes ---
 
-   In-test copies of the hand-rolled scenario bodies that lib/harness/
-   scenarios.ml carried before the builder refactor, byte-for-byte. The
-   builder compositions must produce identical outcomes — runs, steps,
-   violations, deadlocks, distinct_states, witness — at every reduction
-   level, which pins both the monitor semantics and the fingerprint
-   chain (a drifted fingerprint changes distinct_states under Dedup). *)
+   The full search outcome of each stock scenario at every reduction
+   level, recorded when the scenarios still had hand-written bodies
+   whose fingerprint chains are the ones {!derived_fold_matches_manual_chain}
+   checks (the builder forms then matched those bodies under none, dedup
+   and por). Runs, steps, distinct states and pruned runs move with any
+   change to the monitors, the cell-creation order or either fold, and
+   the sym row pins the derived per-pid split. *)
 
-let legacy_rme ?(passages = 1) ?(check_csr = true) ~n ~model ~make () =
-  let make_body mem (ctx : MC.ctx) =
-    let lock = make mem in
-    let counter = Memory.global mem ~name:"mc.protected" 0 in
-    let completed = Array.make (n + 1) 0 in
-    let occupant = ref 0 in
-    let csr_owner = ref 0 in
-    let cs_done = ref 0 in
-    (* The search reuses one world per explore call: put the fixture's
-       own state back at every reset. *)
-    Memory.on_reset mem (fun () ->
-        Array.fill completed 0 (n + 1) 0;
-        occupant := 0;
-        csr_owner := 0;
-        cs_done := 0);
-    ctx.on_crash (fun ~epoch:_ ->
-        if !occupant <> 0 then csr_owner := !occupant;
-        occupant := 0);
-    ctx.on_crash_one (fun ~pid ->
-        if !occupant = pid then begin
-          csr_owner := pid;
-          occupant := 0
-        end);
-    ctx.on_finish (fun () ->
-        if Memory.peek counter <> !cs_done then
-          ctx.violation
-            (Printf.sprintf "lost update: counter=%d, completions=%d"
-               (Memory.peek counter) !cs_done));
-    ctx.on_fingerprint (fun () ->
-        Encode.mix_array
-          (Encode.mix
-             (Encode.mix (Encode.mix Encode.fingerprint_seed !occupant)
-                !csr_owner)
-             !cs_done)
-          completed);
-    fun ~pid ~epoch ->
-      while completed.(pid) < passages do
-        lock.Rme.Rme_intf.recover ~pid ~epoch;
-        lock.Rme.Rme_intf.enter ~pid ~epoch;
-        if !occupant <> 0 then
-          ctx.violation
-            (Printf.sprintf "mutual exclusion: p%d entered while p%d in CS"
-               pid !occupant);
-        occupant := pid;
-        if !csr_owner <> 0 then
-          if !csr_owner = pid then csr_owner := 0
-          else if check_csr then
-            ctx.violation
-              (Printf.sprintf "CSR: p%d entered before crashed owner p%d" pid
-                 !csr_owner);
-        let v = Proc.read counter in
-        Proc.write counter (v + 1);
-        occupant := 0;
-        incr cs_done;
-        lock.Rme.Rme_intf.exit ~pid ~epoch;
-        completed.(pid) <- completed.(pid) + 1
-      done
-  in
-  { MC.n; model; make_body }
+type pinned = {
+  runs : int;
+  steps : int;
+  violations : string list;
+  states : int;
+  pruned : int;
+  witness : int array option;
+}
 
-let legacy_mutex ?passages ~n ~model ~make () =
-  legacy_rme ?passages ~check_csr:false ~n ~model
-    ~make:(fun mem -> Rme.Rme_intf.of_mutex (make mem))
-    ()
-
-let legacy_barrier_generic ~epochs ~n ~model ~leader_of ~make_enter =
-  let make_body mem (ctx : MC.ctx) =
-    let enter = make_enter mem in
-    let completed = Array.make (n + 1) 0 in
-    let leader_begun = ref (-1) in
-    Memory.on_reset mem (fun () ->
-        Array.fill completed 0 (n + 1) 0;
-        leader_begun := -1);
-    ctx.on_fingerprint (fun () ->
-        Encode.mix_array
-          (Encode.mix Encode.fingerprint_seed !leader_begun)
-          completed);
-    fun ~pid ~epoch ->
-      while completed.(pid) < epochs && completed.(pid) < epoch do
-        let lid = leader_of ~epoch in
-        if pid = lid then leader_begun := epoch;
-        enter ~pid ~epoch ~lid ~leader:(pid = lid);
-        if !leader_begun < epoch then
-          ctx.violation
-            (Printf.sprintf
-               "barrier spec (i): p%d's call returned in epoch %d before \
-                the leader began"
-               pid epoch);
-        completed.(pid) <- completed.(pid) + 1
-      done
-  in
-  { MC.n; model; make_body }
-
-let legacy_barrier ?(epochs = 1) ~n ~model () =
-  legacy_barrier_generic ~epochs ~n ~model
-    ~leader_of:(fun ~epoch:_ -> 1)
-    ~make_enter:(fun mem ->
-      let b = Rme.Barrier.create mem ~name:"mc.bar" in
-      fun ~pid ~epoch ~lid:_ ~leader -> Rme.Barrier.enter b ~pid ~epoch ~leader)
-
-let legacy_barrier_sub ?(lid = 1) ~n ~model () =
-  legacy_barrier_generic ~epochs:1 ~n ~model
-    ~leader_of:(fun ~epoch:_ -> lid)
-    ~make_enter:(fun mem ->
-      let b = Rme.Barrier_sub.create mem ~name:"mc.bsub" in
-      fun ~pid ~epoch ~lid ~leader:_ -> Rme.Barrier_sub.enter b ~pid ~epoch ~lid)
-
-let reductions = [ MC.No_reduction; MC.Dedup; MC.Por ]
-
-let check_outcomes what (a : MC.outcome) (b : MC.outcome) =
-  Alcotest.(check int) (what ^ ": runs") a.MC.runs b.MC.runs;
-  Alcotest.(check int) (what ^ ": steps") a.MC.steps b.MC.steps;
+let check_pinned what (p : pinned) (o : MC.outcome) =
+  Alcotest.(check int) (what ^ ": runs") p.runs o.MC.runs;
+  Alcotest.(check int) (what ^ ": steps") p.steps o.MC.steps;
   Alcotest.(check (list string))
-    (what ^ ": violations") a.MC.violations b.MC.violations;
-  Alcotest.(check int) (what ^ ": deadlocks") a.MC.deadlocks b.MC.deadlocks;
-  Alcotest.(check int)
-    (what ^ ": step-cap hits") a.MC.step_cap_hits b.MC.step_cap_hits;
-  Alcotest.(check int)
-    (what ^ ": distinct states") a.MC.distinct_states b.MC.distinct_states;
-  Alcotest.(check int)
-    (what ^ ": pruned runs") a.MC.pruned_runs b.MC.pruned_runs;
-  Alcotest.(check (option (array int)))
-    (what ^ ": witness") a.MC.witness b.MC.witness
+    (what ^ ": violations") p.violations o.MC.violations;
+  Alcotest.(check int) (what ^ ": deadlocks") 0 o.MC.deadlocks;
+  Alcotest.(check int) (what ^ ": step-cap hits") 0 o.MC.step_cap_hits;
+  Alcotest.(check int) (what ^ ": distinct states") p.states o.MC.distinct_states;
+  Alcotest.(check int) (what ^ ": pruned runs") p.pruned o.MC.pruned_runs;
+  Alcotest.(check (option (array int))) (what ^ ": witness") p.witness o.MC.witness
 
-let parity ~name ~divergence_bound ~crash_bound builder legacy () =
-  List.iter
-    (fun reduction ->
-      let run sc =
-        MC.explore ~divergence_bound ~crash_bound ~reduction sc
-      in
-      check_outcomes
+let pin ?(violations = []) ?witness runs steps states pruned =
+  { runs; steps; violations; states; pruned; witness }
+
+(* [rows] gives none, dedup, por and sym, in that order. *)
+let pinned ~name ~divergence_bound ~crash_bound sc rows () =
+  List.iter2
+    (fun reduction row ->
+      check_pinned
         (Printf.sprintf "%s (%s)" name (MC.reduction_to_string reduction))
-        (run legacy) (run builder))
-    reductions
+        row
+        (MC.explore ~divergence_bound ~crash_bound ~reduction sc))
+    [ MC.No_reduction; MC.Dedup; MC.Por; MC.Sym ]
+    rows
 
-let rme_parity_violating =
-  (* t1-mcs at n=2, d=2, c=1: a known CSR counterexample, so parity also
-     covers the violating path and the witness. *)
-  let make mem = Rme.Stack.recoverable mem "t1-mcs" in
-  parity ~name:"rme t1-mcs" ~divergence_bound:2 ~crash_bound:1
-    (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc ~make ())
-    (legacy_rme ~n:2 ~model:Memory.Cc ~make ())
+let rme_pinned_violating =
+  (* t1-mcs at n=2, d=2, c=1: a known CSR counterexample, so the pins
+     also cover the violating path and the witness. *)
+  let violations =
+    [
+      "CSR: p1 entered before crashed owner p2";
+      "CSR: p2 entered before crashed owner p1";
+    ]
+  in
+  let dfs =
+    [| 2; 2; 2; 2; 2; 2; 2; 0; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 2; 2; 2 |]
+  in
+  pinned ~name:"rme t1-mcs" ~divergence_bound:2 ~crash_bound:1
+    (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
+       ~make:(fun mem -> Rme.Stack.recoverable mem "t1-mcs")
+       ())
+    [
+      pin ~violations
+        ~witness:
+          [|
+            2; 2; 2; 2; 2; 2; 2; 0; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 2; 2; 2; 2;
+            2; 2; 2;
+          |]
+        3455 98871 0 0;
+      pin ~violations ~witness:dfs 1099 19932 3593 918;
+      pin ~violations ~witness:dfs 680 12979 2641 538;
+      pin ~violations
+        ~witness:
+          [| 1; 2; 2; 2; 2; 2; 2; 2; 0; 2; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 2; 2; 2; 2 |]
+        495 10025 2111 379;
+    ]
 
-let rme_parity_clean =
-  let make mem = Rme.Stack.recoverable mem "t3-mcs" in
-  parity ~name:"rme t3-mcs" ~divergence_bound:1 ~crash_bound:1
-    (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc ~make ())
-    (legacy_rme ~n:2 ~model:Memory.Cc ~make ())
+let rme_pinned_clean =
+  pinned ~name:"rme t3-mcs" ~divergence_bound:1 ~crash_bound:1
+    (Harness.Scenarios.rme ~n:2 ~model:Memory.Cc
+       ~make:(fun mem -> Rme.Stack.recoverable mem "t3-mcs")
+       ())
+    [
+      pin 2244 148620 0 0;
+      pin 1142 43850 8552 973;
+      pin 1142 43850 8552 973;
+      pin 1142 43850 8552 973;
+    ]
 
-let mutex_parity =
-  let make mem = Rme.Stack.conventional mem "mcs" in
-  parity ~name:"mutex mcs" ~divergence_bound:2 ~crash_bound:0
-    (Harness.Scenarios.mutex ~n:2 ~model:Memory.Cc ~make ())
-    (legacy_mutex ~n:2 ~model:Memory.Cc ~make ())
+let mutex_pinned =
+  pinned ~name:"mutex mcs" ~divergence_bound:2 ~crash_bound:0
+    (Harness.Scenarios.mutex ~n:2 ~model:Memory.Cc
+       ~make:(fun mem -> Rme.Stack.conventional mem "mcs")
+       ())
+    [ pin 29 430 0 0; pin 29 257 112 22; pin 16 172 105 9; pin 11 123 75 5 ]
 
-let barrier_parity =
-  parity ~name:"barrier" ~divergence_bound:1 ~crash_bound:1
+let barrier_pinned =
+  pinned ~name:"barrier" ~divergence_bound:1 ~crash_bound:1
     (Harness.Scenarios.barrier ~epochs:2 ~n:2 ~model:Memory.Cc ())
-    (legacy_barrier ~epochs:2 ~n:2 ~model:Memory.Cc ())
+    [ pin 9 45 0 0; pin 9 39 22 4; pin 9 39 22 4; pin 9 39 21 5 ]
 
-let barrier_sub_parity =
-  parity ~name:"barrier-sub" ~divergence_bound:1 ~crash_bound:0
+let barrier_sub_pinned =
+  pinned ~name:"barrier-sub" ~divergence_bound:1 ~crash_bound:0
     (Harness.Scenarios.barrier_sub ~n:3 ~model:Memory.Dsm ())
-    (legacy_barrier_sub ~n:3 ~model:Memory.Dsm ())
+    [ pin 18 232 0 0; pin 18 174 97 13; pin 18 174 97 13; pin 18 124 44 16 ]
 
 (* --- injectable faults --- *)
 
@@ -637,11 +603,19 @@ type observed = {
   o_snapshot : int array;
   o_fp : int;
   o_sym : int;
+  o_counters : (string * int) list;
+  o_samples : int list;
 }
 
-let storm_on w ~seed =
+(* [histograms] are read as the samples each storm adds: they accumulate
+   over a world's runs by design. *)
+let storm_on ?(histograms = []) w ~seed =
   let mem = MC.memory w in
   let n = Memory.n mem in
+  let samples () =
+    List.map (fun k -> Stats.count (MC.histogram w k)) histograms
+  in
+  let before = samples () in
   let rp =
     MC.run_schedule_in ~max_steps:3_000 ~decide:(storm_decide ~n ~seed) w
   in
@@ -656,15 +630,18 @@ let storm_on w ~seed =
     o_snapshot = Memory.snapshot mem;
     o_fp = MC.state_fingerprint w ~cur:0;
     o_sym = MC.sym_fingerprint w ~cur:0;
+    o_counters = MC.counters w;
+    o_samples = List.map2 ( - ) (samples ()) before;
   }
 
 (* Runs [storms] seeded storms back to back on one world, each against
    the same storm on a fresh world; returns every field that differed. *)
-let reuse_mismatches ?(storms = 8) sc =
+let reuse_mismatches ?(storms = 8) ?histograms sc =
   let reused = MC.world sc in
   List.concat_map
     (fun seed ->
-      let a = storm_on (MC.world sc) ~seed and b = storm_on reused ~seed in
+      let a = storm_on ?histograms (MC.world sc) ~seed
+      and b = storm_on ?histograms reused ~seed in
       List.filter_map
         (fun (what, same) ->
           if same then None else Some (Printf.sprintf "storm %d: %s" seed what))
@@ -678,6 +655,8 @@ let reuse_mismatches ?(storms = 8) sc =
           ("final snapshot", a.o_snapshot = b.o_snapshot);
           ("state fingerprint", a.o_fp = b.o_fp);
           ("sym fingerprint", a.o_sym = b.o_sym);
+          ("counters", a.o_counters = b.o_counters);
+          ("histogram samples", a.o_samples = b.o_samples);
         ])
     (List.init storms (fun k -> k + 1))
 
@@ -725,30 +704,69 @@ let reuse_matches_fresh () =
         (stack ^ " checked") true (Hashtbl.mem accepted stack))
     stacks
 
-(* Negative control: a ref that steers control flow but registers no
-   restore survives the reset, so the reused world diverges — and
-   registering the restore is the whole fix. *)
+(* Driver's composition: the overtaking monitor's verdict arrays and
+   the passage statistics' restore-only epochs are restored by the
+   world too. A missed epoch restore reclassifies the next run's first
+   passages (recovery vs steady, leader vs follower), which moves the
+   histogram samples. *)
+let driver_monitors_reuse () =
+  List.iter
+    (fun (stack, model) ->
+      let sc =
+        Harness.Scenario.to_scenario
+          (Harness.Scenario.v ~n:3 ~model
+             ~workload:
+               (Harness.Scenario.rme_passages ~passages:3 ~make:(fun mem ->
+                    Rme.Stack.recoverable mem stack))
+             ~monitors:
+               [
+                 Harness.Scenario.mutex_monitors ();
+                 Harness.Scenario.lost_update_monitor ();
+                 Harness.Scenario.overtaking ();
+                 Harness.Scenario.passage_stats ();
+               ])
+      in
+      match
+        reuse_mismatches
+          ~histograms:
+            [
+              "steady_rmrs"; "recovery_rmrs"; "leader_recovery_rmrs";
+              "follower_recovery_rmrs"; "exit_steps";
+            ]
+          sc
+      with
+      | [] -> ()
+      | ms ->
+        Alcotest.failf "%s %a: %s" stack Memory.pp_model model
+          (String.concat "; " ms))
+    [ ("t3-mcs", Memory.Cc); ("t1-mcs", Memory.Dsm) ]
+
+(* Negative control: a ref that steers control flow but is not declared
+   survives the reset, so the reused world diverges — and declaring it
+   is the whole fix. *)
 let unregistered_ref_flagged () =
-  let leaky ~register =
+  let leaky ~declare =
     {
       MC.n = 2;
       model = Memory.Cc;
-      make_body =
-        (fun mem _ctx ->
+      build =
+        (fun mem ~violation:_ ->
           let c = Memory.global mem ~name:"leak.c" 0 in
           let runs = ref 0 in
-          if register then Memory.on_reset mem (fun () -> runs := 0);
-          fun ~pid ~epoch:_ ->
-            if pid = 1 then incr runs;
-            for _ = 1 to !runs do
-              Proc.write c pid
-            done);
+          ( (fun ~pid ~epoch:_ ->
+              if pid = 1 then incr runs;
+              for _ = 1 to !runs do
+                Proc.write c pid
+              done),
+            if declare then
+              [ { MC.nothing with d_restore_refs = [ ("runs", runs) ] } ]
+            else [] ));
     }
   in
-  Alcotest.(check bool) "unregistered ref flagged" true
-    (reuse_mismatches (leaky ~register:false) <> []);
-  Alcotest.(check (list string)) "registered ref clean" []
-    (reuse_mismatches (leaky ~register:true))
+  Alcotest.(check bool) "undeclared ref flagged" true
+    (reuse_mismatches (leaky ~declare:false) <> []);
+  Alcotest.(check (list string)) "declared ref clean" []
+    (reuse_mismatches (leaky ~declare:true))
 
 (* --- the lost-update monitor --- *)
 
@@ -790,19 +808,20 @@ let lost_updates_survive_crashes () =
    operation; the counter then trails the completions by exactly the
    forgiven increment. *)
 let discarded_increment_forgiven () =
-  let inst =
-    Harness.Scenario.instantiate
-      (Harness.Scenario.rme_lock ~passages:2 ~n:1 ~model:Memory.Cc
-         ~make:no_lock ())
+  let w =
+    MC.world
+      (Harness.Scenario.to_scenario
+         (Harness.Scenario.rme_lock ~passages:2 ~n:1 ~model:Memory.Cc
+            ~make:no_lock ()))
   in
   (* Delay p1's next write; its first step reads the counter, its second
      parks the increment and runs on to passage 2's read; then crash. *)
   let forced = [| MC.int_of_decision ~n:1 (MC.Delay_writes 1); 1; 1; 0 |] in
   let rp =
-    MC.run_schedule_in inst.world ~decide:(fun ~pos ~enabled:_ ~default ->
+    MC.run_schedule_in w ~decide:(fun ~pos ~enabled:_ ~default ->
         if pos < Array.length forced then forced.(pos) else default)
   in
-  let c name = List.assoc name (Harness.Scenario.counters inst) in
+  let c = MC.counter w in
   Alcotest.(check int) "the crash was taken" 1 rp.MC.rp_crashes;
   Alcotest.(check (list string)) "no lost update" [] rp.MC.rp_violations;
   Alcotest.(check (list int)) "completions, counter, forgiven" [ 2; 1; 1 ]
@@ -812,17 +831,18 @@ let discarded_increment_forgiven () =
    is published before the finish checks read memory: a lone process
    whose increment is delayed completes its passage cleanly. *)
 let parked_write_drained_before_finish () =
-  let inst =
-    Harness.Scenario.instantiate
-      (Harness.Scenario.rme_lock ~passages:1 ~n:1 ~model:Memory.Cc
-         ~make:no_lock ())
+  let w =
+    MC.world
+      (Harness.Scenario.to_scenario
+         (Harness.Scenario.rme_lock ~passages:1 ~n:1 ~model:Memory.Cc
+            ~make:no_lock ()))
   in
   let delay = MC.int_of_decision ~n:1 (MC.Delay_writes 1) in
   let rp =
-    MC.run_schedule_in inst.world ~decide:(fun ~pos ~enabled:_ ~default ->
+    MC.run_schedule_in w ~decide:(fun ~pos ~enabled:_ ~default ->
         if pos = 0 then delay else default)
   in
-  let c name = List.assoc name (Harness.Scenario.counters inst) in
+  let c = MC.counter w in
   Alcotest.(check (list string)) "no lost update" [] rp.MC.rp_violations;
   Alcotest.(check (list int)) "completions, counter" [ 1; 1 ]
     [ c "cs-completions"; c "protected-counter" ]
@@ -831,7 +851,10 @@ let () =
   Alcotest.run "scenario"
     [
       ( "encode",
-        [ case "mix-refs" mix_refs_matches_manual_chain ] );
+        [
+          case "mix-refs" mix_refs_matches_manual_chain;
+          case "monitor-fold" derived_fold_matches_manual_chain;
+        ] );
       ( "registry",
         [
           case "builtins" registry_has_builtins;
@@ -839,11 +862,11 @@ let () =
         ] );
       ( "parity",
         [
-          slow_case "rme-t1-violating" rme_parity_violating;
-          slow_case "rme-t3-clean" rme_parity_clean;
-          case "mutex" mutex_parity;
-          case "barrier" barrier_parity;
-          case "barrier-sub" barrier_sub_parity;
+          slow_case "rme-t1-violating" rme_pinned_violating;
+          slow_case "rme-t3-clean" rme_pinned_clean;
+          case "mutex" mutex_pinned;
+          case "barrier" barrier_pinned;
+          case "barrier-sub" barrier_sub_pinned;
         ] );
       ( "faults",
         [
@@ -875,6 +898,7 @@ let () =
           case "digests-resync" reset_digests_resync;
           case "runtime-reset" runtime_reset_restores;
           slow_case "matches-fresh" reuse_matches_fresh;
+          case "driver-monitors" driver_monitors_reuse;
           case "unregistered-ref-flagged" unregistered_ref_flagged;
         ] );
     ]
