@@ -467,7 +467,8 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
      first [fingerprint] call, which [covered] issues only past [cut] —
      so the shared prefix fast-forwards with zero fingerprint
      bookkeeping. [eager] (testing only) forces maintenance on from step
-     0, i.e. disables the fast-forward; outcomes must not change. *)
+     0, i.e. keeps the digests live through the prefix; outcomes must
+     not change. *)
   if eager then begin
     ignore (Memory.fingerprint mem);
     ignore (Runtime.fingerprint rt)
@@ -485,8 +486,31 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
   points.len <- 0;
   let width = Bitset.width w.pmask in
   let stride = cp_sets + (2 * width) in
+  (* The prefix [base.(0 .. cut - 1)] retraces states the parent run
+     already owned, checked and branched: run it straight, with no scan,
+     no choice point and no visited-set lookup, each run of equal
+     consecutive steps as one [Runtime.step_n]. Nothing the checked loop
+     stops for can happen there — the parent took every one of these
+     decisions without getting stuck, deadlocking or reaching the step
+     cap — and monitors still see every step. *)
+  Array.blit base 0 trail.data (reserve trail cut) cut;
   let cur = ref 0 in
-  let pos = ref 0 in
+  let i = ref 0 in
+  while !i < cut do
+    let d = base.(!i) in
+    let j = ref (!i + 1) in
+    if d > 0 then begin
+      while !j < cut && base.(!j) = d do
+        incr j
+      done;
+      Runtime.step_n rt d (!j - !i);
+      cur := d
+    end
+    else if d = crash_decision then Runtime.crash rt ()
+    else Runtime.crash_one rt (-d);
+    i := !j
+  done;
+  let pos = ref cut in
   let capped = ref false in
   let deadlock = ref false in
   let pruned = ref false in
@@ -500,17 +524,15 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
      crash_one branch victims. *)
   let deadlock_enabled = ref [] in
   let pmask = w.pmask in
-  (* After executing each decision at a position >= cut (positions before
-     the branch point retrace states the parent run already owned and
-     inserted): stop if the resulting state, at the current
-     consumed-budget vector, is covered by an earlier run. Note the
-     fingerprint is {e history-qualified}: a process's local signature
-     hashes the whole value sequence it consumed, so two runs merge
-     exactly when every process consumed the same values in its own order
-     — commuting interleavings, the bulk of the schedule explosion — and
-     a state revisited {e within} one run (a genuine livelock cycle)
-     still hashes fresh. Livelocks therefore keep hitting the step cap,
-     same as without reduction. *)
+  (* After executing each decision of the checked part: stop if the
+     resulting state, at the current consumed-budget vector, is covered
+     by an earlier run. Note the fingerprint is {e history-qualified}: a
+     process's local signature hashes the whole value sequence it
+     consumed, so two runs merge exactly when every process consumed the
+     same values in its own order — commuting interleavings, the bulk of
+     the schedule explosion — and a state revisited {e within} one run (a
+     genuine livelock cycle) still hashes fresh. Livelocks therefore keep
+     hitting the step cap, same as without reduction. *)
   let covered () =
     match vset with
     | None -> false
@@ -654,9 +676,7 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
         pruned := true
       else begin
         let p = !pos in
-        let decision =
-          if free then default_pid else if p < cut then base.(p) else alt
-        in
+        let decision = if free then default_pid else alt in
         if free then begin
           let off = reserve points stride in
           let data = points.data in
@@ -667,10 +687,9 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
           Bitset.store pmask data (off + cp_sets);
           if por then store_branch_mask default_pid (off + cp_sets + width)
         end;
-        (* The sleep set is valid from [cut] (the item carries the mask
-           for exactly that position); earlier positions retrace ancestor
-           history from before the mask existed. *)
-        if sleep_on && p >= cut && !sleep <> 0 then wake decision;
+        (* The item carries the sleep set for exactly position [cut],
+           where the checked part starts. *)
+        if sleep_on && !sleep <> 0 then wake decision;
         if decision = crash_decision then Runtime.crash rt ()
         else if decision < 0 then Runtime.crash_one rt (-decision)
         else begin
@@ -679,7 +698,7 @@ let replay ~world:w ~divergence_bound ~crash_bound ~crash_one_bound
         end;
         append trail decision;
         pos := p + 1;
-        if p < cut || not (covered ()) then continue := true
+        if not (covered ()) then continue := true
       end
     end
   done;

@@ -2,6 +2,11 @@
 
     Effects continuations are one-shot, so exploration is by {e replay}:
     each explored schedule re-executes the scenario from its initial state.
+    A run branched off a parent at position [cut] first re-executes the
+    parent's decisions before [cut] straight, with no scan, choice point
+    or visited-set lookup (the parent already checked and branched them),
+    each run of equal consecutive steps as one {!Sim.Runtime.step_n}; the
+    checked loop starts at [cut].
     The search walks a tree of decision sequences. The default schedule
     runs the current process until it spin-blocks (see {!Sim.Runtime.blocked})
     or finishes, then rotates to the next productive process — fair, and
@@ -238,8 +243,8 @@ val explore :
 
     [eager_fingerprints] (default false; testing only) forces the
     incremental memory/runtime digests on from step 0 of every replay,
-    instead of letting them switch on lazily at the first covered-check
-    past the shared prefix. The outcome must be identical either way —
+    through the shared prefix, instead of letting them switch on lazily
+    at the first covered-check past it. The outcome must be identical either way —
     [test/test_fingerprint.ml] pins this; there is no reason to set it
     in production code.
 

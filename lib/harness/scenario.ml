@@ -12,7 +12,6 @@ type probes = {
 }
 
 type monitor = {
-  mon_name : string;
   m_arriving : (pid:int -> epoch:int -> unit) option;
   m_starting : (pid:int -> epoch:int -> unit) option;
   m_entered : (pid:int -> epoch:int -> unit) option;
@@ -22,9 +21,8 @@ type monitor = {
   m_state : Model_check.declared;
 }
 
-let blank ~name =
+let blank =
   {
-    mon_name = name;
     m_arriving = None;
     m_starting = None;
     m_entered = None;
@@ -101,7 +99,7 @@ let mutex_monitors ?(check_csr = true) () : monitor_set =
   let owner_died pid = csr_owner := pid in
   let mutex =
     {
-      (blank ~name:"mutex") with
+      blank with
       m_entered =
         Some
           (fun ~pid ~epoch:_ ->
@@ -136,7 +134,7 @@ let mutex_monitors ?(check_csr = true) () : monitor_set =
   in
   let csr =
     {
-      (blank ~name:"csr") with
+      blank with
       m_entered =
         Some
           (fun ~pid ~epoch:_ ->
@@ -190,7 +188,7 @@ let lost_update_monitor () : monitor_set =
   in
   [
     {
-      (blank ~name:"lost-update") with
+      blank with
       m_in_cs =
         Some
           (fun ~pid ~epoch:_ ->
@@ -244,7 +242,7 @@ let overtaking () : monitor_set =
   let max_overtaking = ref 0 in
   [
     {
-      (blank ~name:"overtaking") with
+      blank with
       m_arriving =
         Some
           (fun ~pid ~epoch:_ ->
@@ -309,7 +307,7 @@ let passage_stats () : monitor_set =
   let add k v = Stats.add_int (List.assoc k histograms) v in
   [
     {
-      (blank ~name:"passage-stats") with
+      blank with
       m_arriving =
         Some
           (fun ~pid ~epoch ->
@@ -364,7 +362,7 @@ let barrier_spec ~leader_of : monitor_set =
   let leader_begun = ref (-1) in
   [
     {
-      (blank ~name:"barrier-spec") with
+      blank with
       m_starting =
         Some
           (fun ~pid ~epoch ->

@@ -48,7 +48,6 @@ type probes = {
     restore-only state and crash/finish hooks (see
     {!Model_check.declared}). *)
 type monitor = {
-  mon_name : string;
   m_arriving : (pid:int -> epoch:int -> unit) option;
   m_starting : (pid:int -> epoch:int -> unit) option;
   m_entered : (pid:int -> epoch:int -> unit) option;
@@ -58,9 +57,9 @@ type monitor = {
   m_state : Model_check.declared;
 }
 
-val blank : name:string -> monitor
+val blank : monitor
 (** A monitor with every probe unset that declares nothing — the base
-    for [{ (blank ~name) with ... }] literals. *)
+    for [{ blank with ... }] literals. *)
 
 type monitor_set = Memory.t -> violation:(string -> unit) -> monitor list
 (** Monitors are instantiated per run. A set may return several wired

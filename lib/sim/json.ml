@@ -89,6 +89,11 @@ let to_string ?pretty v =
 
 exception Parse_error of string
 
+(* Deep enough for any document this project writes (a handful of
+   levels), shallow enough that the recursive descent never nears the
+   stack limit and a hostile input fails at its first excess bracket. *)
+let max_depth = 1024
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -233,13 +238,19 @@ let parse s =
       | Some f when Float.is_finite f -> Float f
       | _ -> fail ("bad number " ^ lit))
   in
-  let rec parse_value () =
+  let nest depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ();
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Str (parse_string ())
     | Some '{' ->
-      advance ();
+      let depth = nest depth in
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -255,7 +266,7 @@ let parse s =
           Hashtbl.add seen k ();
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value depth in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -268,7 +279,7 @@ let parse s =
         in
         members []
     | Some '[' ->
-      advance ();
+      let depth = nest depth in
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
@@ -276,7 +287,7 @@ let parse s =
       end
       else
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value depth in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -294,7 +305,7 @@ let parse s =
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

@@ -24,7 +24,9 @@ exception Parse_error of string
 
 val parse : string -> t
 (** @raise Parse_error on malformed input, including a key repeated
-    within one object. *)
+    within one object and arrays or objects nested more than 1024 deep
+    (rejected at the first bracket past that depth, before the rest of
+    the input is read). *)
 
 val member : string -> t -> t option
 (** [member k (Obj kvs)] is the value bound to [k]; [None] for missing

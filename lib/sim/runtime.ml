@@ -92,85 +92,15 @@ type t = {
   mutable fp : int;
   mutable fp_live : bool;
   mutable faults : faults option;
+  (* The handler every fiber of this runtime runs under. Its [effc]
+     takes the suspended fiber's next step on the spot, without
+     returning to the caller, while [budget] lasts: [running] is the pid
+     being stepped and [budget] the steps it may still take (see
+     [again]). *)
+  handler : (unit, status) Effect.Deep.handler;
+  mutable running : int;
+  mutable budget : int;
 }
-
-let handler : (unit, status) Effect.Deep.handler =
-  {
-    retc = (fun () -> Finished);
-    exnc =
-      (fun e ->
-        match e with
-        | Proc.Crashed -> Finished
-        | e -> raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Proc.Read c ->
-          Some
-            (fun (k : (a, status) Effect.Deep.continuation) -> Sus_read (c, k))
-        | Proc.Write (c, v) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_write (c, v, k))
-        | Proc.Cas (c, expect, repl) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_cas (c, expect, repl, k))
-        | Proc.Fas (c, v) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_fas (c, v, k))
-        | Proc.Faa (c, d) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_faa (c, d, k))
-        | Proc.Fasas (c, v, dst) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_fasas (c, v, dst, k))
-        | Proc.Await_one (c, pred) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_await (c, pred, k))
-        | Proc.Await_two (c1, c2, pred) ->
-          Some (fun (k : (a, status) Effect.Deep.continuation) ->
-              Sus_await2 (c1, c2, pred, k))
-        | _ -> None);
-  }
-
-let create ?(initial_epoch = 1) mem ~body =
-  let n = Memory.n mem in
-  (* Process Zobrist keys use negative slot numbers ([lnot pid]) so they
-     can never coincide with Memory's cell keys (ids >= 0) — hygiene,
-     not a correctness requirement: the two digests are mixed separately
-     by the model checker. *)
-  let zp =
-    Array.init (n + 1) (fun pid ->
-        if pid = 0 then 0 else Encode.mix Encode.fingerprint_seed (lnot pid))
-  in
-  let fresh_fp = ref 0 in
-  for pid = 1 to n do
-    (* tag 1 = Fresh, signature 0: the post-crash contribution. *)
-    fresh_fp := !fresh_fp lxor Encode.mix (Encode.mix zp.(pid) 1) 0
-  done;
-  {
-    mem;
-    n;
-    body;
-    slots = Array.make (n + 1) Fresh;
-    live =
-      (let s = Bitset.create n in
-       for pid = 1 to n do
-         Bitset.add s pid
-       done;
-       s);
-    initial_epoch;
-    epoch = initial_epoch;
-    clock = 0;
-    crashes = 0;
-    crash_hooks = [];
-    crash_one_hooks = [];
-    local_sig = Array.make (n + 1) 0;
-    zp;
-    fresh_fp = !fresh_fp;
-    fp = 0;
-    fp_live = false;
-    faults = None;
-  }
 
 (* --- injectable faults --- *)
 
@@ -296,18 +226,32 @@ let enabled t =
 
 let all_done t = Bitset.is_empty t.live
 
-let start t pid =
-  let epoch = t.epoch in
-  Effect.Deep.match_with (fun () -> t.body ~pid ~epoch) () handler
-
 (* Top-level rather than a closure in [advance], which would allocate
    one on every step. *)
 let[@inline] consume t pid v = t.local_sig.(pid) <- Encode.mix t.local_sig.(pid) v
 
-(* Executes one suspended operation, resuming the fiber when possible.
-   Returns the fiber's next state. An await whose condition fails keeps the
-   same continuation: the read was charged, the process stays put. *)
-let advance t ~pid st =
+(* The fiber of [t.running] is parked at [st]. While the budget lasts,
+   take its next step right here — a clock tick, then [advance] — and
+   hand back whatever the fiber parks at once the budget is spent (or
+   [Finished]); with no budget left, hand back [st] itself. Called from
+   [effc], on the handler's own stack: [again], [advance] and the
+   [continue] inside it are all tail calls, so a run of consecutive
+   steps resumes the fiber without returning to the caller and without
+   growing the stack. *)
+let rec again t st =
+  if t.budget = 0 then st
+  else begin
+    t.budget <- t.budget - 1;
+    t.clock <- t.clock + 1;
+    advance t st
+  end
+
+(* The one op dispatch: executes [t.running]'s pending operation and
+   resumes the fiber with its result. An await whose condition fails
+   keeps the same continuation — the read was charged, the process stays
+   put — and goes back to [again] for the next step. *)
+and advance t st =
+  let pid = t.running in
   (* A held store buffer drains before any further operation by its
      owner (fence semantics): the process can never observe shared
      memory ahead of its own unpublished write. *)
@@ -359,7 +303,7 @@ let advance t ~pid st =
       consume t pid v;
       Effect.Deep.continue k v
     end
-    else st
+    else again t st
   | Sus_await2 (c1, c2, pred, k) ->
     let v1 = Memory.exec_read t.mem ~pid c1 in
     let v2 = Memory.exec_read t.mem ~pid c2 in
@@ -368,7 +312,73 @@ let advance t ~pid st =
       consume t pid v2;
       Effect.Deep.continue k (v1, v2)
     end
-    else st
+    else again t st
+
+(* Every effect parks the fiber in its suspension and goes straight to
+   [again]. *)
+let effc (type a) t (eff : a Effect.t) :
+    ((a, status) Effect.Deep.continuation -> status) option =
+  match eff with
+  | Proc.Read c -> Some (fun k -> again t (Sus_read (c, k)))
+  | Proc.Write (c, v) -> Some (fun k -> again t (Sus_write (c, v, k)))
+  | Proc.Cas (c, expect, repl) ->
+    Some (fun k -> again t (Sus_cas (c, expect, repl, k)))
+  | Proc.Fas (c, v) -> Some (fun k -> again t (Sus_fas (c, v, k)))
+  | Proc.Faa (c, d) -> Some (fun k -> again t (Sus_faa (c, d, k)))
+  | Proc.Fasas (c, v, dst) -> Some (fun k -> again t (Sus_fasas (c, v, dst, k)))
+  | Proc.Await_one (c, pred) -> Some (fun k -> again t (Sus_await (c, pred, k)))
+  | Proc.Await_two (c1, c2, pred) ->
+    Some (fun k -> again t (Sus_await2 (c1, c2, pred, k)))
+  | _ -> None
+
+let crashed = function Proc.Crashed -> Finished | e -> raise e
+
+let create ?(initial_epoch = 1) mem ~body =
+  let n = Memory.n mem in
+  (* Process Zobrist keys use negative slot numbers ([lnot pid]) so they
+     can never coincide with Memory's cell keys (ids >= 0) — hygiene,
+     not a correctness requirement: the two digests are mixed separately
+     by the model checker. *)
+  let zp =
+    Array.init (n + 1) (fun pid ->
+        if pid = 0 then 0 else Encode.mix Encode.fingerprint_seed (lnot pid))
+  in
+  let fresh_fp = ref 0 in
+  for pid = 1 to n do
+    (* tag 1 = Fresh, signature 0: the post-crash contribution. *)
+    fresh_fp := !fresh_fp lxor Encode.mix (Encode.mix zp.(pid) 1) 0
+  done;
+  let rec t =
+    {
+      mem;
+      n;
+      body;
+      slots = Array.make (n + 1) Fresh;
+      live =
+        (let s = Bitset.create n in
+         for pid = 1 to n do
+           Bitset.add s pid
+         done;
+         s);
+      initial_epoch;
+      epoch = initial_epoch;
+      clock = 0;
+      crashes = 0;
+      crash_hooks = [];
+      crash_one_hooks = [];
+      local_sig = Array.make (n + 1) 0;
+      zp;
+      fresh_fp = !fresh_fp;
+      fp = 0;
+      fp_live = false;
+      faults = None;
+      handler =
+        { retc = (fun () -> Finished); exnc = crashed; effc = (fun e -> effc t e) };
+      running = 0;
+      budget = 0;
+    }
+  in
+  t
 
 let slot_tag = function
   | Fresh -> 1
@@ -395,28 +405,58 @@ let[@inline] sym_contribution t pid =
     (Encode.mix Encode.sym_seed (lnot (slot_tag t.slots.(pid))))
     t.local_sig.(pid)
 
+let not_runnable () = invalid_arg "Runtime.step: process is not runnable"
+
+(* [k >= 1] steps of [pid]: the first starts the body (a fresh process)
+   or resumes it, the rest run inside the handler. The digest brackets
+   the whole run: the contributions in between telescope, so one
+   xor-out before and one xor-in after cover any number of steps. *)
+let steps t pid k =
+  if pid < 1 || t.slots.(pid) == Finished then not_runnable ();
+  if t.fp_live then t.fp <- t.fp lxor contribution t pid;
+  t.running <- pid;
+  t.budget <- k;
+  let st =
+    match t.slots.(pid) with
+    | Fresh ->
+      let epoch = t.epoch in
+      Effect.Deep.match_with (fun () -> t.body ~pid ~epoch) () t.handler
+    | st -> again t st
+  in
+  (* A body that returns before its first operation still took a step. *)
+  if t.budget = k then begin
+    t.budget <- k - 1;
+    t.clock <- t.clock + 1
+  end;
+  t.slots.(pid) <- st;
+  if st == Finished then Bitset.remove t.live pid;
+  if t.fp_live then t.fp <- t.fp lxor contribution t pid;
+  (* Budget left over: the body finished before its [k]-th step. *)
+  if t.budget > 0 then begin
+    t.budget <- 0;
+    not_runnable ()
+  end
+
 let step t pid =
   (match t.faults with
   | None -> ()
   | Some f ->
+    if not (runnable t pid) then not_runnable ();
     fault_tick t;
     (* Explicitly stepping a suppressed process models a spurious
        re-check: the wakeup is re-delivered and the await re-reads. *)
     if f.susp.(pid) then clear_susp f pid);
-  t.clock <- t.clock + 1;
-  match t.slots.(pid) with
-  | Finished -> invalid_arg "Runtime.step: process is not runnable"
-  | slot ->
-    if t.fp_live then t.fp <- t.fp lxor contribution t pid;
-    let st =
-      match slot with
-      | Fresh -> (
-        match start t pid with Finished -> Finished | st -> advance t ~pid st)
-      | st -> advance t ~pid st
-    in
-    t.slots.(pid) <- st;
-    if st == Finished then Bitset.remove t.live pid;
-    if t.fp_live then t.fp <- t.fp lxor contribution t pid
+  steps t pid 1
+
+(* Armed faults have per-step housekeeping ([fault_tick]), so they take
+   the steps one at a time. *)
+let step_n t pid k =
+  match t.faults with
+  | Some _ ->
+    for _ = 1 to k do
+      step t pid
+    done
+  | None -> if k > 0 then steps t pid k
 
 let discontinue_status st =
   let kill : type a. (a, status) Effect.Deep.continuation -> unit =

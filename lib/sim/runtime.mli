@@ -68,7 +68,21 @@ val step : t -> int -> unit
 (** [step t pid] runs [pid] for one ordinary step: execute its pending
     shared-memory operation (starting the body first if needed) and let it
     run to its next operation or to completion.
-    @raise Invalid_argument if [pid] is not runnable. *)
+    @raise Invalid_argument if [pid] is not runnable; nothing changes. *)
+
+val step_n : t -> int -> int -> unit
+(** [step_n t pid k] is exactly [k] calls of [step t pid] (none if
+    [k <= 0]): the same clock, memory values, RMR and step counts, slot,
+    live set, consumed-value signature and fingerprint digests after it.
+    Without armed faults the fiber takes steps 2 to [k] inside the effect
+    handler: each operation runs as soon as the fiber performs it, and
+    the fiber resumes at once without suspending to the caller, so a run
+    of consecutive same-pid steps costs one suspension. The model
+    checker fast-forwards a replayed prefix this way. With a fault armed
+    ({!lose_wakeup}, {!delay_writes}) it takes the [k] steps one
+    {!step} at a time, since faults have per-step housekeeping.
+    @raise Invalid_argument if [pid] is not runnable, or finishes before
+    its [k]-th step; the state is then that of the steps it took. *)
 
 val crash : t -> ?bump:int -> unit -> unit
 (** [crash t ()] performs a system-wide crash step. [bump] (default 1, must

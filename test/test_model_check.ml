@@ -525,6 +525,34 @@ let repeated_searches_keep_rss () =
         (fourth - first) rss_growth_bound_kb
     | Some _ | None -> ())
 
+(* The benchmark's two searches (perfbench/WORKLOADS.md), pinned here so
+   that a replay change which moves them fails the test suite, not only
+   the benchmark: mc-replay is t2-mcs n=2 CC, two divergences, one
+   crash, no reduction; mc-sym the same at n=3 under [Sym]. *)
+let t2_mcs n =
+  Harness.Scenarios.rme ~n ~model:Memory.Cc
+    ~make:(fun mem -> Rme.Stack.recoverable mem "t2-mcs")
+    ()
+
+let pinned what (o : Harness.Model_check.outcome) ~runs ~steps ~states =
+  let open Harness.Model_check in
+  Alcotest.(check (list string)) (what ^ ": clean") [] o.violations;
+  Alcotest.(check bool) (what ^ ": not truncated") false o.truncated;
+  Alcotest.(check int) (what ^ ": runs") runs o.runs;
+  Alcotest.(check int) (what ^ ": steps") steps o.steps;
+  Alcotest.(check int) (what ^ ": states") states o.distinct_states
+
+let mc_replay_counts () =
+  pinned "mc-replay"
+    (Harness.Model_check.explore ~divergence_bound:2 ~crash_bound:1 (t2_mcs 2))
+    ~runs:18_046 ~steps:916_667 ~states:0
+
+let mc_sym_counts () =
+  pinned "mc-sym"
+    (Harness.Model_check.explore ~divergence_bound:2 ~crash_bound:1
+       ~reduction:Harness.Model_check.Sym (t2_mcs 3))
+    ~runs:13_908 ~steps:554_098 ~states:85_578
+
 let () =
   Alcotest.run "model_check"
     [
@@ -559,6 +587,11 @@ let () =
           case "sym-quotients-t1-cc" sym_quotients_t1_cc;
           case "sym-crash-violations" sym_preserves_crash_violations;
           case "bitstate-underreports" bitstate_underreports_never_fabricates;
+        ] );
+      ( "benchmark-searches",
+        [
+          case "mc-replay" mc_replay_counts;
+          case "mc-sym" mc_sym_counts;
         ] );
       ( "allocation",
         [

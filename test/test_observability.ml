@@ -65,6 +65,33 @@ let json_parse_escapes () =
       ("2E+2", Json.Float 200.);
     ]
 
+(* Nesting is bounded at 1024: a million open brackets fail at the
+   first one past the bound, without reading (or recursing into) the
+   rest; 1024 levels parse and 1025 fail; a thousand-deep document of
+   alternating arrays and objects parses and round-trips. *)
+let json_deep_nesting () =
+  let deep = String.make 1_000_000 '[' in
+  (match Json.parse deep with
+  | _ -> Alcotest.fail "parsed a million unclosed brackets"
+  | exception Json.Parse_error msg ->
+    Alcotest.(check string) "rejected at the bound"
+      "nesting deeper than 1024 at byte 1024" msg);
+  let parses d =
+    match Json.parse (String.make d '[' ^ String.make d ']') with
+    | _ -> true
+    | exception Json.Parse_error _ -> false
+  in
+  Alcotest.(check bool) "1024 deep parses" true (parses 1024);
+  Alcotest.(check bool) "1025 deep fails" false (parses 1025);
+  let rec nest d =
+    if d = 0 then Json.Int d
+    else if d mod 2 = 0 then Json.List [ nest (d - 1) ]
+    else Json.Obj [ ("k", nest (d - 1)) ]
+  in
+  let doc = nest 1000 in
+  Alcotest.(check bool) "1000-deep document round-trips" true
+    (Json.parse (Json.to_string doc) = doc)
+
 let json_rejects_non_finite () =
   List.iter
     (fun f ->
@@ -860,6 +887,7 @@ let () =
           case "roundtrip" json_roundtrip;
           case "escapes" json_parse_escapes;
           case "non-finite" json_rejects_non_finite;
+          case "deep-nesting" json_deep_nesting;
         ] );
       ( "trace-export",
         [

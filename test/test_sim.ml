@@ -367,6 +367,190 @@ let reset_discontinues_fibers () =
   check_bool "all back in the NCS" true
     (List.for_all (Runtime.runnable rt) [ 1; 2; 3 ])
 
+(* --- step_n: k steps taken inside the handler equal k calls of step --- *)
+
+(* Everything a step can change, printed: clock, epoch, crashes, the live
+   set, every cell's value, per-pid RMR and step counts, per-pid slot
+   kind and consumed-value signature (through [sym_contribution]), and
+   the from-scratch runtime and memory digests. *)
+let observe w =
+  let module MC = Harness.Model_check in
+  let mem = MC.memory w and rt = MC.runtime w in
+  let b = Buffer.create 512 in
+  Printf.bprintf b "clock=%d epoch=%d crashes=%d live=[%s] fp=%d/%d\nmem="
+    (Runtime.clock rt) (Runtime.epoch rt) (Runtime.crashes rt)
+    (String.concat "," (List.map string_of_int (Runtime.enabled rt)))
+    (Runtime.fingerprint_slow rt) (Memory.fingerprint_slow mem);
+  Array.iter (Printf.bprintf b "%d,") (Memory.snapshot mem);
+  for pid = 1 to Runtime.n rt do
+    Printf.bprintf b "\np%d rmrs=%d steps=%d slot=%d fresh=%b blocked=%b" pid
+      (Memory.rmrs mem ~pid) (Memory.steps mem ~pid)
+      (Runtime.sym_contribution rt pid) (Runtime.opaque rt pid)
+      (Runtime.blocked rt pid)
+  done;
+  Buffer.contents b
+
+(* Drives two worlds of one scenario through the same seeded schedule:
+   world [a] takes every step with [Runtime.step], world [b] takes each
+   run of same-pid steps with one [Runtime.step_n], and the two must
+   agree after every run. Runs are up to 24 steps of a random live
+   process (blocked ones included, so awaits fail; half of them at most
+   4 steps, so processes meet in the lock), cut short where the process
+   finishes; crashes, crash-ones and, with [faults], lost wakeups and
+   delayed writes come between runs. With [live] both
+   worlds maintain their digests from the start, and the incremental
+   fingerprints must agree too. [cover] counts the cases the property
+   is about: a failed await after a run's first step, a run whose last
+   step finishes the body, a run right after a crash, a crash right
+   after a run. *)
+let step_n_parity ~cover ~stack ~model ~seed ~faults ~live =
+  let module MC = Harness.Model_check in
+  let sc =
+    Harness.Scenarios.rme ~passages:4 ~check_csr:false ~n:3 ~model
+      ~make:(fun mem -> Rme.Stack.recoverable mem stack)
+      ()
+  in
+  let a = MC.world sc and b = MC.world sc in
+  MC.reset a ~violation:ignore;
+  MC.reset b ~violation:ignore;
+  let ra = MC.runtime a and rb = MC.runtime b in
+  let both f = f ra; f rb in
+  if live then
+    List.iter
+      (fun w ->
+        ignore (Runtime.fingerprint (MC.runtime w));
+        ignore (Memory.fingerprint (MC.memory w)))
+      [ a; b ];
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let last_was_crash = ref false and last_was_run = ref false in
+  let crashed () =
+    if !last_was_run then cover.(3) <- cover.(3) + 1;
+    last_was_crash := true;
+    last_was_run := false
+  in
+  for run = 1 to 300 do
+    let what =
+      Format.asprintf "%s %a seed %d run %d" stack Memory.pp_model model seed
+        run
+    in
+    (match (Runtime.enabled ra, Random.State.int rng 30) with
+    | [], _ | _, 0 ->
+      both (fun rt -> Runtime.crash rt ());
+      crashed ()
+    | pids, 1 ->
+      let pid = pick pids in
+      both (fun rt -> Runtime.crash_one rt pid);
+      crashed ()
+    | pids, 2 when faults ->
+      let pid = pick pids in
+      if Random.State.bool rng then
+        both (fun rt -> ignore (Runtime.lose_wakeup rt pid))
+      else
+        let window = 1 + Random.State.int rng 8 in
+        both (fun rt -> Runtime.delay_writes rt pid ~window)
+    | pids, _ ->
+      let pid = pick pids in
+      let k =
+        1 + Random.State.int rng (if Random.State.bool rng then 4 else 24)
+      in
+      let taken = ref 0 in
+      while !taken < k && Runtime.runnable ra pid do
+        if !taken > 0 && Runtime.blocked ra pid then
+          cover.(0) <- cover.(0) + 1;
+        Runtime.step ra pid;
+        incr taken
+      done;
+      Runtime.step_n rb pid !taken;
+      if not (Runtime.runnable ra pid) then cover.(1) <- cover.(1) + 1;
+      if !last_was_crash then cover.(2) <- cover.(2) + 1;
+      last_was_crash := false;
+      last_was_run := true);
+    Alcotest.(check string) what (observe a) (observe b);
+    if live then
+      Alcotest.(check int) (what ^ ": incremental digest")
+        (Runtime.fingerprint ra) (Runtime.fingerprint rb)
+  done;
+  (* Resynced from scratch, the digests agree too. *)
+  Alcotest.(check int) (stack ^ ": resynced runtime digest")
+    (Runtime.fingerprint ra) (Runtime.fingerprint rb);
+  Alcotest.(check int) (stack ^ ": resynced memory digest")
+    (Memory.fingerprint (MC.memory a)) (Memory.fingerprint (MC.memory b));
+  both Runtime.reset
+
+let step_n_matches_steps stack () =
+  let cover = Array.make 4 0 in
+  List.iteri
+    (fun i (model, faults, live) ->
+      step_n_parity ~cover ~stack ~model ~seed:(0x57E9 + i) ~faults ~live)
+    [
+      (Memory.Cc, false, false);
+      (Memory.Dsm, false, false);
+      (Memory.Cc, false, true);
+      (Memory.Dsm, true, false);
+      (Memory.Cc, true, true);
+    ];
+  List.iteri
+    (fun i case ->
+      if cover.(i) = 0 then
+        Alcotest.failf "%s: no %s in any schedule" stack case)
+    [
+      "failed await mid-run";
+      "finish on a run's last step";
+      "run right after a crash";
+      "crash right after a run";
+    ]
+
+(* Past the body's end [step_n] raises like the extra [step] would, with
+   the state of the steps it took; a body with no operation still takes
+   its one step. *)
+let step_n_past_finish () =
+  let mem = Memory.create ~model:Memory.Cc ~n:2 in
+  let c = Memory.global mem ~name:"x" 0 in
+  let rt =
+    Runtime.create mem ~body:(fun ~pid ~epoch:_ ->
+        if pid = 1 then begin
+          Proc.write c 1;
+          ignore (Proc.read c);
+          Proc.write c 2
+        end)
+  in
+  Runtime.step_n rt 1 0;
+  check "zero steps" 0 (Runtime.clock rt);
+  (match Runtime.step_n rt 1 10 with
+  | () -> Alcotest.fail "stepped past the end"
+  | exception Invalid_argument _ -> ());
+  check "three steps taken" 3 (Runtime.clock rt);
+  check "all three ops" 2 (Memory.peek c);
+  check_bool "finished" false (Runtime.runnable rt 1);
+  (match Runtime.step_n rt 2 2 with
+  | () -> Alcotest.fail "stepped an op-free body twice"
+  | exception Invalid_argument _ -> ());
+  check "op-free body took one step" 4 (Runtime.clock rt);
+  check_bool "all done" true (Runtime.all_done rt)
+
+(* A million same-pid steps inside the handler run in constant stack:
+   each one resumes the fiber by a tail call. The stack limit is cut to
+   1 MB for the run, far below what a frame per step would need. *)
+let step_n_constant_stack () =
+  let steps = 1_000_000 in
+  let mem = Memory.create ~model:Memory.Cc ~n:1 in
+  let c = Memory.global mem ~name:"x" 0 in
+  let rt =
+    Runtime.create mem ~body:(fun ~pid:_ ~epoch:_ ->
+        for _ = 1 to steps do
+          ignore (Proc.faa c 1)
+        done)
+  in
+  let g = Gc.get () in
+  Gc.set { g with Gc.stack_limit = 1 lsl 17 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set g)
+    (fun () -> Runtime.step_n rt 1 steps);
+  check "clock" steps (Runtime.clock rt);
+  check "every op ran" steps (Memory.peek c);
+  check_bool "finished on the last step" true (Runtime.all_done rt)
+
 (* --- Schedules --- *)
 
 let drive schedule rt = Runtime.run rt schedule
@@ -632,6 +816,15 @@ let () =
           case "await-cheap-cc" await_spin_is_cheap_in_cc;
           case "crash-while-blocked" crash_while_blocked;
           case "reset-discontinues" reset_discontinues_fibers;
+        ] );
+      ( "step-n",
+        [
+          case "t2-mcs" (step_n_matches_steps "t2-mcs");
+          case "t3-mcs" (step_n_matches_steps "t3-mcs");
+          case "jjj-cc" (step_n_matches_steps "jjj-cc");
+          case "jjj-dsm" (step_n_matches_steps "jjj-dsm");
+          case "past-finish" step_n_past_finish;
+          case "constant-stack" step_n_constant_stack;
         ] );
       ( "schedule",
         [
