@@ -96,10 +96,12 @@ type t = {
      takes the suspended fiber's next step on the spot, without
      returning to the caller, while [budget] lasts: [running] is the pid
      being stepped and [budget] the steps it may still take (see
-     [again]). *)
+     [again]). Once [budget] is below [halt_below], [again] also stops
+     before an await whose condition fails; 0 turns that off. *)
   handler : (unit, status) Effect.Deep.handler;
   mutable running : int;
   mutable budget : int;
+  mutable halt_below : int;
 }
 
 (* --- injectable faults --- *)
@@ -194,15 +196,14 @@ let suppressed t pid =
   | None -> false
   | Some f -> f.susp.(pid) && watch_unchanged f pid
 
-let blocked t pid =
-  suppressed t pid
-  ||
-  match t.slots.(pid) with
+let parked_blocked = function
   | Sus_await (c, pred, _) -> not (pred (Memory.peek c))
   | Sus_await2 (c1, c2, pred, _) -> not (pred (Memory.peek c1) (Memory.peek c2))
   | Fresh | Finished | Sus_read _ | Sus_write _ | Sus_cas _ | Sus_fas _
   | Sus_faa _ | Sus_fasas _ ->
     false
+
+let blocked t pid = suppressed t pid || parked_blocked t.slots.(pid)
 
 let blocked_on t pid =
   match t.slots.(pid) with
@@ -233,13 +234,14 @@ let[@inline] consume t pid v = t.local_sig.(pid) <- Encode.mix t.local_sig.(pid)
 (* The fiber of [t.running] is parked at [st]. While the budget lasts,
    take its next step right here — a clock tick, then [advance] — and
    hand back whatever the fiber parks at once the budget is spent (or
-   [Finished]); with no budget left, hand back [st] itself. Called from
-   [effc], on the handler's own stack: [again], [advance] and the
-   [continue] inside it are all tail calls, so a run of consecutive
-   steps resumes the fiber without returning to the caller and without
-   growing the stack. *)
+   [Finished]); with no budget left, hand back [st] itself. Past the
+   first step of a {!step_productive} ([budget < halt_below]) it also
+   hands back an [st] that is blocked. Called from [effc], on the
+   handler's own stack: [again], [advance] and the [continue] inside it
+   are all tail calls, so a run of consecutive steps resumes the fiber
+   without returning to the caller and without growing the stack. *)
 let rec again t st =
-  if t.budget = 0 then st
+  if t.budget = 0 || (t.budget < t.halt_below && parked_blocked st) then st
   else begin
     t.budget <- t.budget - 1;
     t.clock <- t.clock + 1;
@@ -376,6 +378,7 @@ let create ?(initial_epoch = 1) mem ~body =
         { retc = (fun () -> Finished); exnc = crashed; effc = (fun e -> effc t e) };
       running = 0;
       budget = 0;
+      halt_below = 0;
     }
   in
   t
@@ -407,15 +410,19 @@ let[@inline] sym_contribution t pid =
 
 let not_runnable () = invalid_arg "Runtime.step: process is not runnable"
 
-(* [k >= 1] steps of [pid]: the first starts the body (a fresh process)
-   or resumes it, the rest run inside the handler. The digest brackets
-   the whole run: the contributions in between telescope, so one
-   xor-out before and one xor-in after cover any number of steps. *)
-let steps t pid k =
+(* Up to [k >= 1] steps of [pid], returning how many it took: the first
+   starts the body (a fresh process) or resumes it, the rest run inside
+   the handler. It stops early where the body finishes and, past the
+   first step with [halt_below = k], before an await whose condition
+   fails. The digest brackets the whole run: the contributions in
+   between telescope, so one xor-out before and one xor-in after cover
+   any number of steps. *)
+let steps t pid k ~halt_below =
   if pid < 1 || t.slots.(pid) == Finished then not_runnable ();
   if t.fp_live then t.fp <- t.fp lxor contribution t pid;
   t.running <- pid;
   t.budget <- k;
+  t.halt_below <- halt_below;
   let st =
     match t.slots.(pid) with
     | Fresh ->
@@ -431,11 +438,9 @@ let steps t pid k =
   t.slots.(pid) <- st;
   if st == Finished then Bitset.remove t.live pid;
   if t.fp_live then t.fp <- t.fp lxor contribution t pid;
-  (* Budget left over: the body finished before its [k]-th step. *)
-  if t.budget > 0 then begin
-    t.budget <- 0;
-    not_runnable ()
-  end
+  let taken = k - t.budget in
+  t.budget <- 0;
+  taken
 
 let step t pid =
   (match t.faults with
@@ -446,7 +451,7 @@ let step t pid =
     (* Explicitly stepping a suppressed process models a spurious
        re-check: the wakeup is re-delivered and the await re-reads. *)
     if f.susp.(pid) then clear_susp f pid);
-  steps t pid 1
+  ignore (steps t pid 1 ~halt_below:0)
 
 (* Armed faults have per-step housekeeping ([fault_tick]), so they take
    the steps one at a time. *)
@@ -456,7 +461,23 @@ let step_n t pid k =
     for _ = 1 to k do
       step t pid
     done
-  | None -> if k > 0 then steps t pid k
+  | None ->
+    (* Budget left over: the body finished before its [k]-th step. *)
+    if k > 0 && steps t pid k ~halt_below:0 < k then not_runnable ()
+
+let step_productive t pid ~max =
+  if max < 1 then 0
+  else
+    match t.faults with
+    | Some _ ->
+      step t pid;
+      let taken = ref 1 in
+      while !taken < max && runnable t pid && not (blocked t pid) do
+        step t pid;
+        incr taken
+      done;
+      !taken
+    | None -> steps t pid max ~halt_below:max
 
 let discontinue_status st =
   let kill : type a. (a, status) Effect.Deep.continuation -> unit =

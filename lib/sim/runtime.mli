@@ -81,8 +81,23 @@ val step_n : t -> int -> int -> unit
     checker fast-forwards a replayed prefix this way. With a fault armed
     ({!lose_wakeup}, {!delay_writes}) it takes the [k] steps one
     {!step} at a time, since faults have per-step housekeeping.
+    {!step_n}, {!step_productive} and {!step} share one stepping core.
     @raise Invalid_argument if [pid] is not runnable, or finishes before
     its [k]-th step; the state is then that of the steps it took. *)
+
+val step_productive : t -> int -> max:int -> int
+(** [step_productive t pid ~max] steps [pid] while it stays productive
+    and returns how many steps it took: it is exactly the loop "{!step}
+    [t pid], then {!step} again while [pid] is {!runnable}, not
+    {!blocked} and fewer than [max] steps are taken" (no step if
+    [max < 1]). The first step is unconditional, so a fresh process
+    whose first operation is a blocked await takes that one step. Like
+    {!step_n}, it takes its steps inside the effect handler without
+    armed faults, and stops there before an await whose condition
+    fails; with a fault armed it takes them one {!step} at a time. The
+    model checker steps a run whose divergence budget is spent this way,
+    one call per process between switches.
+    @raise Invalid_argument if [pid] is not runnable; nothing changes. *)
 
 val crash : t -> ?bump:int -> unit -> unit
 (** [crash t ()] performs a system-wide crash step. [bump] (default 1, must

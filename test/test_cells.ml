@@ -58,10 +58,10 @@ let read_lines path =
    stack, say — can be reviewed with diff and copied over the
    expectation. *)
 let name_parity () =
-  let expected = read_lines "cell_names.expected" in
+  let expected = read_lines (Testutil.in_build "cell_names.expected") in
   let actual = render () in
   let fail msg =
-    Out_channel.with_open_text "cell_names.actual" (fun oc ->
+    Out_channel.with_open_text (Testutil.in_build "cell_names.actual") (fun oc ->
         List.iter (fun l -> output_string oc (l ^ "\n")) actual);
     Alcotest.failf "%s (full list written to cell_names.actual)" msg
   in

@@ -201,11 +201,12 @@ let parity_runs () =
    (in the test's build directory) for review with diff. *)
 let metrics_parity () =
   let expected =
-    In_channel.with_open_text "driver_metrics.expected" In_channel.input_all
+    In_channel.with_open_text (in_build "driver_metrics.expected")
+      In_channel.input_all
   in
   let actual = String.concat "" (parity_runs ()) in
   if actual <> expected then begin
-    Out_channel.with_open_text "driver_metrics.actual" (fun oc ->
+    Out_channel.with_open_text (in_build "driver_metrics.actual") (fun oc ->
         output_string oc actual);
     Alcotest.fail
       "rme-metrics/1 differs from driver_metrics.expected (see \

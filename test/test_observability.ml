@@ -488,7 +488,6 @@ let gate_runner_table () =
    validate.exe FAILs it; so does a committed baseline whose verdict was
    edited to "fail". *)
 let validate_fails_failed_gates () =
-  let in_build f = Filename.concat (Filename.dirname Sys.executable_name) f in
   let validate = in_build "../bench/validate.exe" in
   let run_validate doc =
     let file = Filename.temp_file "bench_gate" ".json" in
@@ -704,9 +703,6 @@ let mc_outcome_validator_accepts_and_rejects () =
 (* One real emitted document per schema, the members it may omit, and
    the per-worker array its cross-field check sizes against "n". *)
 let emitted_documents () =
-  (* The CLI and the baselines are test dependencies, next to this
-     executable's directory in the build tree. *)
-  let in_build f = Filename.concat (Filename.dirname Sys.executable_name) f in
   let outcome =
     let out = Filename.temp_file "mc_outcome" ".json" in
     let cmd =

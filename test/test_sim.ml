@@ -392,18 +392,17 @@ let observe w =
 
 (* Drives two worlds of one scenario through the same seeded schedule:
    world [a] takes every step with [Runtime.step], world [b] takes each
-   run of same-pid steps with one [Runtime.step_n], and the two must
-   agree after every run. Runs are up to 24 steps of a random live
-   process (blocked ones included, so awaits fail; half of them at most
-   4 steps, so processes meet in the lock), cut short where the process
-   finishes; crashes, crash-ones and, with [faults], lost wakeups and
-   delayed writes come between runs. With [live] both
-   worlds maintain their digests from the start, and the incremental
-   fingerprints must agree too. [cover] counts the cases the property
-   is about: a failed await after a run's first step, a run whose last
-   step finishes the body, a run right after a crash, a crash right
-   after a run. *)
-let step_n_parity ~cover ~stack ~model ~seed ~faults ~live =
+   run of same-pid steps with the call under test, through [run], and
+   the two must agree after every run. A run's pid is a random live
+   process (blocked ones included, so awaits fail) and its bound [k] is
+   up to 24 steps (half of them at most 4, so processes meet in the
+   lock); crashes, crash-ones and, with [faults], lost wakeups and
+   delayed writes come between runs. With [live] both worlds maintain
+   their digests from the start, and the incremental fingerprints must
+   agree too. [cover] counts the cases the property is about: slots 0
+   and 1 a run right after a crash and a crash right after a run, slots
+   2 to 7 whatever [run] counts. *)
+let step_parity ~run ~cover ~stack ~model ~seed ~faults ~live =
   let module MC = Harness.Model_check in
   let sc =
     Harness.Scenarios.rme ~passages:4 ~check_csr:false ~n:3 ~model
@@ -425,14 +424,13 @@ let step_n_parity ~cover ~stack ~model ~seed ~faults ~live =
   let pick l = List.nth l (Random.State.int rng (List.length l)) in
   let last_was_crash = ref false and last_was_run = ref false in
   let crashed () =
-    if !last_was_run then cover.(3) <- cover.(3) + 1;
+    if !last_was_run then cover.(1) <- cover.(1) + 1;
     last_was_crash := true;
     last_was_run := false
   in
-  for run = 1 to 300 do
+  for i = 1 to 300 do
     let what =
-      Format.asprintf "%s %a seed %d run %d" stack Memory.pp_model model seed
-        run
+      Format.asprintf "%s %a seed %d run %d" stack Memory.pp_model model seed i
     in
     (match (Runtime.enabled ra, Random.State.int rng 30) with
     | [], _ | _, 0 ->
@@ -454,16 +452,8 @@ let step_n_parity ~cover ~stack ~model ~seed ~faults ~live =
       let k =
         1 + Random.State.int rng (if Random.State.bool rng then 4 else 24)
       in
-      let taken = ref 0 in
-      while !taken < k && Runtime.runnable ra pid do
-        if !taken > 0 && Runtime.blocked ra pid then
-          cover.(0) <- cover.(0) + 1;
-        Runtime.step ra pid;
-        incr taken
-      done;
-      Runtime.step_n rb pid !taken;
-      if not (Runtime.runnable ra pid) then cover.(1) <- cover.(1) + 1;
-      if !last_was_crash then cover.(2) <- cover.(2) + 1;
+      run ~what ~cover ra rb pid k;
+      if !last_was_crash then cover.(0) <- cover.(0) + 1;
       last_was_crash := false;
       last_was_run := true);
     Alcotest.(check string) what (observe a) (observe b);
@@ -478,11 +468,13 @@ let step_n_parity ~cover ~stack ~model ~seed ~faults ~live =
     (Memory.fingerprint (MC.memory a)) (Memory.fingerprint (MC.memory b));
   both Runtime.reset
 
-let step_n_matches_steps stack () =
-  let cover = Array.make 4 0 in
+(* Every seeded configuration: CC and DSM, faults armed or not, digests
+   live or lazy; then every [cases] slot must have been met. *)
+let parity_matches ~run ~cases stack () =
+  let cover = Array.make 8 0 in
   List.iteri
     (fun i (model, faults, live) ->
-      step_n_parity ~cover ~stack ~model ~seed:(0x57E9 + i) ~faults ~live)
+      step_parity ~run ~cover ~stack ~model ~seed:(0x57E9 + i) ~faults ~live)
     [
       (Memory.Cc, false, false);
       (Memory.Dsm, false, false);
@@ -494,12 +486,90 @@ let step_n_matches_steps stack () =
     (fun i case ->
       if cover.(i) = 0 then
         Alcotest.failf "%s: no %s in any schedule" stack case)
-    [
-      "failed await mid-run";
-      "finish on a run's last step";
-      "run right after a crash";
-      "crash right after a run";
-    ]
+    ("run right after a crash" :: "crash right after a run" :: cases)
+
+(* [k] steps while the process lasts, against one [Runtime.step_n]. *)
+let step_n_run ~what:_ ~cover ra rb pid k =
+  let taken = ref 0 in
+  while !taken < k && Runtime.runnable ra pid do
+    if !taken > 0 && Runtime.blocked ra pid then cover.(2) <- cover.(2) + 1;
+    Runtime.step ra pid;
+    incr taken
+  done;
+  Runtime.step_n rb pid !taken;
+  if not (Runtime.runnable ra pid) then cover.(3) <- cover.(3) + 1
+
+let step_n_matches_steps =
+  parity_matches ~run:step_n_run
+    ~cases:[ "failed await mid-run"; "finish on a run's last step" ]
+
+(* One step, then more while the process is runnable, not blocked and
+   under [k], against one [Runtime.step_productive] with the same count.
+   Counts the stop cause: a blocked await, the body's end, or [k]; and a
+   fresh process whose first operation is a blocked await. *)
+let step_productive_run ~what ~cover ra rb pid k =
+  let fresh = Runtime.opaque ra pid in
+  Runtime.step ra pid;
+  let taken = ref 1 in
+  while !taken < k && Runtime.runnable ra pid && not (Runtime.blocked ra pid) do
+    Runtime.step ra pid;
+    incr taken
+  done;
+  Alcotest.(check int) (what ^ ": steps taken") !taken
+    (Runtime.step_productive rb pid ~max:k);
+  let stop =
+    if not (Runtime.runnable ra pid) then 3
+    else if !taken < k then 2
+    else 4
+  in
+  cover.(stop) <- cover.(stop) + 1;
+  if fresh && !taken = 1 && stop = 2 then cover.(5) <- cover.(5) + 1
+
+(* No seeded jjj-dsm schedule starts a body at a blocked await;
+   [step_productive_stops] covers that case on a hand-built body. *)
+let step_productive_matches_steps ?(fresh_blocked = true) =
+  parity_matches ~run:step_productive_run
+    ~cases:
+      ([ "stop at a blocked await"; "stop at the body's end"; "stop at max" ]
+      @ if fresh_blocked then [ "fresh process blocked at its first await" ]
+        else [])
+
+(* The stop rule on a hand-built body: a fresh process whose first
+   operation is a blocked await takes that one step, a productive run
+   stops before a failing await (not after it) and at [max], and a
+   finished body ends the run. *)
+let step_productive_stops () =
+  let mem = Memory.create ~model:Memory.Cc ~n:2 in
+  let go = Memory.global mem ~name:"go" 0 and x = Memory.global mem ~name:"x" 0 in
+  let rt =
+    Runtime.create mem ~body:(fun ~pid ~epoch:_ ->
+        if pid = 1 then begin
+          ignore (Proc.await go ~until:(fun v -> v = 1));
+          Proc.write x 1;
+          ignore (Proc.await go ~until:(fun v -> v = 2));
+          ignore (Proc.read x)
+        end
+        else begin
+          Proc.write go 1;
+          Proc.write x 2;
+          Proc.write x 3;
+          Proc.write go 2
+        end)
+  in
+  check "fresh, first await blocked: one step" 1
+    (Runtime.step_productive rt 1 ~max:10);
+  check_bool "still blocked" true (Runtime.blocked rt 1);
+  check "the failed await re-read its cell" 1 (Memory.steps mem ~pid:1);
+  check "stops at max" 2 (Runtime.step_productive rt 2 ~max:2);
+  check "p1 through its await, stops before the next" 2
+    (Runtime.step_productive rt 1 ~max:10);
+  check_bool "p1 blocked again" true (Runtime.blocked rt 1);
+  check "p2 to its end" 2 (Runtime.step_productive rt 2 ~max:10);
+  check_bool "p2 finished" false (Runtime.runnable rt 2);
+  check "p1 to its end" 2 (Runtime.step_productive rt 1 ~max:10);
+  check "clock" 9 (Runtime.clock rt);
+  check_bool "all done" true (Runtime.all_done rt);
+  check "no step at max 0" 0 (Runtime.step_productive rt 1 ~max:0)
 
 (* Past the body's end [step_n] raises like the extra [step] would, with
    the state of the steps it took; a body with no operation still takes
@@ -824,6 +894,11 @@ let () =
           case "jjj-cc" (step_n_matches_steps "jjj-cc");
           case "jjj-dsm" (step_n_matches_steps "jjj-dsm");
           case "past-finish" step_n_past_finish;
+          case "productive t2-mcs" (step_productive_matches_steps "t2-mcs");
+          case "productive t3-mcs" (step_productive_matches_steps "t3-mcs");
+          case "productive jjj-cc" (step_productive_matches_steps "jjj-cc");
+          case "productive jjj-dsm" (step_productive_matches_steps ~fresh_blocked:false "jjj-dsm");
+          case "productive-stops" step_productive_stops;
           case "constant-stack" step_n_constant_stack;
         ] );
       ( "schedule",

@@ -76,6 +76,11 @@ let assert_storm_clean what (r : Harness.Scenario.storm_report) =
   if not r.Harness.Scenario.st_all_done then
     Alcotest.failf "%s: storm wedged (deadlock or step cap)" what
 
+(* [f] next to this test executable in the build tree, where dune puts
+   the suites' declared dependencies (expectation files, the CLI, the
+   baselines), so a suite finds them from any working directory. *)
+let in_build f = Filename.concat (Filename.dirname Sys.executable_name) f
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
