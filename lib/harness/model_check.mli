@@ -6,7 +6,12 @@
     parent's decisions before [cut] straight, with no scan, choice point
     or visited-set lookup (the parent already checked and branched them),
     each run of equal consecutive steps as one {!Sim.Runtime.step_n}; the
-    checked loop starts at [cut].
+    checked loop starts at [cut], where it takes the run's alternative
+    decision whatever the state (so a crash branched off a deadlock runs).
+    A run whose divergence budget is spent records no choice points (its
+    only children are crashes at its free positions) and, without a
+    visited set, steps each default segment as one
+    {!Sim.Runtime.step_productive}.
     The search walks a tree of decision sequences. The default schedule
     runs the current process until it spin-blocks (see {!Sim.Runtime.blocked})
     or finishes, then rotates to the next productive process — fair, and
@@ -20,7 +25,8 @@
     - a system-wide crash step, while the {e crash budget} lasts.
 
     A state in which every runnable process is spin-blocked is reported as
-    a deadlock immediately (only a crash could ever unblock it).
+    a deadlock immediately (only a crash could ever unblock it), and the
+    search branches the crashes the budgets allow from it.
 
     With small process counts this systematically covers every schedule
     within the bounds — including a crash at {e every} reachable step when
